@@ -46,7 +46,6 @@ int main() {
   render.z_max = 60.0;
 
   const double total_distance = 20.0;
-  const int snapshots = 3;
   viz::Table series({"time_ps", "lambda_A", "head_z_A", "max_strain", "spring_force"});
 
   const double dt = system.engine.config().dt;

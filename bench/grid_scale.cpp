@@ -1,41 +1,24 @@
-// Million-job grid DES scaling study — the O(active) substrate vs the
-// original AoS/priority-queue stack.
+// Million-job grid DES scaling study on the O(active) substrate.
 //
-// Arms (in VmHWM-friendly order — the peak-RSS counter is monotone, so the
-// lean arms run before the record-retaining baseline):
+// Arms:
 //   new_100k   — 100k jobs / 1000 sites on the calendar queue + flyweight
 //                JobTable + streaming metrics (two same-seed runs → replay
 //                digest equality);
 //   new_1M     — 1M jobs as 20 sequential 50k-job waves (one Broker per
 //                wave, rows recycled between waves) with lazy fault
-//                arming; two same-seed runs → replay digest equality;
-//   baseline_100k — a frozen replica of the pre-refactor stack (binary-
-//                heap event queue that copies events out of top(), AoS
-//                Site with O(queue+running) backlog scans and find_if
-//                job finish, Broker with a held vector, fired-and-ignored
-//                retry timers and full finished-job retention, batch
-//                metrics over the record vector, eagerly materialized
-//                fault schedule).
+//                arming; two same-seed runs → replay digest equality.
 //
 // Reports broker events/sec, peak RSS (VmHWM), JobTable peak_rows /
 // bytes_per_row, and the FNV-1a replay digests; writes
-// BENCH_grid_scale.json. `--smoke` runs a 100k-job new-arm determinism
-// check only (the CI gate).
+// BENCH_grid_scale.json. `--smoke` runs the 100k-job determinism check
+// only (the CI gate). Exits non-zero when any printed check fails.
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <deque>
+#include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <limits>
-#include <memory>
-#include <queue>
 #include <string>
-#include <vector>
 
 #include <sys/resource.h>
 
@@ -53,12 +36,12 @@ namespace {
 
 constexpr std::uint64_t kSeed = 2005;
 constexpr std::size_t kSites = 1000;
-constexpr std::size_t kGateJobs = 100000;   // speedup-gate arm size
+constexpr std::size_t kGateJobs = 100000;   // replay-gate arm size
 constexpr std::size_t kWaveJobs = 50000;    // 1M arm = 20 waves of these
 constexpr std::size_t kWaves = 20;
 
 /// Job i of wave w, a pure function of (seed, wave, index): identical
-/// across runs and across the baseline/new arms.
+/// across runs.
 Job synthetic_job(std::uint64_t seed, std::size_t wave, std::size_t i) {
   SplitMix64 mix(seed ^ (0x6a6f62ULL << 32) ^ (wave * 0x9e3779b97f4a7c15ULL + i));
   static const int kProcs[] = {4, 8, 16, 32};
@@ -192,433 +175,20 @@ ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
 
 }  // namespace
 
-// --- baseline arm: frozen pre-refactor stack ---------------------------------
-
-namespace baseline {
-
-/// The original binary-heap event queue: no cancellation, and step() COPIES
-/// the event (handler and all) out of priority_queue::top().
-class EventQueue {
- public:
-  using Handler = std::function<void()>;
-
-  void at(double t, Handler handler) { events_.push(Event{t, next_seq_++, std::move(handler)}); }
-  void after(double delay, Handler handler) { at(now_ + delay, std::move(handler)); }
-  [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] std::uint64_t processed() const { return processed_; }
-
-  bool step() {
-    if (events_.empty()) return false;
-    Event e = events_.top();  // the historical copy-from-top
-    events_.pop();
-    now_ = e.time;
-    ++processed_;
-    e.handler();
-    return true;
-  }
-
- private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    Handler handler;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
-};
-
-/// The original AoS site: Jobs by value in the queue, find_if on finish,
-/// O(queue + running) backlog recomputed from scratch on every probe.
-class Site {
- public:
-  using CompletionHandler = std::function<void(const Job&)>;
-
-  Site(SiteSpec spec, EventQueue& events)
-      : spec_(std::move(spec)), events_(events), free_procs_(spec_.processors) {}
-
-  [[nodiscard]] const SiteSpec& spec() const { return spec_; }
-  [[nodiscard]] const std::string& name() const { return spec_.name; }
-  [[nodiscard]] bool in_outage() const { return events_.now() < outage_until_; }
-
-  void set_completion_handler(CompletionHandler h) { on_done_ = std::move(h); }
-  void set_recovery_handler(std::function<void()> h) { on_recovered_ = std::move(h); }
-
-  [[nodiscard]] double backlog_hours() const {
-    double queued_work = 0.0;
-    for (const auto& j : queue_) {
-      queued_work += j.processors * j.remaining_hours() / spec_.speed;
-    }
-    for (const auto& r : running_) {
-      if (r.alive) {
-        queued_work += r.job.processors * std::max(0.0, r.end_time - events_.now());
-      }
-    }
-    return queued_work / spec_.processors;
-  }
-
-  void submit(Job job) {
-    if (job.processors > spec_.processors) {
-      fail_job(std::move(job), "job larger than machine");
-      return;
-    }
-    if (in_outage()) {
-      fail_job(std::move(job), "site in outage");
-      return;
-    }
-    job.state = JobState::Queued;
-    job.submit_time = events_.now();
-    job.site = spec_.name;
-    queue_.push_back(std::move(job));
-    dispatch();
-  }
-
-  void fail_until(double until) {
-    outage_until_ = std::max(outage_until_, until);
-    std::vector<Running> dead;
-    dead.swap(running_);
-    for (auto& r : dead) {
-      free_procs_ += r.job.processors;
-      Job job = std::move(r.job);
-      const double elapsed = events_.now() - job.start_time;
-      double credited_wall = 0.0;
-      if (job.checkpoint_interval_hours > 0.0 && elapsed > 0.0) {
-        credited_wall =
-            std::floor(elapsed / job.checkpoint_interval_hours) * job.checkpoint_interval_hours;
-      }
-      job.consumed_cpu_hours += job.processors * elapsed;
-      job.wasted_cpu_hours += job.processors * (elapsed - credited_wall);
-      if (credited_wall > 0.0) {
-        job.completed_fraction = std::min(
-            1.0, job.completed_fraction + credited_wall * spec_.speed / job.runtime_hours);
-      }
-      fail_job(std::move(job), "site outage");
-    }
-    std::deque<Job> queued;
-    queued.swap(queue_);
-    for (auto& j : queued) fail_job(std::move(j), "site outage");
-    events_.at(until, [this] {
-      if (in_outage()) return;
-      if (on_recovered_) on_recovered_();
-      dispatch();
-    });
-  }
-
- private:
-  struct Running {
-    Job job;
-    double end_time;
-    std::uint64_t run_token;
-    bool alive;
-  };
-
-  bool fits_now(int procs) const { return procs <= free_procs_; }
-
-  double shadow_time(const Job& head) const {
-    std::vector<double> candidates{events_.now()};
-    for (const auto& r : running_) {
-      if (r.alive) candidates.push_back(r.end_time);
-    }
-    std::sort(candidates.begin(), candidates.end());
-    for (const double t : candidates) {
-      int free_at_t = free_procs_;
-      for (const auto& r : running_) {
-        if (r.alive && r.end_time <= t) free_at_t += r.job.processors;
-      }
-      if (head.processors <= free_at_t) return t;
-    }
-    return candidates.back();
-  }
-
-  void start_job(Job job) {
-    const double duration = job.remaining_hours() / spec_.speed;
-    job.state = JobState::Running;
-    job.start_time = events_.now();
-    free_procs_ -= job.processors;
-    const std::uint64_t token = next_run_token_++;
-    const double end = events_.now() + duration;
-    running_.push_back(Running{std::move(job), end, token, true});
-    events_.at(end, [this, token] { finish_job(token); });
-  }
-
-  void finish_job(std::uint64_t run_token) {
-    const auto it = std::find_if(
-        running_.begin(), running_.end(),
-        [run_token](const Running& r) { return r.alive && r.run_token == run_token; });
-    if (it == running_.end()) return;  // killed by an outage: stale event, ignored
-    Job job = std::move(it->job);
-    running_.erase(it);
-    free_procs_ += job.processors;
-    job.state = JobState::Completed;
-    job.end_time = events_.now();
-    job.consumed_cpu_hours += job.processors * (job.end_time - job.start_time);
-    job.completed_fraction = 1.0;
-    if (on_done_) on_done_(job);
-    dispatch();
-  }
-
-  void dispatch() {
-    if (in_outage()) return;
-    while (!queue_.empty() && fits_now(queue_.front().processors)) {
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      start_job(std::move(job));
-    }
-    if (queue_.empty()) return;
-    const double shadow = shadow_time(queue_.front());
-    for (auto it = queue_.begin() + 1; it != queue_.end();) {
-      const double duration = it->remaining_hours() / spec_.speed;
-      if (fits_now(it->processors) && events_.now() + duration <= shadow) {
-        Job job = std::move(*it);
-        it = queue_.erase(it);
-        start_job(std::move(job));
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  void fail_job(Job job, const char* reason) {
-    job.state = JobState::Failed;
-    job.end_time = events_.now();
-    job.site = spec_.name;
-    job.name += std::string(" [") + reason + "]";
-    if (on_done_) on_done_(job);
-  }
-
-  SiteSpec spec_;
-  EventQueue& events_;
-  CompletionHandler on_done_;
-  std::function<void()> on_recovered_;
-  int free_procs_;
-  std::deque<Job> queue_;
-  std::vector<Running> running_;
-  double outage_until_ = -1.0;
-  std::uint64_t next_run_token_ = 0;
-};
-
-/// The original broker: held jobs in a vector scanned by id, retry timers
-/// fired-and-ignored, every finished Job retained for batch metrics.
-class Broker {
- public:
-  Broker(std::vector<std::unique_ptr<Site>>& sites, EventQueue& events,
-         std::vector<Job> jobs, int max_requeues, RetryPolicy retry)
-      : sites_(sites),
-        events_(events),
-        jobs_(std::move(jobs)),
-        max_requeues_(max_requeues),
-        retry_(retry) {
-    for (auto& site : sites_) {
-      site->set_completion_handler([this](const Job& job) { on_job_done(job); });
-      site->set_recovery_handler([this] { release_held(); });
-    }
-  }
-
-  void submit_all() {
-    outstanding_ = jobs_.size();
-    for (auto& job : jobs_) dispatch(job, "");
-    jobs_.clear();
-  }
-
-  [[nodiscard]] bool done() const { return outstanding_ == 0; }
-  [[nodiscard]] std::size_t completed() const { return completed_; }
-  [[nodiscard]] std::size_t failed() const { return failed_; }
-  [[nodiscard]] const std::vector<Job>& finished_jobs() const { return finished_jobs_; }
-
- private:
-  Site* choose_site(const Job& job, const std::string& exclude) {
-    Site* best = nullptr;
-    double best_load = std::numeric_limits<double>::infinity();
-    for (const auto& s : sites_) {
-      if (s->name() == exclude || s->in_outage()) continue;
-      if (job.processors > s->spec().processors) continue;
-      const double load =
-          (s->backlog_hours() + job.runtime_hours * job.processors / s->spec().processors) /
-          s->spec().speed;
-      if (load < best_load) {
-        best_load = load;
-        best = s.get();
-      }
-    }
-    return best;
-  }
-
-  void dispatch(Job job, const std::string& exclude) {
-    Site* site = choose_site(job, exclude);
-    if (site == nullptr) {
-      hold(std::move(job));
-      return;
-    }
-    site->submit(std::move(job));
-  }
-
-  void hold(Job job) {
-    job.holds += 1;
-    if (job.holds > retry_.max_holds) {
-      fail_permanently(std::move(job));
-      return;
-    }
-    job.state = JobState::Pending;
-    job.site.clear();
-    const JobId id = job.id;
-    const double delay = retry_.delay_hours(id, job.requeues + job.holds);
-    held_.push_back(std::move(job));
-    // Fired-and-ignored: a recovery may release the job first, and the
-    // timer then burns a heap pop + failed linear scan.
-    events_.after(delay, [this, id] { retry_held(id); });
-  }
-
-  void retry_held(JobId id) {
-    const auto it = std::find_if(held_.begin(), held_.end(),
-                                 [id](const Job& j) { return j.id == id; });
-    if (it == held_.end()) return;
-    Job job = std::move(*it);
-    held_.erase(it);
-    dispatch(std::move(job), "");
-  }
-
-  void release_held() {
-    std::vector<Job> parked;
-    parked.swap(held_);
-    for (auto& job : parked) dispatch(std::move(job), "");
-  }
-
-  void fail_permanently(Job job) {
-    job.state = JobState::Failed;
-    job.end_time = events_.now();
-    failed_ += 1;
-    finished_jobs_.push_back(std::move(job));
-    --outstanding_;
-  }
-
-  void on_job_done(const Job& job) {
-    if (job.state == JobState::Completed) {
-      --outstanding_;
-      completed_ += 1;
-      finished_jobs_.push_back(job);
-      return;
-    }
-    Job retry = job;
-    if (retry.requeues >= max_requeues_) {
-      fail_permanently(std::move(retry));
-      return;
-    }
-    retry.requeues += 1;
-    retry.state = JobState::Pending;
-    const std::string failed_site = retry.site;
-    const double delay = retry_.delay_hours(retry.id, retry.requeues);
-    events_.after(delay, [this, retry, failed_site]() mutable {
-      dispatch(std::move(retry), failed_site);
-    });
-  }
-
-  std::vector<std::unique_ptr<Site>>& sites_;
-  EventQueue& events_;
-  std::vector<Job> jobs_;
-  std::vector<Job> held_;
-  std::vector<Job> finished_jobs_;
-  int max_requeues_;
-  RetryPolicy retry_;
-  std::size_t outstanding_ = 0;
-  std::size_t completed_ = 0;
-  std::size_t failed_ = 0;
-};
-
-/// Same federation (identical Rng draws as build_synthetic_federation) and
-/// the same fault schedule, eagerly materialized as the old stack did.
-ArmResult run_baseline_arm(std::size_t n_jobs) {
-  EventQueue events;
-  std::vector<std::unique_ptr<Site>> sites;
-  {
-    static const char* kGrids[] = {"TeraGrid", "NGS", "DEISA", "OSG"};
-    static const int kSizes[] = {128, 256, 512, 1024};
-    Rng rng = Rng::stream(kSeed, 0x73697465ULL, kSites);
-    for (std::size_t i = 0; i < kSites; ++i) {
-      SiteSpec spec;
-      spec.name = "site" + std::to_string(i);
-      spec.grid = kGrids[i % 4];
-      spec.processors = kSizes[rng.uniform_index(4)];
-      spec.speed = rng.uniform(0.8, 1.2);
-      sites.push_back(std::make_unique<Site>(spec, events));
-    }
-  }
-  {
-    const FaultConfig faults = fault_config(/*lazy=*/false);
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      Rng rng = Rng::stream(faults.seed, 0x6661756c74ULL, i);
-      double t = rng.exponential(faults.site_mtbf_hours);
-      while (t < faults.horizon_hours) {
-        const double duration = rng.exponential(faults.mean_outage_hours);
-        Site* site = sites[i].get();
-        const double until = t + duration;
-        events.at(t, [site, until] { site->fail_until(until); });
-        t += duration + rng.exponential(faults.site_mtbf_hours);
-      }
-    }
-  }
-
-  std::vector<Job> jobs;
-  jobs.reserve(n_jobs);
-  for (std::size_t i = 0; i < n_jobs; ++i) {
-    Job job = synthetic_job(kSeed, 0, i);
-    job.name = "job" + std::to_string(job.id);
-    jobs.push_back(std::move(job));
-  }
-
-  RetryPolicy retry;
-  retry.max_holds = 200;
-  Broker broker(sites, events, std::move(jobs), /*max_requeues=*/10, retry);
-
-  ArmResult arm;
-  const auto t0 = std::chrono::steady_clock::now();
-  broker.submit_all();
-  while (!broker.done() && events.step()) {
-  }
-  arm.wall_s = wall_seconds(t0);
-  arm.events = events.processed();
-  arm.completed = broker.completed();
-  arm.failed = broker.failed();
-  arm.makespan_hours = events.now();
-
-  // Batch metrics over the retained records — the only option this stack
-  // had — folded into a digest for a like-for-like determinism record.
-  const WaitStatistics waits = wait_statistics(broker.finished_jobs());
-  const CpuAccounting cpu = cpu_accounting(broker.finished_jobs());
-  Fnv1a fnv;
-  fnv.u64(arm.completed);
-  fnv.u64(arm.failed);
-  fnv.f64(waits.mean_hours);
-  fnv.f64(waits.p95_hours);
-  fnv.f64(cpu.consumed_cpu_hours);
-  fnv.f64(cpu.wasted_cpu_hours);
-  arm.digest = fnv.h;
-  arm.peak_rss_mib = peak_rss_mib();
-  return arm;
-}
-
-}  // namespace baseline
-
 // --- driver ------------------------------------------------------------------
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
 
   std::printf("================================================================\n");
-  std::printf("Grid DES at scale | calendar queue + flyweight rows vs baseline\n");
+  std::printf("Grid DES at scale | calendar queue + flyweight rows\n");
   std::printf("================================================================\n");
   std::printf("\nfederation: %zu synthetic sites, seed %llu, lazy fault arming "
               "(MTBF %.0f h)\n",
               kSites, static_cast<unsigned long long>(kSeed),
               fault_config(true).site_mtbf_hours);
 
-  // Gate arm twice: the speedup numerator AND the replay-digest check.
+  // Run the gate arm twice for the replay-digest check.
   std::printf("\n[new_100k] %zu jobs, 1 wave ...\n", kGateJobs);
   const ArmResult new_gate = run_new_arm(1, kGateJobs);
   std::printf("  %.2f s, %llu events (%.0f ev/s), %zu completed / %zu failed, "
@@ -634,7 +204,6 @@ int main(int argc, char** argv) {
 
   ArmResult new_million;
   ArmResult new_million2;
-  ArmResult base;
   bool million_replay = true;
   if (!smoke) {
     std::printf("\n[new_1M] %zu waves x %zu jobs ...\n", kWaves, kWaveJobs);
@@ -650,15 +219,8 @@ int main(int argc, char** argv) {
     std::printf("  rerun digest %016llx -> %s\n",
                 static_cast<unsigned long long>(new_million2.digest),
                 million_replay ? "bit-identical" : "DIVERGED");
-
-    std::printf("\n[baseline_100k] frozen pre-refactor stack, %zu jobs ...\n", kGateJobs);
-    base = baseline::run_baseline_arm(kGateJobs);
-    std::printf("  %.2f s, %llu events (%.0f ev/s), %zu completed / %zu failed\n",
-                base.wall_s, static_cast<unsigned long long>(base.events),
-                base.events_per_sec(), base.completed, base.failed);
   }
 
-  const double speedup = smoke ? 0.0 : new_gate.events_per_sec() / base.events_per_sec();
   // O(active) evidence: 10× the jobs may not cost 10× the resident set.
   // VmHWM is process-monotone, so the delta over the 100k arm bounds the
   // 1M arm's extra footprint from above.
@@ -668,20 +230,20 @@ int main(int argc, char** argv) {
   std::printf("\n--- Claim checks ---\n");
   std::printf("[%s] same-seed 100k campaign replays bit-identically\n",
               gate_replay ? "PASS" : "FAIL");
+  bool complete = true;
+  bool bounded_rows = true;
   if (!smoke) {
-    const bool complete = new_million.completed + new_million.failed == kWaves * kWaveJobs &&
-                          new_million.failed == 0;
+    complete = new_million.completed + new_million.failed == kWaves * kWaveJobs &&
+               new_million.failed == 0;
+    bounded_rows = new_million.peak_rows <= 2 * kWaveJobs;
     std::printf("[%s] 1M-job faulted campaign completes (%zu completed, %zu failed)\n",
                 complete ? "PASS" : "FAIL", new_million.completed, new_million.failed);
     std::printf("[%s] same-seed 1M campaign replays bit-identically\n",
                 million_replay ? "PASS" : "FAIL");
-    std::printf("[%s] broker events/sec >= 10x baseline at 100k jobs (%.0f vs %.0f: %.1fx)\n",
-                speedup >= 10.0 ? "PASS" : "FAIL", new_gate.events_per_sec(),
-                base.events_per_sec(), speedup);
     std::printf("[%s] memory stays O(active): peak rows %zu << %zu total jobs, "
                 "1M arm adds %.0f MiB over the 100k arm\n",
-                new_million.peak_rows <= 2 * kWaveJobs ? "PASS" : "FAIL",
-                new_million.peak_rows, kWaves * kWaveJobs, million_extra_mib);
+                bounded_rows ? "PASS" : "FAIL", new_million.peak_rows, kWaves * kWaveJobs,
+                million_extra_mib);
   }
 
   std::ofstream json("BENCH_grid_scale.json");
@@ -719,23 +281,13 @@ int main(int argc, char** argv) {
          << "  \"extra_rss_over_100k_mib\": " << million_extra_mib << ",\n"
          << "  \"digest\": \"" << std::hex << new_million.digest << std::dec << "\",\n"
          << "  \"replay_identical\": " << (million_replay ? "true" : "false") << "\n"
-         << " },\n"
-         << " \"baseline_100k\": {\n"
-         << "  \"jobs\": " << kGateJobs << ",\n"
-         << "  \"wall_s\": " << base.wall_s << ",\n"
-         << "  \"events\": " << base.events << ",\n"
-         << "  \"events_per_sec\": " << base.events_per_sec() << ",\n"
-         << "  \"completed\": " << base.completed << ",\n"
-         << "  \"failed\": " << base.failed << ",\n"
-         << "  \"peak_rss_mib\": " << base.peak_rss_mib << "\n"
-         << " },\n"
-         << " \"speedup_events_per_sec\": " << speedup << "\n";
+         << " }\n";
   } else {
     json << "\n";
   }
   json << "}\n";
   std::printf("\nwrote BENCH_grid_scale.json\n");
 
-  const bool pass = gate_replay && million_replay && (smoke || speedup >= 10.0);
+  const bool pass = gate_replay && million_replay && complete && bounded_rows;
   return pass ? 0 : 1;
 }

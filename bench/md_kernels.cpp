@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,7 +61,7 @@ void BM_NeighborListRebuild(benchmark::State& state) {
   NeighborList list(10.0, 2.0);
   for (auto _ : state) {
     list.rebuild(xs, topo);
-    benchmark::DoNotOptimize(list.pairs().size());
+    benchmark::DoNotOptimize(list.cell_count());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -94,10 +96,10 @@ void BM_SmdPullStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SmdPullStep);
 
-/// Dense charged chain for the force-path comparison: the bonded terms run
+/// Dense charged chain for the force-evaluation rows: the bonded terms run
 /// the chain, the random packing gives each bead tens of nonbonded
 /// neighbours (the dominant per-step cost, as in the translocation system).
-Engine make_force_eval_engine(std::size_t beads, ForcePath path, std::size_t threads) {
+Engine make_force_eval_engine(std::size_t beads, std::size_t threads) {
   Topology topo;
   for (std::size_t i = 0; i < beads; ++i) {
     topo.add_particle({.mass = 300.0, .charge = -1.0, .radius = 4.0, .name = "NT"});
@@ -109,33 +111,32 @@ Engine make_force_eval_engine(std::size_t beads, ForcePath path, std::size_t thr
   }
   MdConfig cfg;
   cfg.threads = threads;
-  cfg.force_path = path;
   Engine engine(std::move(topo), NonbondedParams{}, cfg);
   engine.set_positions(random_positions(beads, 35.0, 11));
   return engine;
 }
 
-/// Steady-state force-evaluation cost (no rebuilds): kernels vs the legacy
-/// pair-list path, across thread counts. arg0: 0 = legacy, 1 = kernels;
-/// arg1: threads.
+/// Steady-state force-evaluation cost (no rebuilds) across thread counts.
+/// arg0: threads.
 void BM_ForceEval(benchmark::State& state) {
-  const ForcePath path = state.range(0) == 0 ? ForcePath::LegacyPairList : ForcePath::Kernels;
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  Engine engine = make_force_eval_engine(600, path, threads);
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  Engine engine = make_force_eval_engine(600, threads);
   engine.compute_energies();  // warm up: neighbour build + segment refresh
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.compute_energies().total());
   }
   state.SetItemsProcessed(state.iterations() * 600);
 }
-BENCHMARK(BM_ForceEval)
-    ->ArgNames({"kernels", "threads"})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8});
+
+/// Thread rows up to the host's hardware threads: a row with more workers
+/// than cores measures oversubscription, not the pipeline.
+void force_eval_thread_rows(benchmark::internal::Benchmark* b) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    if (threads <= cores) b->Arg(threads);
+  }
+}
+BENCHMARK(BM_ForceEval)->ArgNames({"threads"})->Apply(force_eval_thread_rows)->UseRealTime();
 
 void BM_JarzynskiEstimate(benchmark::State& state) {
   const auto trajectories = static_cast<std::size_t>(state.range(0));

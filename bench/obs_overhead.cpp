@@ -67,7 +67,6 @@ Engine make_force_eval_engine(std::size_t threads) {
   }
   MdConfig cfg;
   cfg.threads = threads;
-  cfg.force_path = ForcePath::Kernels;
   Engine engine(std::move(topo), NonbondedParams{}, cfg);
   engine.set_positions(random_positions(kBeads, 35.0, 11));
   return engine;

@@ -27,9 +27,7 @@ bool unpack_token(EventToken token, std::uint32_t& slot, std::uint32_t& gen) {
 
 }  // namespace
 
-EventQueue::EventQueue(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::Calendar) buckets_.assign(kMinBuckets, {});
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets) {}
 
 std::uint32_t EventQueue::alloc_slot(Handler handler) {
   std::uint32_t slot;
@@ -67,7 +65,7 @@ bool EventQueue::cancel(EventToken token) {
   std::uint32_t gen;
   if (!unpack_token(token, slot, gen)) return false;
   if (slot >= slab_.size() || slab_[slot].gen != gen) return false;
-  // The stale bucket/heap entry keeps (time, seq, slot, old gen) and is
+  // The stale bucket entry keeps (time, seq, slot, old gen) and is
   // skipped for free when its position is reached; the handler dies here.
   free_slot(slot);
   return true;
@@ -82,12 +80,6 @@ bool EventQueue::pending(EventToken token) const {
 }
 
 void EventQueue::insert(const Entry& e) {
-  if (backend_ == Backend::BinaryHeap) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(),
-                   [](const Entry& a, const Entry& b) { return earlier(b, a); });
-    return;
-  }
   // Occupancy far from the bucket count ⇒ re-bucket around the live set.
   const std::size_t nb = buckets_.size();
   if ((live_ > nb * 4 && nb < kMaxBuckets) ||
@@ -195,17 +187,7 @@ void EventQueue::rebuild(double from_time) {
   std::sort(buckets_[0].begin(), buckets_[0].end(), earlier);
 }
 
-bool EventQueue::advance_heap() {
-  const auto later = [](const Entry& a, const Entry& b) { return earlier(b, a); };
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
-  }
-  return !heap_.empty();
-}
-
 bool EventQueue::advance() {
-  if (backend_ == Backend::BinaryHeap) return advance_heap();
   for (;;) {
     auto& bucket = buckets_[cur_bucket_];
     while (bucket_pos_ < bucket.size()) {
@@ -234,27 +216,17 @@ bool EventQueue::advance() {
 
 EventQueue::Entry EventQueue::choose_tied_entry() {
   tie_scratch_.clear();
-  if (backend_ == Backend::BinaryHeap) {
-    // The front is the earliest live entry (advance_heap just said so);
-    // equal-time siblings can sit anywhere in the heap, so scan for them.
-    const double t = heap_.front().time;
-    for (const Entry& e : heap_) {
-      if (e.time == t && entry_live(e)) tie_scratch_.push_back(e);
-    }
-    std::sort(tie_scratch_.begin(), tie_scratch_.end(), earlier);
-  } else {
-    // The current bucket is sorted past the cursor, so the tie group is
-    // the contiguous live run sharing the front timestamp. Equal-time
-    // entries never hide in later buckets: a bucket behind the cursor is
-    // already cleared, and inserts mapping at-or-behind it land in the
-    // current bucket.
-    const auto& bucket = buckets_[cur_bucket_];
-    const double t = bucket[bucket_pos_].time;
-    for (std::size_t i = bucket_pos_; i < bucket.size(); ++i) {
-      const Entry& e = bucket[i];
-      if (e.time != t) break;
-      if (entry_live(e)) tie_scratch_.push_back(e);
-    }
+  // The current bucket is sorted past the cursor, so the tie group is the
+  // contiguous live run sharing the front timestamp. Equal-time entries
+  // never hide in later buckets: a bucket behind the cursor is already
+  // cleared, and inserts mapping at-or-behind it land in the current
+  // bucket.
+  const auto& bucket = buckets_[cur_bucket_];
+  const double t = bucket[bucket_pos_].time;
+  for (std::size_t i = bucket_pos_; i < bucket.size(); ++i) {
+    const Entry& e = bucket[i];
+    if (e.time != t) break;
+    if (entry_live(e)) tie_scratch_.push_back(e);
   }
   std::size_t k = 0;
   if (tie_scratch_.size() > 1) {
@@ -270,14 +242,10 @@ std::uint64_t EventQueue::fingerprint() const {
   const auto visit = [&](const Entry& e) {
     if (entry_live(e)) times.push_back(e.time);
   };
-  if (backend_ == Backend::BinaryHeap) {
-    for (const Entry& e : heap_) visit(e);
-  } else {
-    for (const auto& bucket : buckets_) {
-      for (const Entry& e : bucket) visit(e);
-    }
-    for (const Entry& e : overflow_) visit(e);
+  for (const auto& bucket : buckets_) {
+    for (const Entry& e : bucket) visit(e);
   }
+  for (const Entry& e : overflow_) visit(e);
   std::sort(times.begin(), times.end());
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
@@ -298,11 +266,6 @@ bool EventQueue::step() {
     // below bumps its generation, so the container copy dies like a
     // cancelled event when its position is reached.
     e = choose_tied_entry();
-  } else if (backend_ == Backend::BinaryHeap) {
-    const auto later = [](const Entry& a, const Entry& b) { return earlier(b, a); };
-    e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
   } else {
     e = buckets_[cur_bucket_][bucket_pos_];
     ++bucket_pos_;
@@ -324,10 +287,7 @@ bool EventQueue::step() {
 
 void EventQueue::run_until(double t_end) {
   while (advance()) {
-    const double next = backend_ == Backend::BinaryHeap
-                            ? heap_.front().time
-                            : buckets_[cur_bucket_][bucket_pos_].time;
-    if (next > t_end) break;
+    if (buckets_[cur_bucket_][bucket_pos_].time > t_end) break;
     step();
   }
   if (now_ < t_end) now_ = t_end;

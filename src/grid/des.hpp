@@ -5,14 +5,14 @@
 // Events at equal times fire in scheduling order (a monotone sequence
 // number breaks ties), which keeps every grid simulation deterministic.
 //
-// The default backend is an indexed two-level calendar/bucket queue
-// (Brown-style): handlers live in a slab of stable slots, bucket entries
-// carry (time, seq, slot, generation), and the token returned by
-// at()/after() cancels a pending event in O(1) — the handler is destroyed
-// immediately instead of firing as a no-op. Inserts and pops are O(1)
-// amortized at any live-event count, which is what lets million-job
-// campaigns run at O(active) cost. A plain binary-heap backend is kept for
-// differential testing and as the "before" arm of bench/grid_scale.
+// The queue is an indexed two-level calendar/bucket queue (Brown-style):
+// handlers live in a slab of stable slots, bucket entries carry (time,
+// seq, slot, generation), and the token returned by at()/after() cancels
+// a pending event in O(1) — the handler is destroyed immediately instead
+// of firing as a no-op. Inserts and pops are O(1) amortized at any
+// live-event count, which is what lets million-job campaigns run at
+// O(active) cost. tests/test_grid.cpp checks it differentially against an
+// ordered-map reference queue.
 
 #include <cstdint>
 #include <functional>
@@ -57,11 +57,7 @@ class EventQueue {
  public:
   using Handler = std::function<void()>;
 
-  /// Calendar is the production backend; BinaryHeap exists for
-  /// differential tests and baseline benchmarking.
-  enum class Backend { Calendar, BinaryHeap };
-
-  explicit EventQueue(Backend backend = Backend::Calendar);
+  EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -150,7 +146,6 @@ class EventQueue {
   /// empty. Mutates lazily (skips dead entries, sorts arrived buckets,
   /// rebuilds exhausted epochs) but never changes fire order.
   bool advance();
-  bool advance_heap();
   /// Hook path: collect the live entries tied at the earliest pending
   /// timestamp (seq order) and return the one the hook picks. The chosen
   /// entry is NOT removed from its container — the caller frees its slot,
@@ -163,7 +158,6 @@ class EventQueue {
   void collect_live(std::vector<Entry>& out);
   [[nodiscard]] double pick_width(const std::vector<Entry>& live) const;
 
-  Backend backend_;
   obs::Tracer* tracer_ = nullptr;
   ScheduleHook* hook_ = nullptr;
   std::vector<Entry> tie_scratch_;  ///< choose_tied_entry scratch
@@ -175,7 +169,7 @@ class EventQueue {
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Calendar backend: one epoch of buckets [epoch_, epoch_ + N·width_),
+  // One epoch of buckets [epoch_, epoch_ + N·width_),
   // entries beyond it wait unsorted in overflow_ until an epoch rebuild
   // reaches them. The current bucket is kept sorted (same-time FIFO
   // appends are O(1) at its back); later buckets sort on arrival.
@@ -185,9 +179,6 @@ class EventQueue {
   std::size_t bucket_pos_ = 0;
   double epoch_ = 0.0;
   double width_ = 1.0;
-
-  // BinaryHeap backend.
-  std::vector<Entry> heap_;
 };
 
 }  // namespace spice::grid

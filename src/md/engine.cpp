@@ -1,6 +1,5 @@
 #include "md/engine.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
@@ -49,16 +48,11 @@ Engine::Engine(Topology topology, NonbondedParams nonbonded, MdConfig config,
     state_.reset(topology_);
   }
   neighbor_list_ = std::make_unique<NeighborList>(nonbonded_.cutoff, config_.neighbor_skin);
-  // The kernel path consumes the cell grid directly; the materialized pair
-  // list is only needed by the legacy/validation path.
-  neighbor_list_->set_keep_pairs(config_.force_path == ForcePath::LegacyPairList);
   if (config_.threads > 1) pool_ = std::make_unique<ThreadPool>(config_.threads);
   kernels_.push_back(std::make_unique<BondKernel>());
   kernels_.push_back(std::make_unique<AngleKernel>());
   kernels_.push_back(std::make_unique<DihedralKernel>());
   kernels_.push_back(std::make_unique<NonbondedKernel>());
-  slice_forces_.resize(kForceSlices);
-  slice_energy_.resize(kForceSlices);
 }
 
 Engine::~Engine() = default;
@@ -104,7 +98,7 @@ void Engine::remove_contribution(const ForceContribution* contribution) {
   forces_current_ = false;
 }
 
-void Engine::evaluate_forces_kernels() {
+void Engine::evaluate_forces() {
   SPICE_TRACE_SCOPE_CAT("md.force_eval", "md");
   SPICE_RECORD_SPAN("md.force_eval");
   {
@@ -207,117 +201,15 @@ void Engine::evaluate_forces_kernels() {
     energies_.external += e;
     energies_.external_terms.push_back({contributions_[c]->name(), e});
   }
-}
-
-double Engine::evaluate_nonbonded_legacy(std::span<Vec3> forces) {
-  const auto xs = state_.positions();
-  neighbor_list_->maybe_rebuild(xs, topology_);
-  const auto& pairs = neighbor_list_->pairs();
-  const auto& particles = topology_.particles();
-  if (pairs.empty()) return 0.0;
-
-  const std::size_t slices = std::min<std::size_t>(kForceSlices, pairs.size());
-  for (std::size_t s = 0; s < slices; ++s) {
-    slice_forces_[s].assign(forces.size(), Vec3{});
-    slice_energy_[s] = 0.0;
-  }
-
-  auto run_slice = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      auto& local = slice_forces_[s];
-      double energy = 0.0;
-      const std::size_t lo = pairs.size() * s / slices;
-      const std::size_t hi = pairs.size() * (s + 1) / slices;
-      for (std::size_t p = lo; p < hi; ++p) {
-        const auto [i, j] = pairs[p];
-        const double sigma = particles[i].radius + particles[j].radius;
-        const EnergyForce ef = nonbonded_pair(xs[i], xs[j], particles[i].charge,
-                                              particles[j].charge, sigma, nonbonded_);
-        energy += ef.energy;
-        local[i] += ef.force_on_i;
-        local[j] -= ef.force_on_i;
-      }
-      slice_energy_[s] = energy;
-    }
-  };
-
-  if (pool_) {
-    pool_->parallel_for(slices, run_slice);
-  } else {
-    run_slice(0, slices);
-  }
-
-  // Deterministic reduction in slice order.
-  double energy = 0.0;
-  for (std::size_t s = 0; s < slices; ++s) {
-    energy += slice_energy_[s];
-    const auto& local = slice_forces_[s];
-    for (std::size_t i = 0; i < forces.size(); ++i) forces[i] += local[i];
-  }
-  return energy;
-}
-
-void Engine::evaluate_forces_legacy() {
-  const auto xs = state_.positions();
-  legacy_forces_.assign(state_.size(), Vec3{});
-  energies_ = EnergyBreakdown{};
-
-  for (const auto& b : topology_.bonds()) {
-    const EnergyForce ef = harmonic_bond(xs[b.i], xs[b.j], b.k, b.r0);
-    energies_.bond += ef.energy;
-    legacy_forces_[b.i] += ef.force_on_i;
-    legacy_forces_[b.j] -= ef.force_on_i;
-  }
-  for (const auto& a : topology_.angles()) {
-    Vec3 fi;
-    Vec3 fj;
-    Vec3 fk;
-    energies_.angle +=
-        harmonic_angle(xs[a.i], xs[a.j], xs[a.k], a.k_theta, a.theta0, fi, fj, fk);
-    legacy_forces_[a.i] += fi;
-    legacy_forces_[a.j] += fj;
-    legacy_forces_[a.k] += fk;
-  }
-  for (const auto& d : topology_.dihedrals()) {
-    Vec3 fi;
-    Vec3 fj;
-    Vec3 fk;
-    Vec3 fl;
-    energies_.dihedral += periodic_dihedral(xs[d.i], xs[d.j], xs[d.k], xs[d.l], d.k_phi,
-                                            d.multiplicity, d.delta, fi, fj, fk, fl);
-    legacy_forces_[d.i] += fi;
-    legacy_forces_[d.j] += fj;
-    legacy_forces_[d.k] += fk;
-    legacy_forces_[d.l] += fl;
-  }
-  energies_.nonbonded = evaluate_nonbonded_legacy(legacy_forces_);
-  energies_.external_terms.reserve(contributions_.size());
-  for (const auto& c : contributions_) {
-    const double e = c->add_forces(xs, topology_, time_, legacy_forces_);
-    energies_.external += e;
-    energies_.external_terms.push_back({c->name(), e});
-  }
-  state_.set_forces(legacy_forces_);
-}
-
-void Engine::evaluate_all_forces() {
-  switch (config_.force_path) {
-    case ForcePath::Kernels:
-      evaluate_forces_kernels();
-      break;
-    case ForcePath::LegacyPairList:
-      evaluate_forces_legacy();
-      break;
-  }
   forces_current_ = true;
 }
 
 void Engine::ensure_forces_current() {
-  if (!forces_current_) evaluate_all_forces();
+  if (!forces_current_) evaluate_forces();
 }
 
 const EnergyBreakdown& Engine::compute_energies() {
-  evaluate_all_forces();
+  evaluate_forces();
   return energies_;
 }
 
@@ -384,7 +276,7 @@ void Engine::step_velocity_verlet() {
   // Forces for the closing half-kick belong to time t + dt (this matters
   // for time-dependent potentials such as the moving SMD anchor).
   time_ = static_cast<double>(step_count_ + 1) * dt;
-  evaluate_all_forces();
+  evaluate_forces();
   {
     auto vx = state_.vx();
     auto vy = state_.vy();
@@ -446,7 +338,7 @@ void Engine::step_langevin() {
     }
   }
   time_ = static_cast<double>(step_count_ + 1) * dt;
-  evaluate_all_forces();
+  evaluate_forces();
   {
     auto vx = state_.vx();
     auto vy = state_.vy();

@@ -46,16 +46,6 @@ enum class IntegratorKind {
   Langevin,        ///< BAOAB; production thermostatted dynamics
 };
 
-/// Which force-evaluation implementation the engine runs.
-enum class ForcePath {
-  /// Staged ForceKernel pipeline over SoA state with per-slice cell-grid
-  /// pair segments — the production path.
-  Kernels,
-  /// The original serial-bonded + materialized-pair-list implementation,
-  /// kept as a validation oracle and benchmark baseline.
-  LegacyPairList,
-};
-
 struct MdConfig {
   double dt = 0.01;            ///< timestep, ps
   double temperature = 300.0;  ///< K (Langevin target)
@@ -64,7 +54,6 @@ struct MdConfig {
   std::uint64_t seed = 1;      ///< master seed for all stochastic terms
   std::size_t threads = 1;     ///< force-evaluation worker threads
   double neighbor_skin = 2.0;  ///< Verlet skin, Å
-  ForcePath force_path = ForcePath::Kernels;
   /// SIMD dispatch request, resolved once at engine construction: Auto
   /// follows the process-wide level (SPICE_SIMD env override, else CPU
   /// detection); pinning Scalar selects the historical bit-exact loops.
@@ -181,10 +170,7 @@ class Engine {
 
  private:
   void ensure_forces_current();
-  void evaluate_all_forces();
-  void evaluate_forces_kernels();
-  void evaluate_forces_legacy();
-  double evaluate_nonbonded_legacy(std::span<Vec3> forces);
+  void evaluate_forces();
   void step_velocity_verlet();
   void step_langevin();
   [[nodiscard]] Vec3 langevin_noise(std::size_t particle) const;
@@ -205,15 +191,9 @@ class Engine {
   std::vector<std::shared_ptr<ForceContribution>> contributions_;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Kernel path.
   std::vector<std::unique_ptr<ForceKernel>> kernels_;
   ForceWorkspace workspace_;
   std::vector<double> external_base_;  ///< per-contribution begin_evaluation energies
-
-  // Legacy path scratch.
-  std::vector<Vec3> legacy_forces_;
-  std::vector<std::vector<Vec3>> slice_forces_;
-  std::vector<double> slice_energy_;
 };
 
 }  // namespace spice::md

@@ -10,14 +10,6 @@ double ForceContribution::begin_evaluation(std::span<const Vec3> /*positions*/,
   return 0.0;
 }
 
-double ForceContribution::add_forces(std::span<const Vec3> positions, const Topology& topology,
-                                     double time, std::span<Vec3> forces) {
-  SPICE_REQUIRE(positions.size() == forces.size(), "positions/forces size mismatch");
-  double energy = begin_evaluation(positions, topology, time);
-  energy += accumulate_range(positions, topology, time, 0, positions.size(), forces);
-  return energy;
-}
-
 double PerParticlePotential::accumulate_range(std::span<const Vec3> positions,
                                               const Topology& topology, double /*time*/,
                                               std::size_t begin, std::size_t end,

@@ -51,11 +51,6 @@ class ForceContribution {
                                   double time, std::size_t begin, std::size_t end,
                                   std::span<Vec3> forces) = 0;
 
-  /// Convenience single-shot evaluation (tests, reference calculations):
-  /// begin_evaluation + one full-range accumulate.
-  double add_forces(std::span<const Vec3> positions, const Topology& topology, double time,
-                    std::span<Vec3> forces);
-
   /// Human-readable name (appears in energy breakdowns and logs).
   [[nodiscard]] virtual std::string name() const = 0;
 };

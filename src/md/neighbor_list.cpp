@@ -48,7 +48,6 @@ void NeighborList::rebuild(std::span<const Vec3> positions, const Topology& topo
                 "positions/topology size mismatch");
   reference_positions_.assign(positions.begin(), positions.end());
   ++rebuilds_;
-  pairs_valid_ = false;
 
   const std::size_t n = positions.size();
   const double cell = cutoff_ + skin_;
@@ -76,31 +75,6 @@ void NeighborList::rebuild(std::span<const Vec3> positions, const Topology& topo
     }
   }
   cell_begin_.push_back(static_cast<std::uint32_t>(n));
-
-  if (keep_pairs_) materialize_pairs(positions, topology);
-}
-
-void NeighborList::materialize_pairs(std::span<const Vec3> positions,
-                                     const Topology& topology) {
-  pairs_.clear();
-  const double reach = cutoff_ + skin_;
-  const double reach2 = reach * reach;
-  for_each_candidate_pair(0, 1, [&](std::uint32_t a, std::uint32_t b) {
-    if (distance2(positions[a], positions[b]) > reach2) return;
-    if (topology.excluded(a, b)) return;
-    pairs_.push_back({std::min(a, b), std::max(a, b)});
-  });
-  // Deterministic, consumer-friendly order (ascending i, then j).
-  std::sort(pairs_.begin(), pairs_.end(), [](const NeighborPair& a, const NeighborPair& b) {
-    return a.i != b.i ? a.i < b.i : a.j < b.j;
-  });
-  pairs_valid_ = true;
-}
-
-const std::vector<NeighborPair>& NeighborList::pairs() const {
-  SPICE_REQUIRE(pairs_valid_,
-                "materialized pair list requested but keep_pairs() was off at build time");
-  return pairs_;
 }
 
 }  // namespace spice::md

@@ -7,19 +7,11 @@
 // only rebuild when some particle has moved more than skin/2 since the
 // last build, the standard displacement criterion.
 //
-// Two consumption modes:
-//
-//  * iterate-pairs-by-cell (primary): for_each_candidate_pair() walks the
-//    half-stencil of occupied cells and yields raw (i, j) candidates for a
-//    deterministic slice of the cell table. The nonbonded ForceKernel
-//    consumes this directly at each rebuild epoch to refresh its
-//    slice-local filtered pair segments — no global pair vector is
-//    materialized or sorted on the hot path.
-//
-//  * materialized pair list (debug/validation): pairs() returns the
-//    classic sorted, exclusion- and distance-filtered Verlet list. It is
-//    built on demand (or eagerly when keep_pairs(true)); the legacy force
-//    path and the brute-force equivalence tests use it.
+// Consumers iterate pairs by cell: for_each_candidate_pair() walks the
+// half-stencil of occupied cells and yields raw (i, j) candidates for a
+// deterministic slice of the cell table. The nonbonded ForceKernel
+// consumes this at each rebuild epoch to refresh its slice-local filtered
+// pair segments — no global pair vector is materialized or sorted.
 //
 // The slice partition and all iteration orders are pure functions of the
 // sorted cell table, never of thread count — this is what lets the engine
@@ -51,8 +43,7 @@ class NeighborList {
   /// Returns true if a rebuild happened.
   bool maybe_rebuild(std::span<const Vec3> positions, const Topology& topology);
 
-  /// Unconditionally rebuild the cell bins (and, when keep_pairs() is on,
-  /// the materialized pair list).
+  /// Unconditionally rebuild the cell bins.
   void rebuild(std::span<const Vec3> positions, const Topology& topology);
 
   [[nodiscard]] double cutoff() const { return cutoff_; }
@@ -70,7 +61,6 @@ class NeighborList {
   /// Kernels key their cached slice pair segments on this.
   [[nodiscard]] std::uint64_t epoch() const { return rebuilds_; }
 
-  // --- iterate-pairs-by-cell (primary path) ----------------------------
   /// Number of occupied cells after the last build.
   [[nodiscard]] std::size_t cell_count() const { return cell_keys_.size(); }
 
@@ -114,23 +104,10 @@ class NeighborList {
     }
   }
 
-  // --- materialized pair list (debug/validation path) ------------------
-  /// When on (the default, for standalone/diagnostic use), rebuild() also
-  /// materializes the sorted filtered pair vector. The engine's kernel
-  /// path turns this off; its legacy path turns it on.
-  void set_keep_pairs(bool keep) { keep_pairs_ = keep; }
-  [[nodiscard]] bool keep_pairs() const { return keep_pairs_; }
-
-  /// The sorted (i < j), exclusion- and reach-filtered Verlet pair list
-  /// from the last build. Only valid when keep_pairs() was on at build
-  /// time (enforced).
-  [[nodiscard]] const std::vector<NeighborPair>& pairs() const;
-
  private:
   [[nodiscard]] bool needs_rebuild(std::span<const Vec3> positions) const;
   [[nodiscard]] static std::array<std::int64_t, 3> cell_of(const Vec3& r, double cell);
   [[nodiscard]] static std::uint64_t key_of(const std::array<std::int64_t, 3>& c);
-  void materialize_pairs(std::span<const Vec3> positions, const Topology& topology);
 
   /// Forward half of the 27-cell stencil: offsets lexicographically
   /// greater than (0,0,0) in (z, y, x) order — 13 entries, so every
@@ -145,8 +122,6 @@ class NeighborList {
 
   double cutoff_;
   double skin_;
-  bool keep_pairs_ = true;
-  bool pairs_valid_ = false;
 
   // CSR cell table: sorted packed keys, integer coords, particle ids
   // grouped by cell (ascending within each cell).
@@ -155,7 +130,6 @@ class NeighborList {
   std::vector<std::uint32_t> cell_begin_;
   std::vector<std::uint32_t> cell_particles_;
 
-  std::vector<NeighborPair> pairs_;
   std::vector<Vec3> reference_positions_;
   std::size_t rebuilds_ = 0;
 };

@@ -102,6 +102,14 @@ inline __m256 exp_ps8(__m256 x) {
 inline __m256d widen_lo(__m256 v) { return _mm256_cvtps_pd(_mm256_castps256_ps128(v)); }
 inline __m256d widen_hi(__m256 v) { return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)); }
 
+/// base[idx[lane]] for all 4 lanes. The all-ones mask loads every lane, so
+/// this equals _mm256_i32gather_pd, whose undefined pass-through source
+/// GCC reports as maybe-uninitialized.
+inline __m256d gather_pd(const double* base, __m128i idx) {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx, all, 8);
+}
+
 }  // namespace
 
 double nonbonded_avx2(const PairBatch& batch, const NonbondedConsts& c, Vec3* acc) {
@@ -249,12 +257,12 @@ double bond_avx2(const BondBatch& batch, Vec3* acc) {
   for (; b + 4 <= batch.count; b += 4) {
     const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(batch.i + b));
     const __m128i vj = _mm_loadu_si128(reinterpret_cast<const __m128i*>(batch.j + b));
-    const __m256d xi = _mm256_i32gather_pd(batch.x, vi, 8);
-    const __m256d yi = _mm256_i32gather_pd(batch.y, vi, 8);
-    const __m256d zi = _mm256_i32gather_pd(batch.z, vi, 8);
-    const __m256d xj = _mm256_i32gather_pd(batch.x, vj, 8);
-    const __m256d yj = _mm256_i32gather_pd(batch.y, vj, 8);
-    const __m256d zj = _mm256_i32gather_pd(batch.z, vj, 8);
+    const __m256d xi = gather_pd(batch.x, vi);
+    const __m256d yi = gather_pd(batch.y, vi);
+    const __m256d zi = gather_pd(batch.z, vi);
+    const __m256d xj = gather_pd(batch.x, vj);
+    const __m256d yj = gather_pd(batch.y, vj);
+    const __m256d zj = gather_pd(batch.z, vj);
     const __m256d dx = _mm256_sub_pd(xi, xj);
     const __m256d dy = _mm256_sub_pd(yi, yj);
     const __m256d dz = _mm256_sub_pd(zi, zj);

@@ -96,11 +96,4 @@ void SystemState::set_velocities(std::span<const Vec3> vs) {
   velocities_synced_ = true;
 }
 
-void SystemState::set_forces(std::span<const Vec3> fs) {
-  SPICE_REQUIRE(fs.size() == n_, "force count mismatch");
-  scatter(fs, col(StateArena::kFx), col(StateArena::kFy), col(StateArena::kFz));
-  forces_aos_.assign(fs.begin(), fs.end());
-  forces_synced_ = true;
-}
-
 }  // namespace spice::md

@@ -95,7 +95,6 @@ class SystemState {
 
   void set_positions(std::span<const Vec3> xs);
   void set_velocities(std::span<const Vec3> vs);
-  void set_forces(std::span<const Vec3> fs);
 
  private:
   static void scatter(std::span<const Vec3> src, std::span<double> x,

@@ -18,7 +18,7 @@ struct Particle {
   double mass = 1.0;      ///< g/mol
   double charge = 0.0;    ///< elementary charges
   double radius = 1.0;    ///< WCA radius (Å); pair sigma is r_i + r_j
-  std::string name;       ///< label for trajectory output (e.g. "NT")
+  std::string name{};     ///< label for trajectory output (e.g. "NT")
 };
 
 struct Bond {

@@ -34,9 +34,9 @@ enum class MessageType {
 struct SteeringMessage {
   MessageType type = MessageType::Pause;
   std::uint64_t sequence = 0;   ///< sender-assigned, for ordering/acks
-  std::string parameter;        ///< SetParameter name / checkpoint label
+  std::string parameter{};      ///< SetParameter name / checkpoint label
   double value = 0.0;           ///< SetParameter value
-  Vec3 force;                   ///< ApplyForce payload
+  Vec3 force{};                 ///< ApplyForce payload
   std::uint64_t frame_id = 0;   ///< Frame / FrameAck
   double sim_time = 0.0;        ///< simulation time of a Frame, ps
 

@@ -22,8 +22,8 @@
 namespace spice::testkit {
 
 /// A random small bead-chain engine: topology size, bonded terms, MD
-/// config (integrator, force path, thread count, dt) and initial state are
-/// all drawn from `seed`. Same seed ⇒ bit-identical engine.
+/// config (integrator, thread count, dt) and initial state are all drawn
+/// from `seed`. Same seed ⇒ bit-identical engine.
 [[nodiscard]] md::Engine make_random_engine(std::uint64_t seed);
 
 /// A random steering message: every MessageType, adversarial parameter

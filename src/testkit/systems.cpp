@@ -32,7 +32,6 @@ md::Engine make_bead_chain(const MdRunConfig& run, double dt) {
   cfg.dt = dt;
   cfg.threads = run.threads;
   cfg.seed = run.seed;
-  cfg.force_path = run.force_path;
   cfg.integrator = run.integrator;
   cfg.simd = run.simd;
   Engine engine(std::move(topo), NonbondedParams{}, cfg);
@@ -60,7 +59,6 @@ md::Engine make_nve_chain(const MdRunConfig& run, double dt) {
   cfg.dt = dt;
   cfg.threads = run.threads;
   cfg.seed = run.seed;
-  cfg.force_path = run.force_path;
   cfg.integrator = run.integrator;
   cfg.simd = run.simd;
   Engine engine(std::move(topo), NonbondedParams{}, cfg);
@@ -110,7 +108,6 @@ Engine make_array_engine(const MdRunConfig& run, const WellArraySpec& spec) {
   cfg.friction = spec.friction;
   cfg.threads = run.threads;
   cfg.seed = run.seed;
-  cfg.force_path = run.force_path;
   cfg.integrator = run.integrator;
   cfg.simd = run.simd;
   Engine engine(std::move(topo), NonbondedParams{}, cfg);
@@ -155,7 +152,6 @@ HarmonicPull make_harmonic_pull(const MdRunConfig& run, const HarmonicPullSpec& 
   cfg.friction = spec.friction;
   cfg.threads = run.threads;
   cfg.seed = run.seed;
-  cfg.force_path = run.force_path;
   cfg.integrator = run.integrator;
   cfg.simd = run.simd;
   Engine engine(std::move(topo), NonbondedParams{}, cfg);
@@ -204,7 +200,6 @@ pore::TranslocationSystem make_pore_chain(const MdRunConfig& run) {
   config.md.dt = 0.01;
   config.md.threads = run.threads;
   config.md.seed = run.seed;
-  config.md.force_path = run.force_path;
   config.md.integrator = run.integrator;
   config.md.simd = run.simd;
   config.equilibration_steps = 0;

@@ -17,11 +17,10 @@
 namespace spice::testkit {
 
 /// The execution axes the invariant suite parameterizes over: every
-/// physics law must hold for each (seed, threads, force path, integrator).
+/// physics law must hold for each (seed, threads, integrator).
 struct MdRunConfig {
   std::uint64_t seed = 77;
   std::size_t threads = 1;
-  md::ForcePath force_path = md::ForcePath::Kernels;
   md::IntegratorKind integrator = md::IntegratorKind::Langevin;
   /// SIMD dispatch. Auto follows the process-wide level; golden functions
   /// pin Scalar so committed hashes stay host-independent.

@@ -159,7 +159,7 @@ TEST(Statistics, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 25.0), 2.0);
-  EXPECT_THROW(percentile({}, 50.0), PreconditionError);
+  EXPECT_THROW((void)percentile({}, 50.0), PreconditionError);
 }
 
 TEST(P2Quantile, WarmupIsExactSmallSamplePercentile) {

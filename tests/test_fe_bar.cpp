@@ -88,8 +88,8 @@ TEST(Bar, UnequalSampleSizes) {
 
 TEST(Bar, RejectsEmptyEnsembles) {
   const std::vector<double> some{1.0, 2.0};
-  EXPECT_THROW(bennett_acceptance_ratio({}, some, 300.0), PreconditionError);
-  EXPECT_THROW(bennett_acceptance_ratio(some, {}, 300.0), PreconditionError);
+  EXPECT_THROW((void)bennett_acceptance_ratio({}, some, 300.0), PreconditionError);
+  EXPECT_THROW((void)bennett_acceptance_ratio(some, {}, 300.0), PreconditionError);
 }
 
 TEST(CrooksCrossing, FindsDeltaFForSymmetricGaussians) {

@@ -282,7 +282,7 @@ TEST(ErrorAnalysis, ConfidenceBandWidthTracksAlpha) {
 TEST(ErrorAnalysis, CostNormalization) {
   // A protocol 8× costlier per sample gets √8 larger normalized error.
   EXPECT_NEAR(cost_normalized_error(1.0, 8.0), std::sqrt(8.0), 1e-12);
-  EXPECT_THROW(cost_normalized_error(1.0, 0.0), PreconditionError);
+  EXPECT_THROW((void)cost_normalized_error(1.0, 0.0), PreconditionError);
 }
 
 TEST(ErrorAnalysis, SystematicErrorAgainstReference) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -105,7 +107,7 @@ TEST(EventQueue, AllSameTimestampSurvivesResizeStress) {
   // (time, seq) tie-break must keep exact FIFO order throughout.
   constexpr double kWhen = 1.0e9;
   constexpr int kEvents = 5000;  // >> kMinBuckets·4 ⇒ several grow resizes
-  EventQueue q(EventQueue::Backend::Calendar);
+  EventQueue q;
   std::vector<int> order;
   order.reserve(kEvents);
   std::vector<EventToken> tokens;
@@ -204,20 +206,66 @@ TEST(EventQueue, HandlerMayCancelALaterEvent) {
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
-TEST(EventQueue, CalendarMatchesBinaryHeapDifferentially) {
-  // Drive both backends through an identical randomized schedule/cancel
-  // script (deterministic Rng stream) and require identical fire
-  // sequences — the calendar's bucketing must be unobservable.
+/// Differential oracle for the calendar queue: the obvious ordered map
+/// keyed by (time, seq), so equal times fire in scheduling order. Same
+/// at/cancel/run_until/run/now/processed surface as EventQueue; tokens are
+/// seq + 1, so kInvalidToken never names an event.
+class ReferenceQueue {
+ public:
+  EventToken at(double t, std::function<void()> handler) {
+    SPICE_REQUIRE(t >= now_, "cannot schedule an event in the past");
+    const std::uint64_t seq = times_.size();
+    times_.push_back(t);
+    events_.emplace(std::make_pair(t, seq), std::move(handler));
+    return seq + 1;
+  }
+  bool cancel(EventToken token) {
+    if (token == kInvalidToken || token > times_.size()) return false;
+    return events_.erase(std::make_pair(times_[token - 1], token - 1)) > 0;
+  }
+  bool step() {
+    if (events_.empty()) return false;
+    const auto head = events_.begin();
+    now_ = head->first.first;
+    ++processed_;
+    std::function<void()> handler = std::move(head->second);
+    events_.erase(head);
+    handler();
+    return true;
+  }
+  void run_until(double t_end) {
+    while (!events_.empty() && events_.begin()->first.first <= t_end) step();
+    if (now_ < t_end) now_ = t_end;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+  [[nodiscard]] double now() const { return now_; }
+  [[nodiscard]] std::uint64_t processed() const { return processed_; }
+
+ private:
+  std::map<std::pair<double, std::uint64_t>, std::function<void()>> events_;
+  std::vector<double> times_;  ///< schedule time of each seq, for cancel
+  double now_ = 0.0;
+  std::uint64_t processed_ = 0;
+};
+
+TEST(EventQueue, CalendarMatchesReferenceQueueDifferentially) {
+  // Drive the calendar queue and the reference queue through an identical
+  // randomized schedule/cancel script (deterministic Rng stream) and
+  // require identical fire sequences — the calendar's bucketing must be
+  // unobservable.
   for (const std::uint64_t seed : {1ULL, 7ULL, 2005ULL}) {
-    EventQueue cal(EventQueue::Backend::Calendar);
-    EventQueue heap(EventQueue::Backend::BinaryHeap);
+    EventQueue cal;
+    ReferenceQueue ref;
     std::vector<std::pair<double, int>> fired_cal;
-    std::vector<std::pair<double, int>> fired_heap;
+    std::vector<std::pair<double, int>> fired_ref;
     std::vector<EventToken> tokens_cal;
-    std::vector<EventToken> tokens_heap;
+    std::vector<EventToken> tokens_ref;
     Rng rng = Rng::stream(seed, 0xde5ULL, 0);
     int label = 0;
-    auto schedule_batch = [&](EventQueue& q, auto& fired, auto& tokens, int base) {
+    auto schedule_batch = [&](auto& q, auto& fired, auto& tokens, int base) {
       int l = base;
       for (int i = 0; i < 200; ++i) {
         // Times cluster around a few hot spots plus a uniform tail, with
@@ -232,22 +280,22 @@ TEST(EventQueue, CalendarMatchesBinaryHeapDifferentially) {
       const auto draws_before = rng;  // replay identical draws for both queues
       schedule_batch(cal, fired_cal, tokens_cal, label);
       rng = draws_before;
-      schedule_batch(heap, fired_heap, tokens_heap, label);
+      schedule_batch(ref, fired_ref, tokens_ref, label);
       label += 200;
       // Cancel a deterministic subset on both queues.
       for (std::size_t k = round; k < tokens_cal.size(); k += 7) {
         cal.cancel(tokens_cal[k]);
-        heap.cancel(tokens_heap[k]);
+        ref.cancel(tokens_ref[k]);
       }
       // Drain partway, then schedule the next batch on the advanced clock.
       cal.run_until(cal.now() + 20.0);
-      heap.run_until(heap.now() + 20.0);
-      ASSERT_EQ(fired_cal, fired_heap) << "diverged in round " << round;
+      ref.run_until(ref.now() + 20.0);
+      ASSERT_EQ(fired_cal, fired_ref) << "diverged in round " << round;
     }
     cal.run();
-    heap.run();
-    ASSERT_EQ(fired_cal, fired_heap);
-    EXPECT_EQ(cal.processed(), heap.processed());
+    ref.run();
+    ASSERT_EQ(fired_cal, fired_ref);
+    EXPECT_EQ(cal.processed(), ref.processed());
   }
 }
 
@@ -257,7 +305,7 @@ TEST(EventQueue, DifferentialFuzzWithHandlerSchedulingAndMidRunCancels) {
   // script from INSIDE handlers: fired events spawn follow-ups at exactly
   // the current timestamp (growing the live tie group mid-sweep) and
   // cancel earlier events mid-run. Fire order, timestamps, cancel results
-  // and processed counts must match across backends exactly.
+  // and processed counts must match the reference queue exactly.
   for (const std::uint64_t seed : {3ULL, 11ULL, 4242ULL}) {
     struct Action {
       double offset;      ///< 0.0 ⇒ follow-up lands at the current timestamp
@@ -272,8 +320,8 @@ TEST(EventQueue, DifferentialFuzzWithHandlerSchedulingAndMidRunCancels) {
                         rng.uniform() < 0.25});
     }
 
-    auto run_backend = [&script](EventQueue::Backend backend) {
-      EventQueue q(backend);
+    auto run_backend = [&script]<typename Queue>() {
+      Queue q;
       std::vector<EventToken> tokens;
       std::vector<std::tuple<double, int, int>> log;  // (now, id, cancel result)
       int next = 0;
@@ -301,10 +349,10 @@ TEST(EventQueue, DifferentialFuzzWithHandlerSchedulingAndMidRunCancels) {
       return std::make_pair(log, q.processed());
     };
 
-    const auto [log_cal, processed_cal] = run_backend(EventQueue::Backend::Calendar);
-    const auto [log_heap, processed_heap] = run_backend(EventQueue::Backend::BinaryHeap);
-    ASSERT_EQ(log_cal, log_heap) << "backends diverged for seed " << seed;
-    EXPECT_EQ(processed_cal, processed_heap);
+    const auto [log_cal, processed_cal] = run_backend.operator()<EventQueue>();
+    const auto [log_ref, processed_ref] = run_backend.operator()<ReferenceQueue>();
+    ASSERT_EQ(log_cal, log_ref) << "queues diverged for seed " << seed;
+    EXPECT_EQ(processed_cal, processed_ref);
     EXPECT_GT(log_cal.size(), 64u);  // the script really spawned follow-ups
   }
 }

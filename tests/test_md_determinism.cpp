@@ -27,9 +27,8 @@ using namespace spice::md;
 using namespace spice::testkit;
 
 /// Checkpoint fingerprint of the 24-bead helix after 500 steps.
-std::uint64_t hash_after_500(std::uint64_t seed, std::size_t threads, ForcePath path,
-                             bool with_restraint) {
-  Engine engine = make_bead_chain({.seed = seed, .threads = threads, .force_path = path});
+std::uint64_t hash_after_500(std::uint64_t seed, std::size_t threads, bool with_restraint) {
+  Engine engine = make_bead_chain({.seed = seed, .threads = threads});
   std::shared_ptr<smd::StaticRestraint> restraint;
   if (with_restraint) {
     restraint = std::make_shared<smd::StaticRestraint>(
@@ -49,29 +48,25 @@ const SeedSweep& determinism_sweep() {
   return sweep;
 }
 
-void expect_thread_count_invariant(ForcePath path, bool with_restraint) {
+void expect_thread_count_invariant(bool with_restraint) {
   for (const std::uint64_t seed : determinism_sweep().seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::uint64_t one = hash_after_500(seed, 1, path, with_restraint);
+    const std::uint64_t one = hash_after_500(seed, 1, with_restraint);
     for (const std::size_t threads : sweep_thread_counts({2, 8})) {
-      EXPECT_EQ(hash_after_500(seed, threads, path, with_restraint), one)
+      EXPECT_EQ(hash_after_500(seed, threads, with_restraint), one)
           << "threads = " << threads;
     }
   }
 }
 
 TEST(Determinism, CheckpointBytesIdenticalAcrossThreadCounts) {
-  expect_thread_count_invariant(ForcePath::Kernels, /*with_restraint=*/false);
+  expect_thread_count_invariant(/*with_restraint=*/false);
 }
 
 TEST(Determinism, CheckpointBytesIdenticalAcrossThreadCountsWithSmdRestraint) {
   // The COM spring's serial begin_evaluation + ranged force distribution
   // must not introduce thread-order dependence either.
-  expect_thread_count_invariant(ForcePath::Kernels, /*with_restraint=*/true);
-}
-
-TEST(Determinism, LegacyPathIsAlsoThreadCountInvariant) {
-  expect_thread_count_invariant(ForcePath::LegacyPairList, /*with_restraint=*/true);
+  expect_thread_count_invariant(/*with_restraint=*/true);
 }
 
 TEST(Determinism, GoldenSystemsAreThreadCountInvariant) {
@@ -94,7 +89,7 @@ TEST(Determinism, TracingAndMetricsDoNotPerturbTrajectories) {
   // switches and require byte-identical fingerprints across thread counts
   // AND against the uninstrumented baseline.
   const std::uint64_t seed = determinism_sweep().seeds().front();
-  const auto baseline = hash_after_500(seed, 1, ForcePath::Kernels, /*with_restraint=*/true);
+  const auto baseline = hash_after_500(seed, 1, /*with_restraint=*/true);
 
   obs::Tracer tracer("determinism");
   tracer.set_event_limit(100'000);
@@ -103,9 +98,9 @@ TEST(Determinism, TracingAndMetricsDoNotPerturbTrajectories) {
   obs::set_detail_enabled(true);
   obs::set_process_tracer(&tracer);
 
-  const auto one = hash_after_500(seed, 1, ForcePath::Kernels, /*with_restraint=*/true);
-  const auto two = hash_after_500(seed, 2, ForcePath::Kernels, /*with_restraint=*/true);
-  const auto eight = hash_after_500(seed, 8, ForcePath::Kernels, /*with_restraint=*/true);
+  const auto one = hash_after_500(seed, 1, /*with_restraint=*/true);
+  const auto two = hash_after_500(seed, 2, /*with_restraint=*/true);
+  const auto eight = hash_after_500(seed, 8, /*with_restraint=*/true);
 
   obs::set_process_tracer(nullptr);
   obs::set_detail_enabled(false);
@@ -122,8 +117,8 @@ TEST(Determinism, RestraintChangesTheTrajectory) {
   // Guard against the restraint silently not being applied (which would
   // make the with-restraint determinism tests vacuous).
   const std::uint64_t seed = determinism_sweep().seeds().front();
-  EXPECT_NE(hash_after_500(seed, 1, ForcePath::Kernels, /*with_restraint=*/false),
-            hash_after_500(seed, 1, ForcePath::Kernels, /*with_restraint=*/true));
+  EXPECT_NE(hash_after_500(seed, 1, /*with_restraint=*/false),
+            hash_after_500(seed, 1, /*with_restraint=*/true));
 }
 
 }  // namespace

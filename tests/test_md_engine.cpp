@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <numbers>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -89,9 +92,25 @@ TEST(NeighborList, MatchesBruteForce) {
       if (distance2(xs[i], xs[j]) <= reach2 && !topo.excluded(i, j)) brute.insert({i, j});
     }
   }
-  std::set<std::pair<std::uint32_t, std::uint32_t>> fast;
-  for (const auto& p : list.pairs()) fast.insert({p.i, p.j});
-  EXPECT_EQ(fast, brute);
+  ASSERT_FALSE(brute.empty());
+  // The candidate stream the nonbonded kernel consumes: over all slices,
+  // after the same reach + exclusion filter, every pair exactly once.
+  for (const std::size_t slices : {1u, 3u, 16u}) {
+    SCOPED_TRACE("slices " + std::to_string(slices));
+    std::map<std::pair<std::uint32_t, std::uint32_t>, int> seen;
+    for (std::size_t s = 0; s < slices; ++s) {
+      list.for_each_candidate_pair(s, slices, [&](std::uint32_t a, std::uint32_t b) {
+        if (distance2(xs[a], xs[b]) > reach2 || topo.excluded(a, b)) return;
+        ++seen[{std::min(a, b), std::max(a, b)}];
+      });
+    }
+    std::set<std::pair<std::uint32_t, std::uint32_t>> fast;
+    for (const auto& [pair, count] : seen) {
+      EXPECT_EQ(count, 1) << pair.first << "-" << pair.second;
+      fast.insert(pair);
+    }
+    EXPECT_EQ(fast, brute);
+  }
 }
 
 TEST(NeighborList, RebuildsOnlyAfterSkinCrossing) {

@@ -202,7 +202,9 @@ TEST(Wca, PurelyRepulsive) {
     const auto ef = wca_pair({0, 0, 0}, {0, 0, r}, sigma, 1.0);
     EXPECT_GE(ef.energy, -1e-12) << "r=" << r;
     // Force on i points away from j (−z here).
-    if (ef.energy > 1e-9) EXPECT_LT(ef.force_on_i.z, 0.0) << "r=" << r;
+    if (ef.energy > 1e-9) {
+      EXPECT_LT(ef.force_on_i.z, 0.0) << "r=" << r;
+    }
   }
 }
 
@@ -293,7 +295,7 @@ TEST_P(PoreForceTest, ForceMatchesGradient) {
   };
   const Vec3 r{p.x, p.y, p.z};
   Vec3 f;
-  pore->particle_energy_force(r, p.charge, f);
+  (void)pore->particle_energy_force(r, p.charge, f);
   expect_vec_near(f, -numerical_gradient(u, r, 1e-5), 2e-4);
 }
 
@@ -327,11 +329,11 @@ TEST(PorePotential, FieldDrivesNegativeChargeTransward) {
   params.affinity = 0.0;
   const auto pore = spice::pore::make_hemolysin_pore(params);
   Vec3 f;
-  pore->particle_energy_force({0, 0, -25}, -1.0, f);
+  (void)pore->particle_energy_force({0, 0, -25}, -1.0, f);
   EXPECT_LT(f.z, 0.0);
   // A positive charge feels the opposite force.
   Vec3 f_pos;
-  pore->particle_energy_force({0, 0, -25}, +1.0, f_pos);
+  (void)pore->particle_energy_force({0, 0, -25}, +1.0, f_pos);
   EXPECT_GT(f_pos.z, 0.0);
   EXPECT_NEAR(f.z, -f_pos.z, 1e-12);
 }

@@ -2,17 +2,21 @@
 // run through the ENGINE (SystemState → ForceKernels → ForceWorkspace →
 // deterministic reduction), not just through the free functions — so a bug
 // in slicing, accumulation windows or reduction order cannot hide behind
-// correct per-term math. Also pins kernel-path vs legacy-path equivalence
-// and the per-contribution external energy breakdown.
+// correct per-term math. Also pins the pipeline against an independent
+// all-pairs reference and checks the per-contribution external energy
+// breakdown.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "md/engine.hpp"
+#include "md/forcefield.hpp"
 #include "md/topology.hpp"
 #include "pore/pore_potential.hpp"
 #include "smd/position_restraint.hpp"
@@ -41,36 +45,107 @@ Topology make_chain_topology(int beads) {
   return topo;
 }
 
-std::vector<Vec3> helix_positions(int beads) {
+/// Helix with `rise` Å per bead along z. At the default 7 Å every
+/// non-excluded pair is beyond the nonbonded cutoff; a tighter rise brings
+/// i, i+4 and i, i+5 inside it.
+std::vector<Vec3> helix_positions(int beads, double rise = 7.0) {
   std::vector<Vec3> xs(beads);
   for (int i = 0; i < beads; ++i) {
     const double phi = 0.4 * i;
-    xs[i] = {3.0 * std::cos(phi), 3.0 * std::sin(phi), 7.0 * i - 40.0};
+    xs[i] = {3.0 * std::cos(phi), 3.0 * std::sin(phi), rise * i - 40.0};
   }
   return xs;
 }
 
-Engine make_engine(int beads, ForcePath path, std::size_t threads = 1) {
+Engine make_engine(int beads, std::size_t threads = 1,
+                   simd::Request simd = simd::Request::Auto) {
   MdConfig cfg;
   cfg.dt = 0.01;
   cfg.threads = threads;
   cfg.seed = 42;
-  cfg.force_path = path;
+  cfg.simd = simd;
   Engine engine(make_chain_topology(beads), NonbondedParams{}, cfg);
   engine.set_positions(helix_positions(beads));
   return engine;
 }
 
-void attach_externals(Engine& engine) {
-  engine.add_contribution(pore::make_hemolysin_pore());
+/// Registers the pore, a COM restraint and a position restraint; returns
+/// them in registration order.
+std::vector<std::shared_ptr<ForceContribution>> attach_externals(Engine& engine) {
   auto restraint = std::make_shared<smd::StaticRestraint>(
       std::vector<std::uint32_t>{0, 1, 2, 3}, Vec3{0, 0, 1}, /*kappa=*/2.0, /*center=*/1.0);
   restraint->attach(engine);
-  engine.add_contribution(restraint);
   auto posres = std::make_shared<smd::PositionRestraint>(
       std::vector<std::uint32_t>{8, 9}, /*stiffness=*/3.0, Vec3{1.0, 1.0, 0.0});
   posres->attach(engine);
-  engine.add_contribution(posres);
+  const std::vector<std::shared_ptr<ForceContribution>> externals{pore::make_hemolysin_pore(),
+                                                                  restraint, posres};
+  for (const auto& c : externals) engine.add_contribution(c);
+  return externals;
+}
+
+struct ReferenceForces {
+  EnergyBreakdown energies;
+  std::vector<Vec3> forces;
+};
+
+/// Independent oracle for the kernel pipeline: serial bonded terms, an
+/// all-pairs nonbonded sum (no neighbour list) filtered by the topology's
+/// exclusions, and each contribution's begin_evaluation plus one
+/// full-range accumulate_range.
+ReferenceForces all_pairs_reference(
+    const Engine& engine, const NonbondedParams& nonbonded,
+    const std::vector<std::shared_ptr<ForceContribution>>& externals) {
+  const Topology& topo = engine.topology();
+  const auto xs = engine.positions();
+  ReferenceForces ref;
+  ref.forces.assign(xs.size(), Vec3{});
+  auto& f = ref.forces;
+  auto& e = ref.energies;
+  for (const auto& b : topo.bonds()) {
+    const EnergyForce ef = harmonic_bond(xs[b.i], xs[b.j], b.k, b.r0);
+    e.bond += ef.energy;
+    f[b.i] += ef.force_on_i;
+    f[b.j] -= ef.force_on_i;
+  }
+  for (const auto& a : topo.angles()) {
+    Vec3 fi;
+    Vec3 fj;
+    Vec3 fk;
+    e.angle += harmonic_angle(xs[a.i], xs[a.j], xs[a.k], a.k_theta, a.theta0, fi, fj, fk);
+    f[a.i] += fi;
+    f[a.j] += fj;
+    f[a.k] += fk;
+  }
+  for (const auto& d : topo.dihedrals()) {
+    Vec3 fi;
+    Vec3 fj;
+    Vec3 fk;
+    Vec3 fl;
+    e.dihedral += periodic_dihedral(xs[d.i], xs[d.j], xs[d.k], xs[d.l], d.k_phi,
+                                    d.multiplicity, d.delta, fi, fj, fk, fl);
+    f[d.i] += fi;
+    f[d.j] += fj;
+    f[d.k] += fk;
+    f[d.l] += fl;
+  }
+  const auto& particles = topo.particles();
+  for (ParticleIndex i = 0; i < xs.size(); ++i) {
+    for (ParticleIndex j = i + 1; j < xs.size(); ++j) {
+      if (topo.excluded(i, j)) continue;
+      const EnergyForce ef =
+          nonbonded_pair(xs[i], xs[j], particles[i].charge, particles[j].charge,
+                         particles[i].radius + particles[j].radius, nonbonded);
+      e.nonbonded += ef.energy;
+      f[i] += ef.force_on_i;
+      f[j] -= ef.force_on_i;
+    }
+  }
+  for (const auto& c : externals) {
+    e.external += c->begin_evaluation(xs, topo, engine.time());
+    e.external += c->accumulate_range(xs, topo, engine.time(), 0, xs.size(), f);
+  }
+  return ref;
 }
 
 /// Central-difference −dU/dx_i,axis through Engine::compute_energies().
@@ -91,7 +166,7 @@ double finite_difference_force(Engine& engine, std::vector<Vec3> xs, std::size_t
 
 TEST(KernelPipeline, ForceMatchesGradientThroughWorkspace) {
   constexpr int kBeads = 16;
-  Engine engine = make_engine(kBeads, ForcePath::Kernels);
+  Engine engine = make_engine(kBeads);
   attach_externals(engine);
 
   const std::vector<Vec3> xs = helix_positions(kBeads);
@@ -145,33 +220,57 @@ TEST(KernelPipeline, DihedralGradientNearCollinearGeometry) {
   }
 }
 
-TEST(KernelPipeline, MatchesLegacyPairListPath) {
-  constexpr int kBeads = 20;
-  Engine kernels = make_engine(kBeads, ForcePath::Kernels, /*threads=*/2);
-  Engine legacy = make_engine(kBeads, ForcePath::LegacyPairList);
-  attach_externals(kernels);
-  attach_externals(legacy);
+/// Builds an engine on a helix of the given rise and checks it against
+/// the all-pairs oracle: bonded and external energies to 1e-9, nonbonded
+/// energy and every force component to `nonbonded_tol` relative to
+/// max(1, |value|). Returns the oracle's nonbonded energy.
+double expect_matches_all_pairs(std::size_t threads, simd::Request simd, double rise,
+                              double nonbonded_tol) {
+  // The engine splits the bond list over 16 slices; 127 bonds give every
+  // slice 7-8, so the 4-wide vector bond body runs, not just its tail.
+  constexpr int kBeads = 128;
+  Engine engine = make_engine(kBeads, threads, simd);
+  engine.set_positions(helix_positions(kBeads, rise));
+  const auto externals = attach_externals(engine);
 
-  const auto& ek = kernels.compute_energies();
-  const auto& el = legacy.compute_energies();
-  EXPECT_NEAR(ek.bond, el.bond, 1e-9);
-  EXPECT_NEAR(ek.angle, el.angle, 1e-9);
-  EXPECT_NEAR(ek.dihedral, el.dihedral, 1e-9);
-  EXPECT_NEAR(ek.nonbonded, el.nonbonded, 1e-9);
-  EXPECT_NEAR(ek.external, el.external, 1e-9);
+  const auto& ek = engine.compute_energies();
+  const ReferenceForces ref = all_pairs_reference(engine, NonbondedParams{}, externals);
+  const EnergyBreakdown& er = ref.energies;
+  auto tol = [&](double v) { return nonbonded_tol * std::max(1.0, std::abs(v)); };
+  EXPECT_NEAR(ek.bond, er.bond, 1e-9);
+  EXPECT_NEAR(ek.angle, er.angle, 1e-9);
+  EXPECT_NEAR(ek.dihedral, er.dihedral, 1e-9);
+  EXPECT_NEAR(ek.nonbonded, er.nonbonded, tol(er.nonbonded));
+  EXPECT_NEAR(ek.external, er.external, 1e-9);
 
-  const auto fk = kernels.forces();
-  const auto fl = legacy.forces();
+  const auto fk = engine.forces();
   for (std::size_t i = 0; i < fk.size(); ++i) {
-    EXPECT_NEAR(fk[i].x, fl[i].x, 1e-9) << i;
-    EXPECT_NEAR(fk[i].y, fl[i].y, 1e-9) << i;
-    EXPECT_NEAR(fk[i].z, fl[i].z, 1e-9) << i;
+    EXPECT_NEAR(fk[i].x, ref.forces[i].x, tol(ref.forces[i].x)) << i;
+    EXPECT_NEAR(fk[i].y, ref.forces[i].y, tol(ref.forces[i].y)) << i;
+    EXPECT_NEAR(fk[i].z, ref.forces[i].z, tol(ref.forces[i].z)) << i;
+  }
+  return er.nonbonded;
+}
+
+TEST(KernelPipeline, MatchesAllPairsReference) {
+  constexpr double kTightRise = 3.5;  // brings i, i+4 and i, i+5 inside the cutoff
+  for (const std::size_t threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Scalar dispatch is all-double, like the oracle: 1e-9 everywhere.
+    EXPECT_NE(expect_matches_all_pairs(threads, simd::Request::Scalar, kTightRise, 1e-9), 0.0);
+    // Native dispatch on the default helix, where no non-excluded pair is
+    // inside the cutoff: the fp64 vector bonded kernels are held to 1e-9.
+    EXPECT_EQ(expect_matches_all_pairs(threads, simd::Request::Auto, 7.0, 1e-9), 0.0);
+    // Native dispatch with nonbonded pairs: the vector nonbonded kernel
+    // runs its pair math in fp32, so nonbonded energy and forces get the
+    // fp32 bound the SIMD-vs-scalar ensemble test uses.
+    EXPECT_NE(expect_matches_all_pairs(threads, simd::Request::Auto, kTightRise, 1e-5), 0.0);
   }
 }
 
 TEST(KernelPipeline, ExternalEnergyBreakdownPerContribution) {
   constexpr int kBeads = 16;
-  Engine engine = make_engine(kBeads, ForcePath::Kernels);
+  Engine engine = make_engine(kBeads);
   attach_externals(engine);
   const auto& e = engine.compute_energies();
 
@@ -189,7 +288,7 @@ TEST(KernelPipeline, ExternalEnergyBreakdownPerContribution) {
 
 TEST(KernelPipeline, SystemStateRoundTripsAoSViews) {
   constexpr int kBeads = 8;
-  Engine engine = make_engine(kBeads, ForcePath::Kernels);
+  Engine engine = make_engine(kBeads);
   const std::vector<Vec3> xs = helix_positions(kBeads);
   const auto view = engine.positions();
   ASSERT_EQ(view.size(), xs.size());

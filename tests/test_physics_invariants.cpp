@@ -1,7 +1,7 @@
 // The physics invariant suite (ctest label: physics): statistical-mechanics
 // laws with closed-form references, checked with testkit's statistical
-// gates over seed sweeps, parameterized over thread count × force path
-// (and integrator where it applies). Scale knobs: SPICE_SWEEP_SEEDS and
+// gates over seed sweeps, parameterized over thread count (and integrator
+// where it applies). Scale knobs: SPICE_SWEEP_SEEDS and
 // SPICE_SWEEP_THREADS (the nightly CI job runs 100 seeds at 1,2,8).
 //
 // Regression teeth (what each law catches):
@@ -12,7 +12,7 @@
 //                                   kinetic rows
 //   free-diffusion MSD              friction/noise balance (FDT)
 //   Jarzynski on harmonic pulls     work accounting ⟨e^{−βW}⟩ = e^{−βΔF}
-//   finite-difference consistency   F = −∇U, per force path, deterministic
+//   finite-difference consistency   F = −∇U, deterministic
 //   NVE drift                       integrator symplecticity
 
 #include <gtest/gtest.h>
@@ -33,27 +33,20 @@ using namespace spice::testkit;
 /// The execution axes every law is checked on.
 struct Axis {
   std::size_t threads;
-  md::ForcePath path;
 
-  [[nodiscard]] std::string label() const {
-    return "threads=" + std::to_string(threads) + " path=" +
-           (path == md::ForcePath::Kernels ? "kernels" : "legacy");
-  }
+  [[nodiscard]] std::string label() const { return "threads=" + std::to_string(threads); }
   [[nodiscard]] MdRunConfig run(std::uint64_t seed) const {
-    return {.seed = seed, .threads = threads, .force_path = path};
+    return {.seed = seed, .threads = threads};
   }
-  /// Stream id so sweeps on different axes draw distinct seed lists.
-  [[nodiscard]] std::uint64_t stream() const {
-    return threads * 2 + (path == md::ForcePath::Kernels ? 0 : 1);
-  }
+  /// Stream id so sweeps on different axes draw distinct seed lists. The
+  /// factor 2 is historical: changing it would move every axis onto new
+  /// seeds.
+  [[nodiscard]] std::uint64_t stream() const { return threads * 2; }
 };
 
 std::vector<Axis> axes() {
   std::vector<Axis> out;
-  for (const std::size_t threads : sweep_thread_counts({1, 8})) {
-    out.push_back({threads, md::ForcePath::Kernels});
-    out.push_back({threads, md::ForcePath::LegacyPairList});
-  }
+  for (const std::size_t threads : sweep_thread_counts({1, 8})) out.push_back({threads});
   return out;
 }
 
@@ -135,19 +128,17 @@ TEST(PhysicsInvariants, JarzynskiFreeParticleDeltaFIsZero) {
   // meaningful as a contrast).
   HarmonicPullSpec spec;
   spec.k_well = 0.0;
-  for (const md::ForcePath path : {md::ForcePath::Kernels, md::ForcePath::LegacyPairList}) {
-    const Axis axis{1, path};
-    SCOPED_TRACE(axis.label());
-    const SeedSweep sweep({.seeds = 12, .base_seed = 3003, .stream = axis.stream()});
-    const std::vector<double> works = sweep.collect([&](std::uint64_t seed) {
-      HarmonicPull pull = make_harmonic_pull(axis.run(seed), spec);
-      return run_harmonic_pull_work(pull);
-    });
-    const double delta_f = jarzynski_delta_f(works, spec.temperature);
-    // Mean work is pure dissipation, strictly ≥ ΔF = 0 in expectation.
-    EXPECT_TRUE(check(mean(works) > -0.05, "second law: <W> >= dF")) << mean(works);
-    EXPECT_TRUE(near(delta_f, 0.0, 0.35, 0.0, "JE free-particle dF")) << delta_f;
-  }
+  const Axis axis{1};
+  SCOPED_TRACE(axis.label());
+  const SeedSweep sweep({.seeds = 12, .base_seed = 3003, .stream = axis.stream()});
+  const std::vector<double> works = sweep.collect([&](std::uint64_t seed) {
+    HarmonicPull pull = make_harmonic_pull(axis.run(seed), spec);
+    return run_harmonic_pull_work(pull);
+  });
+  const double delta_f = jarzynski_delta_f(works, spec.temperature);
+  // Mean work is pure dissipation, strictly ≥ ΔF = 0 in expectation.
+  EXPECT_TRUE(check(mean(works) > -0.05, "second law: <W> >= dF")) << mean(works);
+  EXPECT_TRUE(near(delta_f, 0.0, 0.35, 0.0, "JE free-particle dF")) << delta_f;
 }
 
 TEST(PhysicsInvariants, JarzynskiHarmonicWellMatchesAnalyticDeltaF) {
@@ -155,25 +146,23 @@ TEST(PhysicsInvariants, JarzynskiHarmonicWellMatchesAnalyticDeltaF) {
   // centre: ΔF(λ) = ½·k_eff·λ² with k_eff = k_w·κ/(k_w+κ), exactly.
   const HarmonicPullSpec spec;
   const double analytic = harmonic_pull_delta_f(spec);
-  for (const md::ForcePath path : {md::ForcePath::Kernels, md::ForcePath::LegacyPairList}) {
-    const Axis axis{1, path};
-    SCOPED_TRACE(axis.label());
-    const SeedSweep sweep({.seeds = 12, .base_seed = 4004, .stream = axis.stream()});
-    const std::vector<double> works = sweep.collect([&](std::uint64_t seed) {
-      HarmonicPull pull = make_harmonic_pull(axis.run(seed), spec);
-      return run_harmonic_pull_work(pull);
-    });
-    const double delta_f = jarzynski_delta_f(works, spec.temperature);
-    // kT-scale gate: the JE estimator's finite-N bias is O(σ_W²/2NkT).
-    EXPECT_TRUE(near(delta_f, analytic, 0.9, 0.0, "JE harmonic-well dF")) << delta_f;
-    EXPECT_TRUE(check(mean(works) + 0.25 > delta_f, "second law: <W> >= dF"));
-  }
+  const Axis axis{1};
+  SCOPED_TRACE(axis.label());
+  const SeedSweep sweep({.seeds = 12, .base_seed = 4004, .stream = axis.stream()});
+  const std::vector<double> works = sweep.collect([&](std::uint64_t seed) {
+    HarmonicPull pull = make_harmonic_pull(axis.run(seed), spec);
+    return run_harmonic_pull_work(pull);
+  });
+  const double delta_f = jarzynski_delta_f(works, spec.temperature);
+  // kT-scale gate: the JE estimator's finite-N bias is O(σ_W²/2NkT).
+  EXPECT_TRUE(near(delta_f, analytic, 0.9, 0.0, "JE harmonic-well dF")) << delta_f;
+  EXPECT_TRUE(check(mean(works) + 0.25 > delta_f, "second law: <W> >= dF"));
 }
 
 // --- deterministic invariants ----------------------------------------------
 
 TEST(PhysicsInvariants, ForcesAreEnergyGradients) {
-  // Central-difference check of F = −∇U on the bead chain, per force path.
+  // Central-difference check of F = −∇U on the bead chain, per axis.
   // Deterministic, and the sharpest possible detector of a force scaled
   // without its energy (landing at the scale of the bug, ~1e-2, against a
   // clean-code baseline of ~1e-8).

@@ -380,7 +380,7 @@ TEST(Haptic, LogsForcesAndSuggestsSpring) {
   FrameView view;
   for (int i = 0; i < 50; ++i) {
     view.steered_com_z = -10.0 - 0.1 * i;
-    device.update(view);
+    (void)device.update(view);
   }
   EXPECT_EQ(device.force_log().count(), 50u);
   const double suggested = device.suggested_spring_pn();
