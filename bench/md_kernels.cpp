@@ -96,6 +96,26 @@ void BM_SmdPullStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SmdPullStep);
 
+/// One Engine::step of the paper's system — the 12-bead strand in the pore
+/// under a constant-velocity SMD pull — at md.threads = arg0: the per-step
+/// cost the Fig. 4 sweep pays millions of times.
+void BM_StepPaperSystem(benchmark::State& state) {
+  spice::pore::TranslocationConfig config;
+  config.dna.nucleotides = 12;
+  config.md.threads = static_cast<std::size_t>(state.range(0));
+  config.equilibration_steps = 100;
+  auto system = spice::pore::build_translocation_system(config);
+  smd::SmdParams params;
+  params.smd_atoms = {0};
+  auto pull = std::make_shared<smd::ConstantVelocityPull>(params);
+  pull->attach(system.engine);
+  system.engine.add_contribution(pull);
+  for (auto _ : state) {
+    system.engine.step();
+  }
+}
+BENCHMARK(BM_StepPaperSystem)->ArgNames({"threads"})->Arg(1)->Arg(4)->UseRealTime();
+
 /// Dense charged chain for the force-evaluation rows: the bonded terms run
 /// the chain, the random packing gives each bead tens of nonbonded
 /// neighbours (the dominant per-step cost, as in the translocation system).
@@ -129,10 +149,11 @@ void BM_ForceEval(benchmark::State& state) {
 }
 
 /// Thread rows up to the host's hardware threads: a row with more workers
-/// than cores measures oversubscription, not the pipeline.
+/// than cores measures oversubscription, not the pipeline. `threads`
+/// counts compute threads, the caller included.
 void force_eval_thread_rows(benchmark::internal::Benchmark* b) {
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     if (threads <= cores) b->Arg(threads);
   }
 }

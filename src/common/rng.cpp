@@ -16,15 +16,22 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 Rng Rng::stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  // Mix the stream coordinates through SplitMix64 so that nearby tuples
-  // (e.g. consecutive particle blocks) land in unrelated regions of seed
-  // space before state expansion.
+  return StreamFamily(seed, a, c).at(b);
+}
+
+// Mix the stream coordinates through SplitMix64 so that nearby tuples
+// (e.g. consecutive particle blocks) land in unrelated regions of seed
+// space before state expansion. The per-coordinate terms are combined by
+// XOR, so folding the b term in last gives the same word as any order.
+Rng::StreamFamily::StreamFamily(std::uint64_t seed, std::uint64_t a, std::uint64_t c) {
   SplitMix64 sm(seed);
-  std::uint64_t mixed = sm.next();
-  mixed ^= SplitMix64(a ^ 0x8af0d8bc04c1e7c9ULL).next();
-  mixed ^= rotl(SplitMix64(b ^ 0x3b97acd53f7ae9d1ULL).next(), 17);
-  mixed ^= rotl(SplitMix64(c ^ 0x94d6a1c7b1e55af3ULL).next(), 41);
-  return Rng(mixed);
+  mixed_ = sm.next();
+  mixed_ ^= SplitMix64(a ^ 0x8af0d8bc04c1e7c9ULL).next();
+  mixed_ ^= rotl(SplitMix64(c ^ 0x94d6a1c7b1e55af3ULL).next(), 41);
+}
+
+Rng Rng::StreamFamily::at(std::uint64_t b) const {
+  return Rng(mixed_ ^ rotl(SplitMix64(b ^ 0x3b97acd53f7ae9d1ULL).next(), 17));
 }
 
 std::uint64_t Rng::next_u64() {

@@ -49,6 +49,19 @@ class Rng {
   static Rng stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,
                     std::uint64_t c = 0);
 
+  /// stream(seed, a, ·, c) with the (seed, a, c) coordinates mixed once, for
+  /// loops that derive one stream per b at fixed (seed, a, c) — e.g. one
+  /// noise stream per particle at one timestep. family.at(b) is
+  /// bit-identical to stream(seed, a, b, c).
+  class StreamFamily {
+   public:
+    StreamFamily(std::uint64_t seed, std::uint64_t a, std::uint64_t c);
+    [[nodiscard]] Rng at(std::uint64_t b) const;
+
+   private:
+    std::uint64_t mixed_;  ///< seed, a and c contributions, already combined
+  };
+
   std::uint64_t next_u64();
 
   /// Uniform double in [0, 1).

@@ -1,5 +1,6 @@
 #include "md/engine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
@@ -19,9 +20,24 @@ namespace {
 constexpr double kMv2ToKcalMol = units::kMv2ToKcalMol;
 /// Å/ps² per (kcal/mol/Å)/amu: converts F/m to acceleration.
 constexpr double kForceOverMassToAcc = units::kForceOverMassToAcc;
-/// Fixed slice count for the force pipeline — independent of thread count
-/// so the summation order (and thus the trajectory) never changes.
-constexpr std::size_t kForceSlices = 16;
+/// Force-pipeline slice count for an n-particle system, S(n) =
+/// min(kMaxForceSlices, ceil(n / kParticlesPerSlice)). A pure function of
+/// n, never of the thread count, so the summation order (and thus the
+/// trajectory) is the same at any number of threads. Tiny systems — the
+/// paper's 12-bead strand — run as one slice on the caller; 512 particles
+/// and up get the full 16.
+constexpr std::size_t kMaxForceSlices = 16;
+constexpr std::size_t kParticlesPerSlice = 32;
+constexpr std::size_t force_slices(std::size_t n) {
+  return std::min(kMaxForceSlices, (n + kParticlesPerSlice - 1) / kParticlesPerSlice);
+}
+static_assert(force_slices(12) == 1 && force_slices(33) == 2 && force_slices(512) == 16);
+
+/// Langevin noise for one particle at the step `streams` is keyed to.
+Vec3 langevin_noise(const Rng::StreamFamily& streams, std::size_t particle) {
+  Rng rng = streams.at(particle);
+  return {rng.gaussian(), rng.gaussian(), rng.gaussian()};
+}
 
 constexpr std::uint32_t kCheckpointMagic = 0x53504943;  // "SPIC"
 constexpr std::uint32_t kCheckpointVersion = 2;
@@ -48,7 +64,12 @@ Engine::Engine(Topology topology, NonbondedParams nonbonded, MdConfig config,
     state_.reset(topology_);
   }
   neighbor_list_ = std::make_unique<NeighborList>(nonbonded_.cutoff, config_.neighbor_skin);
-  if (config_.threads > 1) pool_ = std::make_unique<ThreadPool>(config_.threads);
+  slice_count_ = force_slices(n);
+  // `threads` counts compute threads, and parallel_for runs one range on
+  // the caller, so the pool holds the rest — no more than the slices can
+  // use. A one-slice system never leaves the caller and gets no pool.
+  const std::size_t compute_threads = std::min(config_.threads, slice_count_);
+  if (compute_threads > 1) pool_ = std::make_unique<ThreadPool>(compute_threads - 1);
   kernels_.push_back(std::make_unique<BondKernel>());
   kernels_.push_back(std::make_unique<AngleKernel>());
   kernels_.push_back(std::make_unique<DihedralKernel>());
@@ -123,21 +144,21 @@ void Engine::evaluate_forces() {
   const auto xs = state_.positions();
   neighbor_list_->maybe_rebuild(xs, topology_);
 
-  const KernelContext ctx{&state_,  &topology_,   &nonbonded_, neighbor_list_.get(),
-                          time_,    kForceSlices, simd_level_};
+  const KernelContext ctx{&state_, &topology_,   &nonbonded_, neighbor_list_.get(),
+                          time_,   slice_count_, simd_level_};
   for (const auto& k : kernels_) k->begin_evaluation(ctx);
 
   const std::size_t n = state_.size();
-  workspace_.configure(n, kForceSlices, contributions_.size());
+  workspace_.configure(n, slice_count_, contributions_.size());
   external_base_.assign(contributions_.size(), 0.0);
   for (std::size_t c = 0; c < contributions_.size(); ++c) {
     external_base_[c] = contributions_[c]->begin_evaluation(xs, topology_, time_);
   }
   end_phase("md.force_eval.prepare");
 
-  // Per-kernel time attribution is opt-in (obs detail mode): 16 slices × 4
-  // kernels × 2 clock reads per evaluation is measurable on small systems,
-  // so the base tracing tier skips it.
+  // Per-kernel time attribution is opt-in (obs detail mode): up to 16
+  // slices × 4 kernels × 2 clock reads per evaluation is measurable, so the
+  // base tracing tier skips it.
   const bool detail = obs::detail_on();
   std::vector<obs::Counter*> kernel_ns;
   if (detail) {
@@ -148,7 +169,7 @@ void Engine::evaluate_forces() {
     }
   }
 
-  // Parallel phase: fixed slice count regardless of thread count.
+  // Parallel phase: S(n) slices regardless of thread count.
   auto run_slices = [&](std::size_t begin, std::size_t end) {
     // Chunk-local per-kernel time, flushed once per chunk so the counters
     // see one add per kernel instead of one per slice.
@@ -158,14 +179,14 @@ void Engine::evaluate_forces() {
       for (std::size_t ki = 0; ki < kernels_.size(); ++ki) {
         const double k0 = detail ? obs::now_us() : 0.0;
         workspace_.energy(s, kernels_[ki]->term()) +=
-            kernels_[ki]->evaluate_slice(ctx, s, kForceSlices, acc);
+            kernels_[ki]->evaluate_slice(ctx, s, slice_count_, acc);
         if (detail && ki < chunk_kernel_us.size()) {
           chunk_kernel_us[ki] += obs::now_us() - k0;
         }
       }
       if (!contributions_.empty()) {
-        const std::size_t lo = n * s / kForceSlices;
-        const std::size_t hi = n * (s + 1) / kForceSlices;
+        const std::size_t lo = n * s / slice_count_;
+        const std::size_t hi = n * (s + 1) / slice_count_;
         acc.note_range(lo, hi);
         for (std::size_t c = 0; c < contributions_.size(); ++c) {
           workspace_.external_energy(s, c) +=
@@ -180,9 +201,9 @@ void Engine::evaluate_forces() {
     }
   };
   if (pool_) {
-    pool_->parallel_for(kForceSlices, run_slices);
+    pool_->parallel_for(slice_count_, run_slices);
   } else {
-    run_slices(0, kForceSlices);
+    run_slices(0, slice_count_);
   }
   end_phase("md.force_eval.parallel");
 
@@ -190,12 +211,12 @@ void Engine::evaluate_forces() {
   workspace_.reduce_forces(state_.fx(), state_.fy(), state_.fz(), pool_.get());
   end_phase("md.force_eval.reduce");
 
-  energies_ = EnergyBreakdown{};
   energies_.bond = workspace_.reduced_energy(EnergyTerm::Bond);
   energies_.angle = workspace_.reduced_energy(EnergyTerm::Angle);
   energies_.dihedral = workspace_.reduced_energy(EnergyTerm::Dihedral);
   energies_.nonbonded = workspace_.reduced_energy(EnergyTerm::Nonbonded);
-  energies_.external_terms.reserve(contributions_.size());
+  energies_.external = 0.0;
+  energies_.external_terms.clear();  // keeps its capacity across evaluations
   for (std::size_t c = 0; c < contributions_.size(); ++c) {
     const double e = external_base_[c] + workspace_.reduced_external(c);
     energies_.external += e;
@@ -293,11 +314,6 @@ void Engine::step_velocity_verlet() {
   }
 }
 
-Vec3 Engine::langevin_noise(std::size_t particle) const {
-  Rng rng = Rng::stream(config_.seed, 0x6c616e /*"lan"*/, particle, step_count_);
-  return {rng.gaussian(), rng.gaussian(), rng.gaussian()};
-}
-
 void Engine::step_langevin() {
   // BAOAB splitting (Leimkuhler–Matthews): B half-kick, A half-drift,
   // O Ornstein–Uhlenbeck, A half-drift, B half-kick.
@@ -308,6 +324,9 @@ void Engine::step_langevin() {
   const std::size_t n = state_.size();
   const auto mass = state_.mass();
   const auto inv_mass = state_.inv_mass();
+  // Noise streams are keyed by (seed, particle, step); the seed and step
+  // coordinates are mixed once here rather than once per particle.
+  const Rng::StreamFamily noise_streams(config_.seed, 0x6c616e /*"lan"*/, step_count_);
 
   {
     auto x = state_.x();
@@ -328,7 +347,7 @@ void Engine::step_langevin() {
       y[i] += vy[i] * (0.5 * dt);
       z[i] += vz[i] * (0.5 * dt);
       const double sigma = std::sqrt((1.0 - c1 * c1) * kbt / (mass[i] * kMv2ToKcalMol));
-      const Vec3 noise = langevin_noise(i);
+      const Vec3 noise = langevin_noise(noise_streams, i);
       vx[i] = vx[i] * c1 + noise.x * sigma;
       vy[i] = vy[i] * c1 + noise.y * sigma;
       vz[i] = vz[i] * c1 + noise.z * sigma;

@@ -15,10 +15,13 @@
 // pipeline via disjoint particle ranges.
 //
 // Determinism contract: for a fixed seed and fixed build, trajectories are
-// bit-identical regardless of the number of threads. The slice count is
-// fixed (independent of thread count), slice partitions and reduction
+// bit-identical regardless of the number of threads. The slice count S(n)
+// is a function of the particle count alone (one slice per 32 particles,
+// at most 16; see force_slice_count()), slice partitions and reduction
 // order are pure functions of the system, and the Langevin noise stream is
-// keyed by (seed, particle, step), not by thread.
+// keyed by (seed, particle, step), not by thread. `MdConfig::threads`
+// counts compute threads including the caller, capped at S(n): a
+// one-slice system (fewer than 33 particles) never leaves the caller.
 
 #include <cstdint>
 #include <memory>
@@ -52,7 +55,7 @@ struct MdConfig {
   double friction = 1.0;       ///< Langevin γ, 1/ps
   IntegratorKind integrator = IntegratorKind::Langevin;
   std::uint64_t seed = 1;      ///< master seed for all stochastic terms
-  std::size_t threads = 1;     ///< force-evaluation worker threads
+  std::size_t threads = 1;     ///< force-evaluation compute threads (caller included)
   double neighbor_skin = 2.0;  ///< Verlet skin, Å
   /// SIMD dispatch request, resolved once at engine construction: Auto
   /// follows the process-wide level (SPICE_SIMD env override, else CPU
@@ -134,6 +137,9 @@ class Engine {
   [[nodiscard]] std::uint64_t step_count() const { return step_count_; }
   /// SIMD level this engine resolved at construction.
   [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
+  /// Slices each force evaluation is split into: S(n) =
+  /// min(16, ceil(n / 32)) for n particles, independent of the thread count.
+  [[nodiscard]] std::size_t force_slice_count() const { return slice_count_; }
 
   /// Recompute forces/energies for the current positions and return the
   /// breakdown (also refreshes forces()).
@@ -173,12 +179,12 @@ class Engine {
   void evaluate_forces();
   void step_velocity_verlet();
   void step_langevin();
-  [[nodiscard]] Vec3 langevin_noise(std::size_t particle) const;
 
   Topology topology_;
   NonbondedParams nonbonded_;
   MdConfig config_;
   simd::Level simd_level_ = simd::Level::Scalar;
+  std::size_t slice_count_ = 1;  ///< S(n), fixed at construction
 
   SystemState state_;
   EnergyBreakdown energies_;

@@ -1,5 +1,7 @@
 #include "md/ensemble_engine.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "md/state_arena.hpp"
@@ -22,7 +24,10 @@ EnsembleEngine::EnsembleEngine(const Engine& master, std::span<const std::uint64
     cfg.seed = seeds[r];
     replicas_.push_back(master.clone_with(cfg, arena, r));
   }
-  if (config.threads > 1) pool_ = std::make_unique<ThreadPool>(config.threads);
+  // `threads` counts compute threads and parallel_for runs one range on
+  // the caller, so the pool holds the rest (no more than replicas - 1).
+  const std::size_t compute_threads = std::min(config.threads, seeds.size());
+  if (compute_threads > 1) pool_ = std::make_unique<ThreadPool>(compute_threads - 1);
   static obs::Counter& built = obs::metrics().counter("md.ensemble.replicas");
   built.add(seeds.size());
 }

@@ -33,9 +33,10 @@ class ThreadPool;
 namespace spice::md {
 
 struct EnsembleConfig {
-  /// Workers stepping replicas (replica-level parallelism; each replica's
-  /// internal pipeline runs serially to keep the ensemble oversubscription-
-  /// free and bit-identical to standalone threads = 1 engines).
+  /// Compute threads stepping replicas, the caller included (replica-level
+  /// parallelism; each replica's internal pipeline runs serially to keep
+  /// the ensemble oversubscription-free and bit-identical to standalone
+  /// threads = 1 engines).
   std::size_t threads = 1;
 };
 

@@ -5,24 +5,26 @@
 //
 //   1. begin_evaluation (serial)  — each kernel refreshes caches (e.g. the
 //      nonbonded kernel notices a neighbour-list rebuild epoch).
-//   2. evaluate_slice (parallel)  — the engine runs a FIXED number of
-//      slices (independent of thread count); each slice owns a private
+//   2. evaluate_slice (parallel)  — the engine runs S(n) =
+//      min(16, ceil(n / 32)) slices for n particles (a function of the
+//      system, never of the thread count); each slice owns a private
 //      full-length ForceAccumulator and every kernel deposits a disjoint,
 //      deterministic share of its work into it. ForceContributions (pore
 //      potential, SMD springs, steering forces) ride the same slices via
-//      disjoint particle ranges.
+//      the particle ranges [n·s/S, n·(s+1)/S).
 //   3. reduce (deterministic)     — per-slice buffers are summed in slice
 //      order into the SystemState force arrays, and per-slice energies in
 //      slice order into the EnergyBreakdown.
 //
 // Because the slice partition, the per-slice iteration order and the
-// reduction order are all pure functions of (system, slice count), the
-// resulting trajectory is bit-identical for any number of worker threads —
-// the engine.hpp determinism contract.
+// reduction order are all pure functions of (system, slice count), and the
+// slice count is itself a function of the system, the resulting trajectory
+// is bit-identical for any number of worker threads — the engine.hpp
+// determinism contract.
 //
 // Accumulators track the touched index window so the workspace zeroes and
 // reduces only what a slice actually wrote (bonded slices touch a narrow
-// band of a chain topology; reducing 16 full arrays would swamp the win).
+// band of a chain topology; reducing S full arrays would swamp the win).
 
 #include <algorithm>
 #include <cstddef>

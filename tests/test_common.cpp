@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -73,6 +74,37 @@ TEST(Rng, StreamsAreIndependentAndReproducible) {
     if (a.next_u64() == b.next_u64()) ++same;
   }
   EXPECT_EQ(same, 0);
+}
+
+TEST(Rng, StreamFamilyMatchesStream) {
+  // Reference: the stream-derivation mix written out term by term, so the
+  // hoisted family and stream() are both pinned to the historical words.
+  const auto reference = [](std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                            std::uint64_t c) {
+    std::uint64_t mixed = SplitMix64(seed).next();
+    mixed ^= SplitMix64(a ^ 0x8af0d8bc04c1e7c9ULL).next();
+    mixed ^= std::rotl(SplitMix64(b ^ 0x3b97acd53f7ae9d1ULL).next(), 17);
+    mixed ^= std::rotl(SplitMix64(c ^ 0x94d6a1c7b1e55af3ULL).next(), 41);
+    return Rng(mixed);
+  };
+  constexpr std::uint64_t kLan = 0x6c616e;  // the Langevin noise purpose tag
+  Rng sampler(2024);
+  for (int t = 0; t < 200; ++t) {
+    const std::uint64_t seed = t < 4 ? std::uint64_t(t) : sampler.next_u64();
+    const std::uint64_t step = t % 2 == 0 ? sampler.uniform_index(1'000'000) : ~0ULL - t;
+    const Rng::StreamFamily family(seed, kLan, step);
+    for (const std::uint64_t i : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{11},
+                                  sampler.uniform_index(1u << 20)}) {
+      Rng hoisted = family.at(i);
+      Rng direct = Rng::stream(seed, kLan, i, step);
+      Rng ref = reference(seed, kLan, i, step);
+      for (int k = 0; k < 4; ++k) {
+        const std::uint64_t word = ref.next_u64();
+        ASSERT_EQ(hoisted.next_u64(), word) << "seed " << seed << " i " << i << " step " << step;
+        ASSERT_EQ(direct.next_u64(), word) << "seed " << seed << " i " << i << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(Rng, UniformInRange) {

@@ -19,11 +19,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "md/engine.hpp"
 #include "md/ensemble_engine.hpp"
 #include "md/simd.hpp"
+#include "pore/system.hpp"
+#include "smd/pulling.hpp"
 #include "testkit/golden.hpp"
 #include "testkit/systems.hpp"
 
@@ -74,6 +78,71 @@ TEST(MdEnsemble, ReplicasMatchStandaloneClonesBitwise) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE("ensemble threads = " + std::to_string(threads));
     EXPECT_EQ(ensemble_hashes(master, seeds, threads, 500), standalone);
+  }
+}
+
+/// The request that pins this CPU's best tier (SPICE_SIMD notwithstanding).
+simd::Request native_request() {
+  switch (simd::detect()) {
+    case simd::Level::AVX2:
+      return simd::Request::AVX2;
+    case simd::Level::NEON:
+      return simd::Request::NEON;
+    case simd::Level::Scalar:
+      break;
+  }
+  return simd::Request::Scalar;
+}
+
+/// A constant-velocity pull on the head bead, attached to `engine` now.
+std::shared_ptr<smd::ConstantVelocityPull> head_pull(const Engine& engine) {
+  smd::SmdParams params;
+  params.spring_pn_per_angstrom = 100.0;
+  params.velocity_angstrom_per_ns = 1000.0;  // 4 Å over the 4 ps run
+  params.smd_atoms = {0};
+  auto pull = std::make_shared<smd::ConstantVelocityPull>(params);
+  pull->attach(engine);
+  return pull;
+}
+
+// The paper's system: the 12-bead strand in the pore with an SMD pull per
+// replica. At 12 particles the force pipeline is one slice, so the master's
+// md.threads = 4 never reaches a pool; replicas must still match clones
+// bitwise under the scalar and the native dispatch alike.
+TEST(MdEnsemble, PaperSystemReplicasMatchClonesUnderBothDispatches) {
+  for (const simd::Request request : {simd::Request::Scalar, native_request()}) {
+    pore::TranslocationConfig config;
+    config.md.seed = 11;
+    config.md.threads = 4;
+    config.md.simd = request;
+    config.equilibration_steps = 0;
+    const pore::TranslocationSystem system = pore::build_translocation_system(config);
+    const Engine& master = system.engine;
+    SCOPED_TRACE(std::string(simd::name(master.simd_level())));
+    ASSERT_EQ(master.topology().particle_count(), 12u);
+    ASSERT_EQ(master.force_slice_count(), 1u);
+    const auto seeds = replica_seeds(6);
+
+    std::vector<std::uint64_t> standalone(seeds.size());
+    for (std::size_t r = 0; r < seeds.size(); ++r) {
+      Engine engine = master.clone(seeds[r]);
+      engine.add_contribution(head_pull(engine));
+      engine.step(400);
+      standalone[r] = fnv1a64(engine.checkpoint().bytes);
+    }
+    EXPECT_NE(standalone[0], standalone[1]);
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("ensemble threads = " + std::to_string(threads));
+      EnsembleEngine ensemble(master, seeds, {.threads = threads});
+      for (std::size_t r = 0; r < seeds.size(); ++r) {
+        ensemble.add_contribution(r, head_pull(ensemble.replica(r)));
+      }
+      ensemble.step_all(400);
+      for (std::size_t r = 0; r < seeds.size(); ++r) {
+        EXPECT_EQ(fnv1a64(ensemble.checkpoint(r).bytes), standalone[r]) << "replica " << r;
+      }
+    }
   }
 }
 

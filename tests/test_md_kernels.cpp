@@ -226,8 +226,8 @@ TEST(KernelPipeline, DihedralGradientNearCollinearGeometry) {
 /// max(1, |value|). Returns the oracle's nonbonded energy.
 double expect_matches_all_pairs(std::size_t threads, simd::Request simd, double rise,
                               double nonbonded_tol) {
-  // The engine splits the bond list over 16 slices; 127 bonds give every
-  // slice 7-8, so the 4-wide vector bond body runs, not just its tail.
+  // 128 beads run S(128) = 4 slices; 127 bonds give every slice 31-32, so
+  // the 4-wide vector bond body runs, not just its tail.
   constexpr int kBeads = 128;
   Engine engine = make_engine(kBeads, threads, simd);
   engine.set_positions(helix_positions(kBeads, rise));
