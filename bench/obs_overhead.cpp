@@ -8,8 +8,8 @@
 //   recorder — the always-on flight recorder alone (its shipping default):
 //              per-eval ring writes, everything else off
 //   metrics  — recorder + counters/histograms (engine, pool, per-eval)
-//   tracing  — metrics + process tracer (per-eval phase spans)
-//   detail   — tracing + per-kernel×per-slice time attribution
+//   detail   — metrics + per-eval phase spans in the recorder and
+//              per-kernel×per-slice time attribution
 //   exporter — detail + a live SnapshotExporter streaming the registry to
 //              Prometheus text + JSONL files at 1 Hz from its own thread
 //
@@ -72,20 +72,17 @@ Engine make_force_eval_engine(std::size_t threads) {
   return engine;
 }
 
-enum class Tier { Disabled = 0, Recorder, Metrics, Tracing, Detail, Exporter };
-constexpr int kTiers = 6;
-constexpr const char* kTierNames[] = {"disabled", "recorder", "metrics",
-                                      "tracing",  "detail",   "exporter"};
+enum class Tier { Disabled = 0, Recorder, Metrics, Detail, Exporter };
+constexpr int kTiers = 5;
+constexpr const char* kTierNames[] = {"disabled", "recorder", "metrics", "detail",
+                                      "exporter"};
 
-void apply_tier(Tier tier, obs::Tracer* tracer) {
+void apply_tier(Tier tier) {
   // The recorder ships ON; the all-off baseline must switch it off
   // explicitly. Every tier above Disabled keeps it on (always-on tier).
   obs::set_recorder_enabled(tier >= Tier::Recorder);
   obs::set_metrics_enabled(tier >= Tier::Metrics);
   obs::set_detail_enabled(tier >= Tier::Detail);
-  const bool tracing = tier >= Tier::Tracing;
-  obs::set_tracing_enabled(tracing);
-  obs::set_process_tracer(tracing ? tracer : nullptr);
 }
 
 /// µs per force evaluation over one timed burst.
@@ -112,10 +109,7 @@ std::vector<TierTiming> measure(std::size_t threads) {
   std::vector<TierTiming> timing(kTiers);
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (int t = 0; t < kTiers; ++t) {
-      // Fresh tracer per burst so event-buffer growth cannot compound
-      // across rounds (a real session saves and discards traces too).
-      obs::Tracer tracer("obs_overhead");
-      apply_tier(static_cast<Tier>(t), &tracer);
+      apply_tier(static_cast<Tier>(t));
       double us;
       if (static_cast<Tier>(t) == Tier::Exporter) {
         // Top of the ladder: everything on PLUS a live snapshot exporter
@@ -136,7 +130,7 @@ std::vector<TierTiming> measure(std::size_t threads) {
           std::min(timing[static_cast<std::size_t>(t)].best_us, us);
     }
   }
-  apply_tier(Tier::Disabled, nullptr);
+  apply_tier(Tier::Disabled);
   obs::set_recorder_enabled(true);  // restore the shipping default
   return timing;
 }
@@ -179,13 +173,13 @@ int main() {
   const double base1 = t1[0].best_us;
   const double recorder_pct = overhead_pct(t1[1].best_us, base1);
   const double metrics_pct = overhead_pct(t1[2].best_us, base1);
-  const double tracing_pct = overhead_pct(t1[3].best_us, base1);
-  const double detail_pct = overhead_pct(t1[4].best_us, base1);
-  const double exporter_pct = overhead_pct(t1[5].best_us, base1);
+  const double detail_pct = overhead_pct(t1[3].best_us, base1);
+  const double exporter_pct = overhead_pct(t1[4].best_us, base1);
 
   // Disabled-path cost: guards on the eval path while everything is off.
-  // Per evaluation: 1 force_evals counter + ~2 trace guards + ~16 slice
-  // counter guards via the pool/step path — call it 24 to stay generous.
+  // Per evaluation: 1 force_evals counter + ~2 recorder guards + ~16
+  // slice counter guards via the pool/step path — call it 24 to stay
+  // generous.
   const double guard_ns = disabled_guard_ns();
   constexpr double kGuardsPerEval = 24.0;
   const double disabled_pct = 100.0 * (kGuardsPerEval * guard_ns * 1e-3) / base1;
@@ -194,14 +188,13 @@ int main() {
               "(%.0f sites)\n",
               guard_ns, disabled_pct, kGuardsPerEval);
   std::printf("overhead vs disabled (threads=1): recorder %+.2f%%, metrics %+.2f%%, "
-              "tracing %+.2f%%, detail %+.2f%%, exporter %+.2f%%\n",
-              recorder_pct, metrics_pct, tracing_pct, detail_pct, exporter_pct);
+              "detail %+.2f%%, exporter %+.2f%%\n",
+              recorder_pct, metrics_pct, detail_pct, exporter_pct);
 
   const bool disabled_ok = disabled_pct <= 2.0;
   const bool recorder_ok = recorder_pct <= 2.0;
-  const bool tracing_ok = tracing_pct <= 8.0;
   const double ladder_max_pct =
-      std::max({recorder_pct, metrics_pct, tracing_pct, detail_pct, exporter_pct});
+      std::max({recorder_pct, metrics_pct, detail_pct, exporter_pct});
   const bool ladder_ok = ladder_max_pct <= 8.0;
 
   std::printf("\n--- Claim checks ---\n");
@@ -209,8 +202,6 @@ int main() {
               disabled_ok ? "PASS" : "FAIL");
   std::printf("[%s] always-on flight recorder costs <= 2%% over all-off (%+.2f%%)\n",
               recorder_ok ? "PASS" : "FAIL", recorder_pct);
-  std::printf("[%s] full tracing (metrics + process tracer) costs <= 8%%\n",
-              tracing_ok ? "PASS" : "FAIL");
   std::printf("[%s] full ladder incl. 1 Hz exporter stays <= 8%% (max %+.2f%%)\n",
               ladder_ok ? "PASS" : "FAIL", ladder_max_pct);
 
@@ -235,17 +226,15 @@ int main() {
        << " \"disabled_overhead_pct\": " << disabled_pct << ",\n"
        << " \"recorder_overhead_pct\": " << recorder_pct << ",\n"
        << " \"metrics_overhead_pct\": " << metrics_pct << ",\n"
-       << " \"tracing_overhead_pct\": " << tracing_pct << ",\n"
        << " \"detail_overhead_pct\": " << detail_pct << ",\n"
        << " \"exporter_overhead_pct\": " << exporter_pct << ",\n"
        << " \"claims\": {\n"
        << "  \"disabled_within_2pct\": " << (disabled_ok ? "true" : "false") << ",\n"
        << "  \"recorder_within_2pct\": " << (recorder_ok ? "true" : "false") << ",\n"
-       << "  \"tracing_within_8pct\": " << (tracing_ok ? "true" : "false") << ",\n"
        << "  \"full_ladder_within_8pct\": " << (ladder_ok ? "true" : "false") << "\n"
        << " }\n"
        << "}\n";
   std::printf("\nwrote BENCH_obs_overhead.json\n");
 
-  return (disabled_ok && recorder_ok && tracing_ok && ladder_ok) ? 0 : 1;
+  return (disabled_ok && recorder_ok && ladder_ok) ? 0 : 1;
 }

@@ -5,16 +5,19 @@
 //   3. preprocessing sweep,
 //   4. production sweep mapped onto the TeraGrid + NGS federation.
 //
-// Demonstrates spice::obs end to end: a wall-clock process tracer records
-// the pipeline phases and MD force evaluations, a second tracer records
-// the campaign on the DES virtual timeline (one track per site), and the
+// Demonstrates spice::obs end to end: the process flight recorder holds
+// the pipeline phases and MD force evaluations on the wall clock, a
+// recorder of its own holds the campaign on the DES virtual timeline (one
+// track per site), one writer turns each into a Chrome trace, and the
 // metrics registry snapshot prints via the viz table writers. Open
 // federated_campaign_trace.json in https://ui.perfetto.dev to see the
-// campaign as a Gantt chart of queued/running jobs per site.
+// campaign as a Gantt chart of queued/running jobs per site. Both traces
+// are parsed back before the run reports TRACE OK.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -51,6 +54,13 @@ std::string out_path(const char* name) {
   return std::string(SPICE_OUTPUT_DIR) + "/" + name;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 viz::DashboardFrame to_frame(const CampaignProgress& progress) {
   viz::DashboardFrame frame;
   frame.sim_hours = progress.sim_hours;
@@ -83,19 +93,13 @@ int main() {
   post_mortem.dump_on_signal = true;
   obs::arm_post_mortem(post_mortem);
 
-  // Observability on: metrics + wall-clock tracing for the whole pipeline,
-  // plus a dedicated virtual-clock tracer for the DES campaign.
+  // Observability on: metrics for the whole pipeline. The always-on
+  // process recorder keeps each thread's newest wall-clock events (the
+  // production phase alone runs ~1.5M force evaluations, so its rings
+  // wrap); the DES campaign records into a recorder of its own, whose
+  // default ring holds all of its few hundred virtual-clock events.
   obs::set_metrics_enabled(true);
-  obs::set_tracing_enabled(true);
-  obs::Tracer wall_tracer("spice pipeline (wall clock)");
-  // The production phase alone runs ~1.5M force evaluations; cap the wall
-  // trace so the demo output stays a viewer-friendly size. KeepNewest: for
-  // a demo whose interesting part is the production phase at the end, the
-  // recent window beats the startup transient.
-  wall_tracer.set_event_limit(100'000);
-  wall_tracer.set_drop_policy(obs::DropPolicy::KeepNewest);
-  obs::set_process_tracer(&wall_tracer);
-  obs::Tracer grid_tracer("federated campaign (simulated time)");
+  obs::FlightRecorder grid_recorder;
 
   // Mission control: a snapshot exporter streams the registry to disk at
   // 1 Hz while the pipeline runs, and a watchdog guards the long-running
@@ -130,7 +134,7 @@ int main() {
   config.sweep.early_stop_min_samples = 4;
   config.imd_steps = 800;
   config.paper_replicas_per_cell = 6;
-  config.execution.tracer = &grid_tracer;
+  config.execution.recorder = &grid_recorder;
 
   // Mission-control frames every 6 simulated hours of the DES execution.
   CampaignProgress last_progress;
@@ -311,19 +315,37 @@ int main() {
                     : "PARSE-BACK FAILED");
   }
 
-  obs::set_process_tracer(nullptr);
-  grid_tracer.save(out_path("federated_campaign_trace.json"));
-  wall_tracer.save(out_path("federated_campaign_wall_trace.json"));
+  // ----- traces: one writer, parsed back --------------------------------
+  const std::string grid_trace_path = out_path("federated_campaign_trace.json");
+  const std::string wall_trace_path = out_path("federated_campaign_wall_trace.json");
+  obs::save_chrome_trace(grid_recorder, grid_trace_path, "federated campaign (simulated time)");
+  obs::save_chrome_trace(obs::flight_recorder(), wall_trace_path, "spice pipeline (wall clock)");
+  std::set<std::uint64_t> production_ids;
+  for (const auto& job : production.plan.jobs) production_ids.insert(job.id);
+  std::size_t production_runs = 0;
+  for (const auto& e : grid_recorder.drain()) {
+    production_runs += e.kind == obs::RecordKind::Span && std::string(e.name) == "grid.job.run" &&
+                       production_ids.contains(e.ctx.job_id());
+  }
+  const bool traces_parse =
+      json_is_valid(slurp(grid_trace_path)) && json_is_valid(slurp(wall_trace_path));
+  const bool trace_ok = traces_parse &&
+                        production_runs == production.execution.campaign.completed &&
+                        grid_recorder.overwritten_count() == 0;
 
   const obs::MetricsSnapshot snapshot = obs::metrics().snapshot();
   std::printf("\n===== OBSERVABILITY =====\n");
-  std::printf("campaign trace: %s (%zu events, "
-              "virtual clock — load in ui.perfetto.dev)\n",
-              out_path("federated_campaign_trace.json").c_str(), grid_tracer.event_count());
-  std::printf("pipeline trace: %s (%zu events, "
-              "wall clock, %zu dropped past the cap, keep-newest)\n",
-              out_path("federated_campaign_wall_trace.json").c_str(),
-              wall_tracer.event_count(), wall_tracer.dropped_count());
+  std::printf("campaign trace: %s (%llu events, virtual clock — load in ui.perfetto.dev)\n",
+              grid_trace_path.c_str(),
+              static_cast<unsigned long long>(grid_recorder.recorded_count()));
+  std::printf("pipeline trace: %s (wall clock, each thread's newest %zu events)\n",
+              wall_trace_path.c_str(), obs::flight_recorder().capacity());
+  std::printf("traces %s; %zu grid.job.run spans for %zu completed production jobs; "
+              "%llu campaign events overwritten — %s\n",
+              traces_parse ? "parse back" : "DO NOT PARSE", production_runs,
+              production.execution.campaign.completed,
+              static_cast<unsigned long long>(grid_recorder.overwritten_count()),
+              trace_ok ? "TRACE OK" : "TRACE FAILED");
   std::printf("flight recorder: %llu events recorded on %zu threads "
               "(%llu overwritten; post-mortem armed: watchdog + signals, %llu dumps)\n",
               static_cast<unsigned long long>(obs::flight_recorder().recorded_count()),

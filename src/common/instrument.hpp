@@ -1,8 +1,8 @@
 #pragma once
 // Instrumentation hooks that let low-level common/ primitives report into
 // the obs subsystem without depending on it (obs links common, so a direct
-// call from here would be a cycle). Same inversion as LogSink in log.hpp:
-// obs installs the hooks, common invokes them through a pointer.
+// call from here would be a cycle): obs installs the hooks, common invokes
+// them through a pointer.
 
 #include <cstddef>
 
@@ -14,7 +14,7 @@ namespace spice {
 struct PoolInstrumentation {
   /// Cheap per-call gate; when false the pool skips all timing.
   bool (*enabled)() = nullptr;
-  /// Monotonic clock in microseconds (shared anchor with obs traces).
+  /// Monotonic clock in microseconds (shared anchor with the recorder).
   double (*now_us)() = nullptr;
   /// Receives per-chunk wall times (µs) for one parallel_for call after
   /// its completion barrier; `durations_us` has `chunks` entries.

@@ -4,6 +4,31 @@
 
 namespace spice {
 
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += "0123456789abcdef"[(c >> 4) & 0xF];
+          out += "0123456789abcdef"[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 namespace {
 
 /// Recursive-descent validator over a string_view; pos_ tracks the byte

@@ -9,7 +9,6 @@ namespace spice {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::Warn)};
-std::atomic<LogSink> g_sink{nullptr};
 std::mutex g_log_mutex;
 
 const char* level_name(LogLevel level) {
@@ -50,21 +49,14 @@ std::uint32_t thread_index() {
   return index;
 }
 
-void set_log_sink(LogSink sink) { g_sink.store(sink, std::memory_order_release); }
-
 void log_message(LogLevel level, const std::string& message) {
   const double uptime = uptime_seconds();
   const std::uint32_t thread = thread_index();
-  {
-    // One serialized, atomic-at-the-line-level write: worker threads
-    // logging concurrently produce whole lines, never interleaved shards.
-    std::lock_guard lock(g_log_mutex);
-    std::fprintf(stderr, "[spice %s +%.3fs T%02u] %s\n", level_name(level), uptime, thread,
-                 message.c_str());
-  }
-  if (const LogSink sink = g_sink.load(std::memory_order_acquire)) {
-    sink(level, message, uptime, thread);
-  }
+  // One serialized, atomic-at-the-line-level write: worker threads
+  // logging concurrently produce whole lines, never interleaved shards.
+  std::lock_guard lock(g_log_mutex);
+  std::fprintf(stderr, "[spice %s +%.3fs T%02u] %s\n", level_name(level), uptime, thread,
+               message.c_str());
 }
 
 }  // namespace spice

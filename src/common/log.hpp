@@ -5,8 +5,6 @@
 // Every record carries a process-uptime timestamp and a dense per-thread
 // id, and the write to stderr happens under one mutex — interleaved
 // SPICE_LOG lines from ThreadPool workers can never shear into each other.
-// An optional sink hook mirrors each record elsewhere (spice::obs routes
-// them into the active trace as instant events).
 
 #include <cstdint>
 #include <sstream>
@@ -24,20 +22,13 @@ void set_log_level(LogLevel level);
 void log_message(LogLevel level, const std::string& message);
 
 /// Seconds since the process-wide monotonic anchor (first use). Shared by
-/// log prefixes and the obs wall-clock tracer so their timestamps agree.
+/// log prefixes and the obs flight recorder so their timestamps agree.
 [[nodiscard]] double uptime_seconds();
 
 /// Dense small id for the calling thread (0 = first thread to ask, which
 /// in practice is main). Used for log prefixes, trace tracks and counter
 /// shard selection.
 [[nodiscard]] std::uint32_t thread_index();
-
-/// Secondary log consumer, invoked (outside the stderr mutex) for every
-/// record that passes the threshold. Must be safe to call from any thread.
-using LogSink = void (*)(LogLevel level, const std::string& message, double uptime_s,
-                         std::uint32_t thread);
-/// Install / remove (nullptr) the secondary sink.
-void set_log_sink(LogSink sink);
 
 }  // namespace spice
 

@@ -19,7 +19,7 @@
 #include <vector>
 
 namespace spice::obs {
-class Tracer;
+class FlightRecorder;
 }
 
 namespace spice::grid {
@@ -61,11 +61,13 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Attach a tracer recording the VIRTUAL timeline: sites and the broker
-  /// emit spans with ts = now() × obs::kTraceUsPerHour, so one simulated
-  /// hour renders as one hour in Perfetto. Not owned; nullptr detaches.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
+  /// Attach a recorder for the VIRTUAL timeline: sites and the broker
+  /// record events with ts = now() × obs::kTraceUsPerHour, so one
+  /// simulated hour renders as one hour in Perfetto. Use a recorder of
+  /// its own (not obs::flight_recorder()): simulated time is a separate
+  /// clock domain. Not owned; nullptr detaches.
+  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
+  [[nodiscard]] obs::FlightRecorder* recorder() const { return recorder_; }
 
   /// Install a same-timestamp permutation hook (nullptr detaches). Not
   /// owned. With no hook the tie-group machinery is never touched and
@@ -158,7 +160,7 @@ class EventQueue {
   void collect_live(std::vector<Entry>& out);
   [[nodiscard]] double pick_width(const std::vector<Entry>& live) const;
 
-  obs::Tracer* tracer_ = nullptr;
+  obs::FlightRecorder* recorder_ = nullptr;
   ScheduleHook* hook_ = nullptr;
   std::vector<Entry> tie_scratch_;  ///< choose_tied_entry scratch
   double now_ = 0.0;

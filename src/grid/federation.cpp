@@ -18,7 +18,6 @@ Site& Federation::add_site(const SiteSpec& spec) {
   SPICE_REQUIRE(find(spec.name) == nullptr, "duplicate site name: " + spec.name);
   sites_.push_back(std::make_unique<Site>(spec, events_, table_));
   Site& site = *sites_.back();
-  site.set_trace_sampling(trace_sample_);
   site.set_row_completion_handler([this](JobRow row) {
     // Materialize the compatibility view only when someone wants it, and
     // before row listeners run — a broker may move the row out of its
@@ -77,11 +76,6 @@ void Federation::remove_recovery_listener(ListenerId id) {
                 [id](const auto& entry) { return entry.first == id; });
 }
 
-void Federation::set_trace_job_sampling(std::uint32_t n) {
-  trace_sample_ = n == 0 ? 1 : n;
-  for (const auto& s : sites_) s->set_trace_sampling(trace_sample_);
-}
-
 double RetryPolicy::delay_hours(JobId job, int attempt) const {
   SPICE_REQUIRE(attempt >= 1, "retry attempts count from 1");
   double delay = base_backoff_hours;
@@ -111,17 +105,12 @@ double RetryPolicy::delay_hours(JobId job, int attempt, ChoiceOracle* oracle) co
   return delay * (1.0 - jitter_fraction + 2.0 * jitter_fraction * unit);
 }
 
-std::uint32_t Broker::trace_track() {
-  obs::Tracer* tracer = federation_.events().tracer();
-  if (tracer == nullptr) return 0;
-  if (trace_track_ == 0) trace_track_ = tracer->new_track("broker");
-  return trace_track_;
-}
-
-bool Broker::traced(JobRow row) const {
-  if (federation_.events().tracer() == nullptr) return false;
-  const std::uint32_t sample = federation_.trace_job_sampling();
-  return sample <= 1 || federation_.jobs().id(row) % sample == 0;
+void Broker::trace(obs::RecordKind kind, const char* name, JobRow row, double value) {
+  obs::FlightRecorder& recorder = *federation_.events().recorder();
+  if (trace_track_ == 0) trace_track_ = recorder.new_track("broker");
+  recorder.record_at(kind, name, sim_us(federation_.events().now()), value,
+                     obs::current_context().with_job(federation_.jobs().id(row)),
+                     trace_track_);
 }
 
 Broker::Broker(Federation& federation, CampaignConfig config)
@@ -250,10 +239,9 @@ void Broker::dispatch(JobRow row, SiteId exclude) {
     return;
   }
   if (federation_.jobs().completed_fraction(row) > 0.0) result_.checkpoint_restarts += 1;
-  if (traced(row)) {
-    federation_.events().tracer()->instant(
-        federation_.jobs().display_name(row), "grid.broker.dispatch",
-        sim_us(federation_.events().now()), trace_track(), "-> " + site->name());
+  if (traced()) {
+    trace(obs::RecordKind::Instant, "grid.broker.dispatch", row,
+          static_cast<double>(site->site_id()));
   }
   site->submit_row(row);
 }
@@ -275,13 +263,10 @@ void Broker::hold(JobRow row) {
     holds.add(1);
   }
   // Async span over the park: begin here, end where the job leaves the
-  // held list (backoff timer or site recovery). Paired by (category, id);
-  // the hold count disambiguates repeated parks of the same job.
-  if (traced(row)) {
-    federation_.events().tracer()->async_begin(
-        table.display_name(row) + " (held)", "grid.broker.held",
-        (table.id(row) << 8) | static_cast<std::uint64_t>(table.holds(row) & 0xff),
-        sim_us(federation_.events().now()), trace_track());
+  // held list (backoff timer or site recovery). Paired by job (context)
+  // and hold count (value), which disambiguates repeated parks.
+  if (traced()) {
+    trace(obs::RecordKind::Begin, "grid.broker.held", row, static_cast<double>(table.holds(row)));
   }
   // The timer owns the row's token while Held; release_held cancels it so
   // a recovery-released job never gets a second dispatch from a stale
@@ -316,12 +301,9 @@ void Broker::release_held() {
 }
 
 void Broker::end_held_span(JobRow row) {
-  if (traced(row)) {
-    JobTable& table = federation_.jobs();
-    federation_.events().tracer()->async_end(
-        table.display_name(row) + " (held)", "grid.broker.held",
-        (table.id(row) << 8) | static_cast<std::uint64_t>(table.holds(row) & 0xff),
-        sim_us(federation_.events().now()), trace_track());
+  if (traced()) {
+    trace(obs::RecordKind::End, "grid.broker.held", row,
+          static_cast<double>(federation_.jobs().holds(row)));
   }
 }
 
@@ -333,10 +315,7 @@ void Broker::fail_permanently(JobRow row, bool release_row) {
     static obs::Counter& failures = obs::metrics().counter("grid.broker.permanent_failures");
     failures.add(1);
   }
-  if (traced(row)) {
-    federation_.events().tracer()->instant(table.display_name(row), "grid.broker.gave_up",
-                                           sim_us(table.end_time(row)), trace_track());
-  }
+  if (traced()) trace(obs::RecordKind::Instant, "grid.broker.gave_up", row, 0.0);
   result_.failed += 1;
   // Everything a permanently failed job burned is wasted: its checkpoints
   // are never resumed.

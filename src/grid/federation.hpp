@@ -63,11 +63,6 @@ class Federation {
   ListenerId add_recovery_listener(RecoveryListener listener);
   void remove_recovery_listener(ListenerId id);
 
-  /// Forward per-job trace sampling (1 = every job) to all sites, current
-  /// and future; the broker samples its dispatch instants the same way.
-  void set_trace_job_sampling(std::uint32_t n);
-  [[nodiscard]] std::uint32_t trace_job_sampling() const { return trace_sample_; }
-
  private:
   EventQueue& events_;
   JobTable table_;
@@ -76,7 +71,6 @@ class Federation {
   std::vector<std::pair<ListenerId, RowListener>> row_listeners_;
   std::vector<std::pair<ListenerId, RecoveryListener>> recovery_listeners_;
   ListenerId next_listener_id_ = 0;
-  std::uint32_t trace_sample_ = 1;
 };
 
 enum class BrokerPolicy {
@@ -221,15 +215,17 @@ class Broker {
   void hold(JobRow row);
   void retry_held(JobRow row);  ///< backoff-timer path out of the held list
   void release_held();          ///< recovery path: re-dispatch everything held
-  void end_held_span(JobRow row);  ///< close the trace span of a park
+  void end_held_span(JobRow row);  ///< close the held async span of a park
   /// `release_row` distinguishes loose rows (dispatch paths — release
   /// here) from rows inside a site's completion fan-out (the site
   /// releases once every handler has run).
   void fail_permanently(JobRow row, bool release_row);
   void on_row_done(JobRow row);
-  [[nodiscard]] bool traced(JobRow row) const;
-  /// Broker decisions track on the queue's virtual-clock tracer (0 = none).
-  [[nodiscard]] std::uint32_t trace_track();
+  /// True when the event queue has a virtual-clock recorder attached.
+  [[nodiscard]] bool traced() const { return federation_.events().recorder() != nullptr; }
+  /// Record one virtual-clock event (now(), simulated) about `row` on the
+  /// broker's track, allocated on first use. Requires traced().
+  void trace(obs::RecordKind kind, const char* name, JobRow row, double value);
 
   Federation& federation_;
   CampaignConfig config_;
@@ -240,7 +236,7 @@ class Broker {
   std::size_t outstanding_ = 0;
   std::size_t round_robin_next_ = 0;
   bool submitted_ = false;
-  std::uint32_t trace_track_ = 0;
+  std::uint32_t trace_track_ = 0;  ///< 0 = not yet allocated
   Federation::ListenerId row_listener_ = 0;
   Federation::ListenerId recovery_listener_ = 0;
 };

@@ -14,16 +14,11 @@ namespace {
 double sim_us(double hours) { return hours * obs::kTraceUsPerHour; }
 }  // namespace
 
-std::uint32_t Site::trace_track() {
-  obs::Tracer* tracer = events_.tracer();
-  if (tracer == nullptr) return 0;
-  if (trace_track_ == 0) trace_track_ = tracer->new_track("site " + spec_.name);
-  return trace_track_;
-}
-
-bool Site::traced(JobRow row) const {
-  if (events_.tracer() == nullptr) return false;
-  return trace_sample_ <= 1 || table_->id(row) % trace_sample_ == 0;
+void Site::trace(obs::RecordKind kind, const char* name, double ts_hours, double value,
+                 obs::TraceContext ctx) {
+  obs::FlightRecorder& recorder = *events_.recorder();
+  if (trace_track_ == 0) trace_track_ = recorder.new_track("site " + spec_.name);
+  recorder.record_at(kind, name, sim_us(ts_hours), value, ctx, trace_track_);
 }
 
 Site::Site(SiteSpec spec, EventQueue& events)
@@ -149,8 +144,8 @@ void Site::start_row(JobRow row) {
   const double duration = table_->remaining_hours(row) / spec_.speed;
   // Flight-recorder lifecycle marks carry the grid job id so a post-mortem
   // causal tree can hang this job's later engine/hub events off it. Wall
-  // clock, not sim clock: the recorder answers "what was the process doing",
-  // the DES tracer answers "what was the simulated grid doing".
+  // clock, not sim clock: the process recorder answers "what was the
+  // process doing", the DES recorder "what was the simulated grid doing".
   if (obs::recorder_on()) {
     obs::flight_recorder().record_at(obs::RecordKind::Mark, "grid.job.start", obs::now_us(),
                                      static_cast<double>(table_->processors(row)),
@@ -160,11 +155,10 @@ void Site::start_row(JobRow row) {
   table_->start_time(row) = events_.now();
   // The queued wait is fully known here; emit it retroactively so the
   // Gantt chart shows wait and run back to back on the site's row.
-  if (traced(row)) {
+  if (traced()) {
     const double submit = table_->submit_time(row);
-    events_.tracer()->complete(table_->display_name(row) + " (queued)", "grid.job.queued",
-                               sim_us(submit), sim_us(events_.now() - submit),
-                               trace_track());
+    trace(obs::RecordKind::Span, "grid.job.queued", submit, sim_us(events_.now() - submit),
+          obs::current_context().with_job(table_->id(row)));
   }
   const int procs = table_->processors(row);
   free_procs_ -= procs;
@@ -213,10 +207,9 @@ void Site::finish_row(JobRow row) {
     obs::flight_recorder().record_at(obs::RecordKind::Mark, "grid.job.finish", obs::now_us(),
                                      wall, obs::current_context().with_job(table_->id(row)));
   }
-  if (traced(row)) {
-    events_.tracer()->complete(table_->display_name(row), "grid.job.run",
-                               sim_us(table_->start_time(row)), sim_us(wall), trace_track(),
-                               std::to_string(procs) + " procs");
+  if (traced()) {
+    trace(obs::RecordKind::Span, "grid.job.run", table_->start_time(row), sim_us(wall),
+          obs::current_context().with_job(table_->id(row)));
   }
   complete_row(row);
   dispatch();
@@ -266,16 +259,16 @@ void Site::fail_row(JobRow row, const char* reason) {
     obs::flight_recorder().record_at(obs::RecordKind::Mark, "grid.job.fail", obs::now_us(),
                                      0.0, obs::current_context().with_job(table_->id(row)));
   }
-  if (traced(row)) {
-    const std::string name = table_->display_name(row) + " [" + reason + "]";
-    // A job killed mid-run still gets its partial run on the timeline.
-    if (was_running && table_->end_time(row) > table_->start_time(row)) {
-      events_.tracer()->complete(name, "grid.job.failed", sim_us(table_->start_time(row)),
-                                 sim_us(table_->end_time(row) - table_->start_time(row)),
-                                 trace_track(), reason);
+  if (traced()) {
+    // Named by the reason literal. A job killed mid-run still gets its
+    // partial run on the timeline.
+    const obs::TraceContext ctx = obs::current_context().with_job(table_->id(row));
+    const double start = table_->start_time(row);
+    const double end = table_->end_time(row);
+    if (was_running && end > start) {
+      trace(obs::RecordKind::Span, reason, start, sim_us(end - start), ctx);
     } else {
-      events_.tracer()->instant(name, "grid.job.failed", sim_us(table_->end_time(row)),
-                                trace_track(), reason);
+      trace(obs::RecordKind::Instant, reason, end, 0.0, ctx);
     }
   }
 }
@@ -296,11 +289,10 @@ void Site::fail_until(double until) {
     static obs::Counter& outages = obs::metrics().counter("grid.site.outages");
     outages.add(1);
   }
-  // Forward-dated: the whole outage window is known at onset. Outage spans
-  // are rare and operationally interesting, so they bypass sampling.
-  if (obs::Tracer* tracer = events_.tracer()) {
-    tracer->complete("outage", "grid.site.outage", sim_us(events_.now()),
-                     sim_us(until - events_.now()), trace_track());
+  // Forward-dated: the whole outage window is known at onset.
+  if (traced()) {
+    trace(obs::RecordKind::Span, "grid.site.outage", events_.now(),
+          sim_us(until - events_.now()), obs::current_context());
   }
   // Kill running jobs, crediting work up to the last completed checkpoint:
   // the lost tail beyond it is wasted CPU, the rest shrinks the re-run.

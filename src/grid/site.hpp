@@ -24,6 +24,7 @@
 #include "grid/des.hpp"
 #include "grid/job.hpp"
 #include "grid/job_table.hpp"
+#include "obs/recorder.hpp"
 
 namespace spice::grid {
 
@@ -79,11 +80,6 @@ class Site {
   /// Called when an outage lifts and the site is usable again (fires once
   /// per outage end, suppressed while a longer overlapping outage holds).
   void set_recovery_handler(RecoveryHandler handler) { on_recovered_ = std::move(handler); }
-
-  /// Emit per-job trace spans only for jobs with id % n == 0 (outage spans
-  /// are always emitted). 1 = trace every job; large n keeps tracing
-  /// affordable on million-job campaigns.
-  void set_trace_sampling(std::uint32_t n) { trace_sample_ = n == 0 ? 1 : n; }
 
   /// Enqueue a job (state → Queued) and try to dispatch.
   void submit(Job job);
@@ -147,10 +143,13 @@ class Site {
   /// Fan completion out to handlers, then release the row unless a
   /// handler claimed it by moving it out of its terminal state.
   void complete_row(JobRow row);
-  [[nodiscard]] bool traced(JobRow row) const;
-  /// This site's track on the event queue's virtual-clock tracer (lazily
-  /// allocated and named after the site); 0 when no tracer is attached.
-  [[nodiscard]] std::uint32_t trace_track();
+  /// True when the event queue has a virtual-clock recorder attached.
+  [[nodiscard]] bool traced() const { return events_.recorder() != nullptr; }
+  /// Record one virtual-clock event (ts in simulated hours) on this site's
+  /// track, allocated and named after the site on first use. Requires
+  /// traced().
+  void trace(obs::RecordKind kind, const char* name, double ts_hours, double value,
+             obs::TraceContext ctx);
 
   SiteSpec spec_;
   EventQueue& events_;
@@ -175,8 +174,7 @@ class Site {
   /// campaign.
   double running_end_work_ = 0.0;
   int running_procs_ = 0;
-  std::uint32_t trace_sample_ = 1;
-  std::uint32_t trace_track_ = 0;
+  std::uint32_t trace_track_ = 0;  ///< 0 = not yet allocated
 };
 
 }  // namespace spice::grid

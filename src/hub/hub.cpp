@@ -28,15 +28,6 @@ SteeringHub::SteeringHub(net::Network& network, net::HostId hub_host, HubConfig 
   SPICE_REQUIRE(config_.publish_cost_s >= 0.0, "publish cost must be non-negative");
 }
 
-void SteeringHub::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) trace_track_ = tracer_->new_track("steering hub");
-}
-
-void SteeringHub::trace_instant(const char* name, double now, const std::string& detail) {
-  if (tracer_ != nullptr) tracer_->instant(name, "hub", now * 1e6, trace_track_, detail);
-}
-
 ClientId SteeringHub::connect(double now, net::HostId host, SubscriptionConfig subscription) {
   SPICE_REQUIRE(subscription.window > 0, "client window must be positive");
   ClientState state;
@@ -120,8 +111,6 @@ void SteeringHub::pump(double now, ClientId client) {
   if (resync) {
     ++c.stats.resyncs;
     ++stats_.resyncs;
-    trace_instant("hub.resync", now,
-                  "client " + std::to_string(client) + " lag " + std::to_string(gap));
   }
 
   // Serialize the encode+dispatch on the hub worker's CPU budget.
@@ -197,7 +186,6 @@ void SteeringHub::on_ack(double now, ClientId client, std::uint64_t frame_id) {
 
 void SteeringHub::expire_token(double now) {
   if (token_holder_ != kNoClient && now >= token_lease_expiry_) {
-    trace_instant("hub.token_expired", now, "client " + std::to_string(token_holder_));
     ++stats_.token_expiries;
     obs::metrics().counter("hub.arbitration.expiries").add(1);
     token_holder_ = kNoClient;
@@ -212,19 +200,16 @@ bool SteeringHub::request_token(double now, ClientId client) {
     token_lease_expiry_ = now + config_.token_lease_s;
     ++stats_.token_grants;
     obs::metrics().counter("hub.arbitration.grants").add(1);
-    trace_instant("hub.token_granted", now, "client " + std::to_string(client));
     return true;
   }
   ++stats_.token_denials;
   obs::metrics().counter("hub.arbitration.denials").add(1);
-  trace_instant("hub.token_denied", now, "client " + std::to_string(client));
   return false;
 }
 
-void SteeringHub::release_token(double now, ClientId client) {
+void SteeringHub::release_token(double /*now*/, ClientId client) {
   if (token_holder_ != client) return;
   token_holder_ = kNoClient;
-  trace_instant("hub.token_released", now, "client " + std::to_string(client));
 }
 
 void SteeringHub::record_command(const steering::SteeringMessage& message) {

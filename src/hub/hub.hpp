@@ -45,7 +45,6 @@
 
 namespace spice::obs {
 class Histogram;
-class Tracer;
 }  // namespace spice::obs
 
 namespace spice::hub {
@@ -142,10 +141,6 @@ class SteeringHub {
       std::function<void(ClientId, const EncodedUpdate&, double deliver_at)>;
   void set_delivery_sink(DeliverySink sink) { sink_ = std::move(sink); }
 
-  /// Optional virtual-clock tracer (ts = seconds × 1e6): arbitration
-  /// events and client resyncs are emitted as instants.
-  void set_tracer(obs::Tracer* tracer);
-
   // --- client lifecycle -------------------------------------------------
   ClientId connect(double now, net::HostId host, SubscriptionConfig subscription);
   void disconnect(double now, ClientId client);
@@ -205,7 +200,6 @@ class SteeringHub {
   void pump(double now, ClientId client);
   void expire_token(double now);
   void record_command(const steering::SteeringMessage& message);
-  void trace_instant(const char* name, double now, const std::string& detail);
 
   net::Network& network_;
   net::HostId hub_host_;
@@ -215,8 +209,6 @@ class SteeringHub {
   SnapshotCodec codec_;
   FrameRing ring_;
   DeliverySink sink_;
-  obs::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_track_ = 0;
 
   std::vector<ClientState> clients_;
   std::size_t connected_ = 0;

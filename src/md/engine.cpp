@@ -120,21 +120,23 @@ void Engine::remove_contribution(const ForceContribution* contribution) {
 }
 
 void Engine::evaluate_forces() {
-  SPICE_TRACE_SCOPE_CAT("md.force_eval", "md");
   SPICE_RECORD_SPAN("md.force_eval");
   {
     static obs::Counter& evals = obs::metrics().counter("md.engine.force_evals");
     evals.add(1);
   }
-  // Phase boundaries are timestamped only while a tracer is installed; a
+  // Per-kernel time attribution and the three phase spans are opt-in (obs
+  // detail mode): up to 16 slices × 4 kernels × 2 clock reads per
+  // evaluation is measurable, so the default tier records one span. A
   // clock read never touches simulation state, so trajectories stay
-  // bit-identical with tracing on (test_md_determinism locks this in).
-  obs::Tracer* tracer = obs::tracing_on() ? obs::process_tracer() : nullptr;
-  double phase_start_us = tracer != nullptr ? obs::now_us() : 0.0;
+  // bit-identical with detail on (test_md_determinism locks this in).
+  const bool detail = obs::detail_on();
+  double phase_start_us = detail ? obs::now_us() : 0.0;
   const auto end_phase = [&](const char* name) {
-    if (tracer == nullptr) return;
+    if (!detail) return;
     const double now = obs::now_us();
-    tracer->complete(name, "md", phase_start_us, now - phase_start_us, obs::thread_track());
+    obs::flight_recorder().record_at(obs::RecordKind::Span, name, phase_start_us,
+                                     now - phase_start_us, obs::current_context());
     phase_start_us = now;
   };
 
@@ -156,10 +158,6 @@ void Engine::evaluate_forces() {
   }
   end_phase("md.force_eval.prepare");
 
-  // Per-kernel time attribution is opt-in (obs detail mode): up to 16
-  // slices × 4 kernels × 2 clock reads per evaluation is measurable, so the
-  // base tracing tier skips it.
-  const bool detail = obs::detail_on();
   std::vector<obs::Counter*> kernel_ns;
   if (detail) {
     kernel_ns.reserve(kernels_.size());

@@ -5,13 +5,13 @@
 // campaign that requested it, the grid job (run token) that carried it,
 // the ensemble replica that computed it, and the hub client session that
 // watched it. The id is a plain 64-bit word so stamping it into a
-// flight-recorder event or a tracer span costs one store:
+// flight-recorder event costs one store:
 //
 //   bits 56..63  campaign id   (8 bits,  0 = unset)
 //   bits 32..55  grid job id   (24 bits, 0 = unset)
 //   bits 20..31  replica index (12 bits, stored +1 so 0 = unset)
 //   bits  4..19  hub session   (16 bits, stored +1 so 0 = unset)
-//   bits  0..3   reserved
+//   bits  0..3   reserved (unused)
 //
 // The current context is thread-local; layers narrow it as work descends
 // (campaign → job → replica → session) with RAII ContextScope so an

@@ -8,8 +8,9 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace spice::obs {
 
@@ -24,33 +25,6 @@ std::string fmt_double(double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
-}
-
-/// JSON string literal for a metric name (names are plain identifiers,
-/// but escape defensively so the emitter can never produce invalid JSON).
-std::string json_string(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -125,7 +99,7 @@ std::string jsonl_delta_record(const MetricsSnapshot& prev, const MetricsSnapsho
       // Counters are monotonic, but a registry reset() between exports
       // makes the delta negative; emit the signed difference so sums
       // still reconcile.
-      out += json_string(c.name) + ':' +
+      out += json_quote(c.name) + ':' +
              std::to_string(static_cast<std::int64_t>(c.value - before));
     }
   }
@@ -141,7 +115,7 @@ std::string jsonl_delta_record(const MetricsSnapshot& prev, const MetricsSnapsho
       if (!seen && g.value == 0.0) continue;
       if (!first) out += ',';
       first = false;
-      out += json_string(g.name) + ':' + fmt_double(g.value);
+      out += json_quote(g.name) + ':' + fmt_double(g.value);
     }
   }
   out += "},\"histograms\":{";
@@ -157,7 +131,7 @@ std::string jsonl_delta_record(const MetricsSnapshot& prev, const MetricsSnapsho
       if (h.count == before) continue;
       if (!first) out += ',';
       first = false;
-      out += json_string(h.name) + ':' +
+      out += json_quote(h.name) + ':' +
              std::to_string(static_cast<std::int64_t>(h.count - before));
     }
   }
@@ -167,11 +141,10 @@ std::string jsonl_delta_record(const MetricsSnapshot& prev, const MetricsSnapsho
 
 void update_self_metrics(MetricsRegistry& registry) {
   if (!metrics_on()) return;
-  const Tracer* tracer = process_tracer();
-  registry.gauge("obs.tracer.events")
-      .set(tracer != nullptr ? static_cast<double>(tracer->event_count()) : 0.0);
-  registry.gauge("obs.tracer.dropped_events")
-      .set(tracer != nullptr ? static_cast<double>(tracer->dropped_count()) : 0.0);
+  registry.gauge("obs.recorder.recorded")
+      .set(static_cast<double>(flight_recorder().recorded_count()));
+  registry.gauge("obs.recorder.overwritten")
+      .set(static_cast<double>(flight_recorder().overwritten_count()));
   registry.gauge("obs.metrics.counter_shards").set(static_cast<double>(Counter::kShards));
   // Take the sizes BEFORE setting the registered_* gauges so the values
   // do not count gauges this very call is about to create... they do on

@@ -20,7 +20,7 @@
 // snapshot, and joins — a clean shutdown loses nothing that was accepted.
 //
 // The exporter also maintains the observability-of-the-observability
-// gauges (update_self_metrics): tracer buffer drops, registry sizes and
+// gauges (update_self_metrics): flight-recorder totals, registry sizes and
 // the counter shard count, refreshed before every self-sample so the
 // exposition reports on the subsystem itself.
 
@@ -56,8 +56,8 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot);
                                              double t_us);
 
 /// Refresh the self-monitoring gauges in `registry`:
-///   obs.tracer.events / obs.tracer.dropped_events   (process tracer; 0 when none)
-///   obs.metrics.counter_shards                      (Counter::kShards)
+///   obs.recorder.recorded / obs.recorder.overwritten  (process flight recorder)
+///   obs.metrics.counter_shards                        (Counter::kShards)
 ///   obs.metrics.registered_counters / _gauges / _histograms
 /// No-op while metrics are disabled (gauge writes are gated).
 void update_self_metrics(MetricsRegistry& registry = metrics());

@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 
 namespace spice::obs {
 
@@ -69,21 +68,12 @@ void Watchdog::alert(const Entry& entry, double silent_s) {
   SPICE_WARN(msg);
   alerts_counter_.add(1);
   flight_recorder().record(RecordKind::Instant, "health.stall");
-  if (tracing_on()) {
-    if (Tracer* tracer = process_tracer()) {
-      tracer->instant("health.stall", "health", now_us(), thread_track(), entry.name);
-    }
-  }
   notify_stall_for_post_mortem(entry.name);
 }
 
 void Watchdog::recovered(const Entry& entry) {
   SPICE_INFO("watchdog: '" + entry.name + "' recovered");
-  if (tracing_on()) {
-    if (Tracer* tracer = process_tracer()) {
-      tracer->instant("health.recovered", "health", now_us(), thread_track(), entry.name);
-    }
-  }
+  flight_recorder().record(RecordKind::Instant, "health.recovered");
 }
 
 std::size_t Watchdog::poll() {

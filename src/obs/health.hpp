@@ -21,8 +21,9 @@
 // thread (start()/stop()). Alerts are edge-triggered: one alert when an
 // entry crosses Healthy → Stalled, none while it stays stalled, and the
 // entry re-arms when progress resumes. Each alert goes to the log
-// (SPICE_WARN), to the process tracer as an instant event (category
-// "health"), and onto the obs.health.alerts counter.
+// (SPICE_WARN), to the flight recorder as a "health.stall" instant, and
+// onto the obs.health.alerts counter; a recovery records
+// "health.recovered".
 
 #include <atomic>
 #include <condition_variable>

@@ -11,7 +11,6 @@ namespace spice::obs {
 
 namespace detail {
 std::atomic<bool> g_metrics_enabled{false};
-std::atomic<bool> g_tracing_enabled{false};
 std::atomic<bool> g_detail_enabled{false};
 }  // namespace detail
 
@@ -52,9 +51,6 @@ void set_metrics_enabled(bool on) {
   // Hooks stay installed once metrics have ever been on; the pool's
   // enabled() gate (metrics_on) handles later disables.
   if (kCompiledIn && on) set_pool_instrumentation(&kPoolHooks);
-}
-void set_tracing_enabled(bool on) {
-  detail::g_tracing_enabled.store(kCompiledIn && on, std::memory_order_relaxed);
 }
 void set_detail_enabled(bool on) {
   detail::g_detail_enabled.store(kCompiledIn && on, std::memory_order_relaxed);

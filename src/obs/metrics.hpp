@@ -31,8 +31,9 @@ namespace spice::obs {
 //
 // Compile-time: building with -DSPICE_OBS=OFF defines SPICE_OBS_ENABLED=0;
 // kCompiledIn then folds every guard to `false` and dead-code elimination
-// removes the instrumentation entirely. Runtime: both metrics and tracing
-// default OFF so uninstrumented workloads pay only the flag load.
+// removes the instrumentation entirely. Runtime: metrics (and the detail
+// tier on top of them) default OFF so uninstrumented workloads pay only
+// the flag load; the flight recorder (obs/recorder) defaults ON.
 
 #if !defined(SPICE_OBS_ENABLED)
 #define SPICE_OBS_ENABLED 1
@@ -42,7 +43,6 @@ inline constexpr bool kCompiledIn = (SPICE_OBS_ENABLED != 0);
 
 namespace detail {
 extern std::atomic<bool> g_metrics_enabled;
-extern std::atomic<bool> g_tracing_enabled;
 extern std::atomic<bool> g_detail_enabled;
 }  // namespace detail
 
@@ -50,17 +50,13 @@ extern std::atomic<bool> g_detail_enabled;
 inline bool metrics_on() {
   return kCompiledIn && detail::g_metrics_enabled.load(std::memory_order_relaxed);
 }
-/// True when trace emission is compiled in AND runtime-enabled.
-inline bool tracing_on() {
-  return kCompiledIn && detail::g_tracing_enabled.load(std::memory_order_relaxed);
-}
-/// Fine-grained attribution (per-kernel force timings). Requires metrics.
+/// Fine-grained attribution (per-kernel force timings and the per-phase
+/// force-evaluation spans). Requires metrics.
 inline bool detail_on() {
   return metrics_on() && detail::g_detail_enabled.load(std::memory_order_relaxed);
 }
 
 void set_metrics_enabled(bool on);
-void set_tracing_enabled(bool on);
 void set_detail_enabled(bool on);
 
 /// Microseconds since process anchor (common/log's uptime clock), as a

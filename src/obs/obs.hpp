@@ -2,16 +2,18 @@
 // spice::obs — the unified observability subsystem (DESIGN.md §8).
 //
 // One include gives instrumented code the whole surface:
-//   * obs::metrics()           process-wide counters / gauges / histograms
-//   * SPICE_TRACE_SCOPE(...)   wall-clock spans on the process tracer
-//   * obs::Tracer              Chrome trace-event sink (real or DES clock)
-//   * obs::SnapshotExporter    periodic Prometheus + JSONL file export
-//   * obs::Watchdog            heartbeat/counter/gauge stall alerts
-//   * SPICE_RECORD_SPAN(...)   always-on flight recorder (default ON)
-//   * obs::TraceContext        causal ids threaded campaign → session
-//   * obs::arm_post_mortem     crash/stall dump of the flight recorder
-//   * obs::set_*_enabled(...)  runtime kill switches (metrics/tracing
-//                              default OFF; the recorder defaults ON)
+//   * obs::metrics()            process-wide counters / gauges / histograms
+//   * SPICE_RECORD_SPAN(...)    wall-clock spans into the flight recorder,
+//                               the one event sink (default ON)
+//   * obs::FlightRecorder       per-thread event rings; a caller-owned one
+//                               records the grid DES on its virtual clock
+//   * obs::write_chrome_trace   the one Chrome trace-event JSON writer
+//   * obs::SnapshotExporter     periodic Prometheus + JSONL file export
+//   * obs::Watchdog             heartbeat/counter/gauge stall alerts
+//   * obs::TraceContext         causal ids threaded campaign → session
+//   * obs::arm_post_mortem      crash/stall dump of the flight recorder
+//   * obs::set_*_enabled(...)   runtime kill switches (metrics and detail
+//                               default OFF; the recorder defaults ON)
 //
 // Build with -DSPICE_OBS=OFF to compile the instrumentation out entirely.
 
@@ -21,4 +23,3 @@
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"

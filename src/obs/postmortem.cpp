@@ -7,10 +7,10 @@
 #include <mutex>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 
 namespace spice::obs {
 
@@ -29,108 +29,6 @@ struct PostMortemState {
 PostMortemState& state() {
   static PostMortemState s;
   return s;
-}
-
-void escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_str(std::string_view s) {
-  std::string out = "\"";
-  escape_into(out, s);
-  out += '"';
-  return out;
-}
-
-const char* phase_of(RecordKind kind) {
-  switch (kind) {
-    case RecordKind::Span: return "X";
-    case RecordKind::Count: return "C";
-    case RecordKind::Instant:
-    case RecordKind::Command:
-    case RecordKind::Mark: return "i";
-  }
-  return "i";
-}
-
-const char* category_of(RecordKind kind) {
-  switch (kind) {
-    case RecordKind::Span: return "recorder.span";
-    case RecordKind::Count: return "counter";
-    case RecordKind::Instant: return "recorder.instant";
-    case RecordKind::Command: return "recorder.command";
-    case RecordKind::Mark: return "recorder.mark";
-  }
-  return "recorder";
-}
-
-/// Merged Chrome trace: the recorder rings as pid 1 (one tid per
-/// recording thread) plus the installed process tracer's buffer as pid 2,
-/// so the always-on black box and any opt-in spans land on one timeline.
-void write_flight_json(std::ostream& os, const std::vector<RecorderEvent>& events,
-                       const std::string& reason) {
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  sep();
-  os << R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":)"
-     << json_str("spice flight recorder — " + reason) << "}}";
-  std::uint32_t last_thread = ~0u;
-  for (const RecorderEvent& e : events) {
-    if (e.thread != last_thread) {
-      last_thread = e.thread;
-      sep();
-      os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << e.thread
-         << R"(,"args":{"name":"recorder thread )" << e.thread << "\"}}";
-    }
-  }
-  for (const RecorderEvent& e : events) {
-    sep();
-    os << "{\"name\":" << json_str(e.name != nullptr ? e.name : "?")
-       << ",\"cat\":\"" << category_of(e.kind) << "\",\"ph\":\"" << phase_of(e.kind)
-       << "\",\"ts\":" << e.ts_us << ",\"pid\":1,\"tid\":" << e.thread;
-    if (e.kind == RecordKind::Span) os << ",\"dur\":" << e.value;
-    os << ",\"args\":{";
-    if (e.kind == RecordKind::Count || e.kind == RecordKind::Command) {
-      os << "\"value\":" << e.value << ",";
-    }
-    os << "\"ctx\":" << json_str(e.ctx.to_string()) << "}";
-    if (phase_of(e.kind)[0] == 'i') os << ",\"s\":\"t\"";
-    os << "}";
-  }
-  if (const Tracer* tracer = process_tracer()) {
-    for (const TraceEvent& e : tracer->events()) {
-      sep();
-      os << "{\"name\":" << json_str(e.name) << ",\"cat\":" << json_str(e.category)
-         << ",\"ph\":\"" << e.phase << "\",\"ts\":" << e.ts_us
-         << ",\"pid\":2,\"tid\":" << e.track;
-      if (e.phase == 'X') os << ",\"dur\":" << e.dur_us;
-      if (e.phase == 'b' || e.phase == 'e') os << ",\"id\":" << e.id;
-      if (e.phase == 'i') os << ",\"s\":\"t\"";
-      os << ",\"args\":{\"ctx\":" << json_str(TraceContext{e.ctx}.to_string()) << "}}";
-    }
-  }
-  os << "\n]}\n";
 }
 
 /// One node of the causal tree: aggregates the events stamped with
@@ -156,14 +54,14 @@ struct CausalNode {
 void write_node(std::ostream& os, const std::string& id, const CausalNode& node,
                 int indent) {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  os << pad << "{\"id\":" << json_str(id) << ",\"events\":" << node.events
+  os << pad << "{\"id\":" << json_quote(id) << ",\"events\":" << node.events
      << ",\"first_ts_us\":" << node.first_ts_us << ",\"last_ts_us\":" << node.last_ts_us
      << ",\n" << pad << " \"spans\":{";
   bool first = true;
   for (const auto& [name, stats] : node.names) {
     if (!first) os << ",";
     first = false;
-    os << json_str(name) << ":{\"count\":" << stats.first << ",\"total_us\":" << stats.second
+    os << json_quote(name) << ":{\"count\":" << stats.first << ",\"total_us\":" << stats.second
        << "}";
   }
   os << "},\n" << pad << " \"children\":[";
@@ -203,7 +101,7 @@ void write_causal_json(std::ostream& os, const std::vector<RecorderEvent>& event
     }
     node->add(e);
   }
-  os << "{\"reason\":" << json_str(reason) << ",\"events\":" << events.size()
+  os << "{\"reason\":" << json_quote(reason) << ",\"events\":" << events.size()
      << ",\"overwritten\":" << flight_recorder().overwritten_count() << ",\"tree\":\n";
   write_node(os, "root", root, 1);
   os << "\n}\n";
@@ -274,7 +172,7 @@ std::string dump_post_mortem(const std::string& reason) {
   {
     std::ofstream flight(prefix + "_flight.json", std::ios::trunc);
     if (!flight.is_open()) return "";
-    write_flight_json(flight, events, reason);
+    write_chrome_trace(flight, events, flight_recorder(), "spice flight recorder — " + reason);
   }
   {
     std::ofstream causal(prefix + "_causal.json", std::ios::trunc);

@@ -2,13 +2,13 @@
 // spice::obs — post-mortem dump of the flight recorder (DESIGN.md §8.2).
 //
 // When a run dies or wedges, the dumper drains every flight-recorder ring
-// (plus the installed process tracer, if any) into three files under one
-// prefix, so the last seconds before the incident are inspectable without
-// ever having run full tracing:
+// into three files under one prefix, so the last seconds before the
+// incident are inspectable without any opt-in tracing:
 //
-//   <prefix>_flight.json    merged Chrome trace-event JSON (Perfetto):
-//                           one track per recording thread, every event
-//                           stamped with its causal context
+//   <prefix>_flight.json    Chrome trace-event JSON (Perfetto) from the
+//                           one writer (obs::write_chrome_trace): one track
+//                           per recording thread, every event stamped with
+//                           its causal context
 //   <prefix>_registry.prom  Prometheus exposition of the full metrics
 //                           registry at dump time
 //   <prefix>_causal.json    the causal span tree: campaign → grid job →

@@ -126,7 +126,7 @@ spice::smd::PullResult run_reverse_pull(const spice::pore::TranslocationSystem& 
 
 ComboResult run_combo(const spice::pore::TranslocationSystem& master, const SweepConfig& config,
                       double kappa_pn, double velocity_ns) {
-  SPICE_TRACE_SCOPE_CAT("campaign.combo", "campaign");
+  SPICE_RECORD_SPAN("campaign.combo");
   {
     static obs::Counter& combos = obs::metrics().counter("campaign.combos");
     combos.add(1);
@@ -244,7 +244,7 @@ spice::fe::PmfEstimate compute_reference_pmf(const spice::pore::TranslocationSys
 }
 
 SweepResult run_parameter_sweep(const SweepConfig& config, bool compute_reference) {
-  SPICE_TRACE_SCOPE_CAT("campaign.parameter_sweep", "campaign");
+  SPICE_RECORD_SPAN("campaign.parameter_sweep");
   SPICE_REQUIRE(!config.kappas_pn.empty() && !config.velocities_ns.empty(),
                 "sweep needs κ and v values");
   SweepResult result;

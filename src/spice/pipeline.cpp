@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 #include "grid/federation.hpp"
 #include "net/network.hpp"
 #include "pore/system.hpp"
@@ -17,7 +17,7 @@
 namespace spice::core {
 
 StaticAnalysisReport run_static_analysis(const PipelineConfig& config) {
-  SPICE_TRACE_SCOPE_CAT("pipeline.static_analysis", "pipeline");
+  SPICE_RECORD_SPAN("pipeline.static_analysis");
   SPICE_INFO("phase 1: static visualization / structural analysis");
   StaticAnalysisReport report;
   const spice::pore::RadiusProfile profile = spice::pore::hemolysin_profile();
@@ -37,7 +37,7 @@ StaticAnalysisReport run_static_analysis(const PipelineConfig& config) {
 }
 
 InteractiveReport run_interactive_phase(const PipelineConfig& config) {
-  SPICE_TRACE_SCOPE_CAT("pipeline.interactive", "pipeline");
+  SPICE_RECORD_SPAN("pipeline.interactive");
   SPICE_INFO("phase 2: interactive MD with visualization and haptics");
   InteractiveReport report;
 
@@ -106,7 +106,7 @@ InteractiveReport run_interactive_phase(const PipelineConfig& config) {
 }
 
 PreprocessingReport run_preprocessing_phase(const PipelineConfig& config) {
-  SPICE_TRACE_SCOPE_CAT("pipeline.preprocessing", "pipeline");
+  SPICE_RECORD_SPAN("pipeline.preprocessing");
   SPICE_INFO("phase 3: preprocessing simulations (coarse sweep)");
   PreprocessingReport report;
   SweepConfig coarse = config.sweep;
@@ -138,7 +138,7 @@ PreprocessingReport run_preprocessing_phase(const PipelineConfig& config) {
 
 ProductionReport run_production_phase(const PipelineConfig& config,
                                       const PreprocessingReport& preprocessing) {
-  SPICE_TRACE_SCOPE_CAT("pipeline.production", "pipeline");
+  SPICE_RECORD_SPAN("pipeline.production");
   SPICE_INFO("phase 4: production sweep on the federated grid");
   ProductionReport report;
 
@@ -160,7 +160,7 @@ ProductionReport run_production_phase(const PipelineConfig& config,
 }
 
 PipelineReport run_full_pipeline(const PipelineConfig& config) {
-  SPICE_TRACE_SCOPE_CAT("pipeline.full", "pipeline");
+  SPICE_RECORD_SPAN("pipeline.full");
   PipelineReport report;
   report.statics = run_static_analysis(config);
   report.interactive = run_interactive_phase(config);

@@ -60,9 +60,9 @@ ProductionPlan plan_production_jobs(const SweepConfig& sweep, const MdCostModel&
 
 ProductionExecution execute_on_federation(const ProductionPlan& plan,
                                           const ExecutionOptions& options) {
-  SPICE_TRACE_SCOPE_CAT("campaign.execute_on_federation", "campaign");
+  SPICE_RECORD_SPAN("campaign.execute_on_federation");
   spice::grid::EventQueue events;
-  events.set_tracer(options.tracer);
+  events.set_recorder(options.recorder);
   spice::grid::Federation federation(events);
   spice::grid::build_spice_federation(federation);
 

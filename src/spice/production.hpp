@@ -19,7 +19,7 @@
 
 #include "grid/faults.hpp"
 #include "grid/federation.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 #include "spice/campaign.hpp"
 #include "spice/cost_model.hpp"
 
@@ -82,11 +82,12 @@ struct ExecutionOptions {
   spice::grid::RetryPolicy retry;        ///< backoff for requeues and holds
   double checkpoint_interval_hours = 0.0;  ///< 0 = restart from scratch
   double completion_floor = 1.0;           ///< accept ≥ this fraction of replicas
-  /// When set, the DES records the campaign on this tracer's VIRTUAL
-  /// timeline (one track per site + a broker track); save() the tracer
-  /// afterwards to view the campaign as a Gantt chart in Perfetto. Not
-  /// owned; must outlive the call.
-  spice::obs::Tracer* tracer = nullptr;
+  /// When set, the DES records the campaign into this recorder on its
+  /// VIRTUAL timeline (one track per site + a broker track);
+  /// obs::save_chrome_trace it afterwards to view the campaign as a Gantt
+  /// chart in Perfetto. Caller-owned, because simulated time is a clock
+  /// domain of its own; must outlive the call.
+  spice::obs::FlightRecorder* recorder = nullptr;
   /// Mission control: when set (and progress_interval_hours > 0), called
   /// with a CampaignProgress every interval of SIMULATED time while the
   /// campaign runs, plus once at completion (final_frame = true). The DES

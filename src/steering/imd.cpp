@@ -25,7 +25,7 @@ ImdSession::ImdSession(spice::net::Network& network, spice::net::HostId sim_host
 }
 
 ImdMetrics ImdSession::run() {
-  SPICE_TRACE_SCOPE_CAT("steering.imd_session", "steering");
+  SPICE_RECORD_SPAN("steering.imd_session");
   static obs::Counter& ticks = obs::metrics().counter("steering.imd.steps");
   static obs::Counter& frames = obs::metrics().counter("steering.imd.frames_sent");
   static obs::Counter& commands = obs::metrics().counter("steering.imd.commands_applied");

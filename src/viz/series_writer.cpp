@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace spice::viz {
 
@@ -39,27 +40,13 @@ void Table::write_csv(std::ostream& os) const {
 }
 
 void Table::write_json(std::ostream& os) const {
-  // Column names may contain quotes/backslashes in principle; escape the
-  // JSON-significant characters so the output always parses.
-  auto write_key = [&os](const std::string& s) {
-    os << '"';
-    for (const char c : s) {
-      if (c == '"' || c == '\\') os << '\\';
-      if (static_cast<unsigned char>(c) < 0x20) {
-        os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF] << "0123456789abcdef"[c & 0xF];
-      } else {
-        os << c;
-      }
-    }
-    os << '"';
-  };
   os << "[";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     os << (r == 0 ? "\n" : ",\n") << " {";
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       if (c > 0) os << ", ";
-      write_key(columns_[c]);
-      os << ": ";
+      // Column names may contain quotes/backslashes in principle.
+      os << json_quote(columns_[c]) << ": ";
       const double v = rows_[r][c];
       if (std::isfinite(v)) {
         os << v;

@@ -8,9 +8,11 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/statistics.hpp"
@@ -359,6 +361,41 @@ TEST(Statistics, BlockAverageErrorHonestForCorrelatedSeries) {
 }
 
 // --- serialization -----------------------------------------------------------
+
+/// Undo json_quote's escapes (the subset it emits) — the test's oracle.
+std::string json_unquote(const std::string& quoted) {
+  std::string out;
+  for (std::size_t i = 1; i + 1 < quoted.size(); ++i) {
+    if (quoted[i] != '\\') {
+      out += quoted[i];
+      continue;
+    }
+    const char e = quoted[++i];
+    if (e == 'n') out += '\n';
+    else if (e == 'r') out += '\r';
+    else if (e == 't') out += '\t';
+    else if (e == 'u') {
+      out += static_cast<char>(std::stoi(quoted.substr(i + 1, 4), nullptr, 16));
+      i += 4;
+    } else {
+      out += e;
+    }
+  }
+  return out;
+}
+
+TEST(Json, QuoteEscapesEveryAsciiByteAndRoundTrips) {
+  std::string raw;
+  for (int c = 0x01; c <= 0x7F; ++c) raw += static_cast<char>(c);
+  raw += "\"\\";
+  const std::string quoted = spice::json_quote(raw);
+  const std::string doc = "{" + quoted + ":" + quoted + "}";
+  std::string error;
+  EXPECT_TRUE(spice::json_is_valid(doc, &error)) << error << "\n" << doc;
+  const std::string back = json_unquote(quoted);
+  EXPECT_EQ(back.size(), raw.size());
+  EXPECT_EQ(back, raw);
+}
 
 TEST(Serialize, RoundTripAllTypes) {
   BinaryWriter w;

@@ -24,6 +24,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -99,34 +100,39 @@ TEST(Determinism, GoldenSystemsAreThreadCountInvariant) {
 }
 
 TEST(Determinism, TracingAndMetricsDoNotPerturbTrajectories) {
-  // The obs instrumentation on the force-eval path (counters, phase spans,
-  // per-kernel detail attribution) performs only clock reads and atomic
-  // adds — it must never touch simulation state. Run the full stack of
-  // switches and require byte-identical fingerprints across thread counts
-  // AND against the uninstrumented baseline.
+  // The obs instrumentation on the force-eval path (recorder spans,
+  // counters, detail-tier phase spans and per-kernel attribution) performs
+  // only clock reads, ring writes and atomic adds — it must never touch
+  // simulation state. Run the full stack of switches and require
+  // byte-identical fingerprints across thread counts AND against the
+  // uninstrumented baseline.
   const std::uint64_t seed = determinism_sweep().seeds().front();
+  obs::set_recorder_enabled(false);
   const auto baseline = hash_after_500(seed, 1, /*with_restraint=*/true);
 
-  obs::Tracer tracer("determinism");
-  tracer.set_event_limit(100'000);
+  obs::set_recorder_enabled(true);
   obs::set_metrics_enabled(true);
-  obs::set_tracing_enabled(true);
   obs::set_detail_enabled(true);
-  obs::set_process_tracer(&tracer);
 
   const auto one = hash_after_500(seed, 1, /*with_restraint=*/true);
   const auto two = hash_after_500(seed, 2, /*with_restraint=*/true);
   const auto eight = hash_after_500(seed, 8, /*with_restraint=*/true);
 
-  obs::set_process_tracer(nullptr);
   obs::set_detail_enabled(false);
-  obs::set_tracing_enabled(false);
   obs::set_metrics_enabled(false);
 
   EXPECT_EQ(one, baseline);
   EXPECT_EQ(two, baseline);
   EXPECT_EQ(eight, baseline);
-  EXPECT_GT(tracer.event_count(), 0u);  // the instrumentation actually ran
+  // The instrumentation actually ran: the detail tier's phase spans are in
+  // the recorder (the caller thread evaluates forces).
+  std::size_t phases = 0;
+  for (const auto& e : obs::flight_recorder().drain()) {
+    if (e.kind == obs::RecordKind::Span && std::string_view(e.name) == "md.force_eval.reduce") {
+      ++phases;
+    }
+  }
+  EXPECT_GT(phases, 0u);
 }
 
 /// An n-bead charged helix with a 4 Å rise, so Debye–Hückel pairs out to

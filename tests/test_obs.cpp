@@ -1,12 +1,15 @@
-// spice::obs — metrics registry, tracer, and cross-layer instrumentation.
+// spice::obs — metrics registry, Chrome-trace writer, and cross-layer
+// instrumentation.
 //
 // The contracts under test:
 //   * counters are exact once writers quiesce, even under heavy concurrent
 //     sharded adds;
 //   * histogram bucket edges follow the documented v <= bound rule;
-//   * trace output is well-formed Chrome trace-event JSON (parsed back with
-//     the repo's own validator, including escape-worthy names);
-//   * the DES emits retroactive job spans in virtual-clock order;
+//   * the recorder's Chrome trace output is well-formed trace-event JSON
+//     (parsed back with the repo's own validator, including escape-worthy
+//     names), with async begin/end pairs and counters;
+//   * the DES records retroactive job spans on its own recorder, in
+//     virtual-clock order, one track per site;
 //   * kill switches actually kill (disabled adds are no-ops).
 
 #include <gtest/gtest.h>
@@ -15,10 +18,12 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "grid/des.hpp"
 #include "grid/site.hpp"
@@ -28,20 +33,11 @@ namespace {
 
 using namespace spice;
 
-/// Flip the runtime switches for one test and restore the all-off default
+/// Flip the metrics switch for one test and restore the all-off default
 /// afterwards, so obs state never leaks between tests (or suites).
 struct ObsGuard {
-  explicit ObsGuard(bool metrics, bool tracing = false, bool detail = false) {
-    obs::set_metrics_enabled(metrics);
-    obs::set_tracing_enabled(tracing);
-    obs::set_detail_enabled(detail);
-  }
-  ~ObsGuard() {
-    obs::set_process_tracer(nullptr);
-    obs::set_detail_enabled(false);
-    obs::set_tracing_enabled(false);
-    obs::set_metrics_enabled(false);
-  }
+  explicit ObsGuard(bool metrics) { obs::set_metrics_enabled(metrics); }
+  ~ObsGuard() { obs::set_metrics_enabled(false); }
 };
 
 // --- registry -------------------------------------------------------------
@@ -180,79 +176,78 @@ TEST(PoolInstrumentation, ParallelForRecordsIntoGlobalRegistry) {
   EXPECT_GE(it->count, 5u);
 }
 
-// --- tracer ---------------------------------------------------------------
+// --- Chrome-trace writer ---------------------------------------------------
+//
+// Tracer.* keep the suite name of the tests they replaced; they drive the
+// flight recorder and its writer.
+
+/// Events of one name, in drain (timestamp) order.
+std::vector<obs::RecorderEvent> named(const std::vector<obs::RecorderEvent>& events,
+                                      std::string_view name) {
+  std::vector<obs::RecorderEvent> out;
+  for (const auto& e : events) {
+    if (e.name == name) out.push_back(e);
+  }
+  return out;
+}
 
 TEST(Tracer, WriteJsonIsWellFormed) {
-  obs::Tracer tracer("test \"process\"\nwith escapes\t");
-  const std::uint32_t track = tracer.new_track("site \"A\"\\B");
-  tracer.complete("span \"quoted\"", "cat", 10.0, 5.0, track, "detail\nline");
-  tracer.instant("marker", "cat", 12.0, track);
-  tracer.async_begin("held", "grid.held", 7, 13.0, track, "why");
-  tracer.async_end("held", "grid.held", 7, 20.0, track);
-  tracer.counter("queue_depth", 14.0, 3.0);
+  obs::set_recorder_enabled(true);
+  obs::FlightRecorder recorder(64);
+  const std::uint32_t track = recorder.new_track("site \"A\"\\B");
+  const obs::TraceContext job = obs::TraceContext::campaign(1).with_job(7);
+  recorder.record_at(obs::RecordKind::Span, "span \"quoted\"", 10.0, 5.0, job, track);
+  recorder.record_at(obs::RecordKind::Instant, "marker", 12.0, 0.0, job, track);
+  recorder.record_at(obs::RecordKind::Begin, "grid.held", 13.0, 2.0, job, track);
+  recorder.record_at(obs::RecordKind::Count, "queue_depth", 14.0, 3.0, {});
+  recorder.record_at(obs::RecordKind::End, "grid.held", 20.0, 2.0, job, track);
+  const auto events = recorder.drain();
+  ASSERT_EQ(events.size(), 5u);
 
   std::ostringstream os;
-  tracer.write_json(os);
+  obs::write_chrome_trace(os, events, recorder, "test \"process\"\nwith escapes\t");
+  const std::string json = os.str();
   std::string error;
-  EXPECT_TRUE(spice::json_is_valid(os.str(), &error)) << error << "\n" << os.str();
-  EXPECT_EQ(tracer.event_count(), 5u);
+  EXPECT_TRUE(spice::json_is_valid(json, &error)) << error << "\n" << json;
+  EXPECT_NE(json.find(R"("name":"site \"A\"\\B")"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"span \"quoted\"")"), std::string::npos);
+  // Category = name up to the first '.'.
+  EXPECT_NE(json.find(R"("name":"grid.held","cat":"grid","ph":"b")"), std::string::npos);
+  // The async pair shares one id: job context + hold count.
+  EXPECT_NE(json.find(R"("ph":"b","ts":13,"pid":1,"tid":256,"id":"c1.j7#2")"),
+            std::string::npos);
+  EXPECT_NE(json.find(R"("ph":"e","ts":20,"pid":1,"tid":256,"id":"c1.j7#2")"),
+            std::string::npos);
+  EXPECT_NE(json.find(R"("ph":"C","ts":14,"pid":1,"tid":)"), std::string::npos);
+  EXPECT_NE(json.find(R"("args":{"value":3}})"), std::string::npos);
+  EXPECT_EQ(json.find("overwritten"), std::string::npos);
 }
 
 TEST(Tracer, ScopedTraceRecordsAgainstProcessTracer) {
-  ObsGuard guard(/*metrics=*/false, /*tracing=*/true);
-  obs::Tracer tracer("scoped");
-  obs::set_process_tracer(&tracer);
+  obs::set_recorder_enabled(true);
   {
-    SPICE_TRACE_SCOPE_CAT("unit.scope", "test");
+    SPICE_RECORD_SPAN("unit.scope");
   }
-  obs::set_process_tracer(nullptr);
-
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "unit.scope");
-  EXPECT_EQ(events[0].category, "test");
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_GE(events[0].dur_us, 0.0);
-}
-
-TEST(Tracer, ScopedTraceIsInertWhenTracingOff) {
-  ObsGuard guard(/*metrics=*/false, /*tracing=*/false);
-  obs::Tracer tracer("inert");
-  obs::set_process_tracer(&tracer);
-  {
-    SPICE_TRACE_SCOPE("unit.never");
-    SPICE_TRACE_INSTANT("unit.never.instant");
-  }
-  obs::set_process_tracer(nullptr);
-  EXPECT_EQ(tracer.event_count(), 0u);
-}
-
-TEST(Tracer, EventLimitDropsAndCounts) {
-  obs::Tracer tracer("capped");
-  tracer.set_event_limit(3);
-  for (int i = 0; i < 8; ++i) {
-    tracer.instant("e" + std::to_string(i), "cat", static_cast<double>(i), 0);
-  }
-  EXPECT_EQ(tracer.event_count(), 3u);
-  EXPECT_EQ(tracer.dropped_count(), 5u);
-  // First-N retention: the survivors are the earliest events.
-  const auto events = tracer.events();
-  EXPECT_EQ(events[0].name, "e0");
-  EXPECT_EQ(events[2].name, "e2");
+  const auto spans = named(obs::flight_recorder().drain(), "unit.scope");
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.back().kind, obs::RecordKind::Span);
+  EXPECT_GE(spans.back().value, 0.0);
+  EXPECT_EQ(spans.back().track, thread_index());  // a thread's default track
 
   std::ostringstream os;
-  tracer.write_json(os);
-  std::string error;
-  EXPECT_TRUE(spice::json_is_valid(os.str(), &error)) << error;
-  EXPECT_NE(os.str().find("events dropped"), std::string::npos);
+  obs::write_chrome_trace(os, spans, obs::flight_recorder(), "scoped");
+  EXPECT_NE(os.str().find(R"("name":"unit.scope","cat":"unit","ph":"X")"), std::string::npos);
+  EXPECT_NE(os.str().find("\"thread " + std::to_string(thread_index()) + "\""),
+            std::string::npos);
 }
 
 // --- DES virtual clock -----------------------------------------------------
 
 TEST(DesTracing, JobSpansLandOnTheVirtualTimelineInOrder) {
-  obs::Tracer tracer("des");
+  obs::set_recorder_enabled(true);
+  obs::FlightRecorder recorder(1024);
   grid::EventQueue events;
-  events.set_tracer(&tracer);
+  events.set_recorder(&recorder);
   grid::SiteSpec spec;
   spec.name = "TestSite";
   spec.processors = 128;
@@ -269,36 +264,44 @@ TEST(DesTracing, JobSpansLandOnTheVirtualTimelineInOrder) {
   }
   events.run_until(100.0);
 
-  std::vector<obs::TraceEvent> runs;
-  for (const auto& e : tracer.events()) {
-    if (e.category == "grid.job.run") runs.push_back(e);
-  }
+  const auto drained = recorder.drain();
+  const auto runs = named(drained, "grid.job.run");
   ASSERT_EQ(runs.size(), 2u);
   // Virtual clock: 2 simulated hours of runtime map to exactly
   // 2 * kTraceUsPerHour trace microseconds.
-  EXPECT_DOUBLE_EQ(runs[0].dur_us, 2.0 * obs::kTraceUsPerHour);
-  EXPECT_DOUBLE_EQ(runs[1].dur_us, 2.0 * obs::kTraceUsPerHour);
-  // Back-to-back: job1 starts when job0 ends, and spans are emitted in
-  // completion order so the virtual timestamps are monotone.
-  EXPECT_DOUBLE_EQ(runs[1].ts_us, runs[0].ts_us + runs[0].dur_us);
-  // Both rendered on the same (site) track.
-  EXPECT_EQ(runs[0].track, runs[1].track);
+  EXPECT_DOUBLE_EQ(runs[0].value, 2.0 * obs::kTraceUsPerHour);
+  EXPECT_DOUBLE_EQ(runs[1].value, 2.0 * obs::kTraceUsPerHour);
+  // Back-to-back: job1 starts when job0 ends, so the virtual timestamps
+  // are monotone.
+  EXPECT_DOUBLE_EQ(runs[1].ts_us, runs[0].ts_us + runs[0].value);
+  // Job identity travels in the context.
+  EXPECT_EQ(runs[0].ctx.job_id(), 1u);
+  EXPECT_EQ(runs[1].ctx.job_id(), 2u);
+  // Both rendered on the same track: the site's, the only one allocated.
+  const auto tracks = recorder.track_names();
+  ASSERT_EQ(tracks.size(), 1u);
+  EXPECT_EQ(tracks[0].second, "site TestSite");
+  EXPECT_EQ(runs[0].track, tracks[0].first);
+  EXPECT_EQ(runs[1].track, tracks[0].first);
 
   // The second job waited in the queue: its queued span must abut its run
   // span ([submit, start) then [start, end)).
-  std::vector<obs::TraceEvent> queued;
-  for (const auto& e : tracer.events()) {
-    if (e.category == "grid.job.queued") queued.push_back(e);
-  }
+  const auto queued = named(drained, "grid.job.queued");
   ASSERT_FALSE(queued.empty());
   const auto& waited = queued.back();
-  EXPECT_DOUBLE_EQ(waited.ts_us + waited.dur_us, runs[1].ts_us);
+  EXPECT_EQ(waited.ctx.job_id(), 2u);
+  EXPECT_DOUBLE_EQ(waited.ts_us + waited.value, runs[1].ts_us);
+
+  std::ostringstream os;
+  obs::write_chrome_trace(os, drained, recorder, "des");
+  EXPECT_TRUE(spice::json_is_valid(os.str()));
 }
 
 TEST(DesTracing, OutageEmitsForwardDatedSpan) {
-  obs::Tracer tracer("outage");
+  obs::set_recorder_enabled(true);
+  obs::FlightRecorder recorder(64);
   grid::EventQueue events;
-  events.set_tracer(&tracer);
+  events.set_recorder(&recorder);
   grid::SiteSpec spec;
   spec.name = "Fragile";
   grid::Site site(spec, events);
@@ -306,13 +309,11 @@ TEST(DesTracing, OutageEmitsForwardDatedSpan) {
   events.at(5.0, [&site] { site.fail_until(12.0); });
   events.run_until(20.0);
 
-  const auto recorded = tracer.events();
-  const auto it = std::find_if(recorded.begin(), recorded.end(), [](const auto& e) {
-    return e.category == "grid.site.outage";
-  });
-  ASSERT_NE(it, recorded.end());
-  EXPECT_DOUBLE_EQ(it->ts_us, 5.0 * obs::kTraceUsPerHour);
-  EXPECT_DOUBLE_EQ(it->dur_us, 7.0 * obs::kTraceUsPerHour);
+  const auto outages = named(recorder.drain(), "grid.site.outage");
+  ASSERT_EQ(outages.size(), 1u);
+  EXPECT_EQ(outages[0].kind, obs::RecordKind::Span);
+  EXPECT_DOUBLE_EQ(outages[0].ts_us, 5.0 * obs::kTraceUsPerHour);
+  EXPECT_DOUBLE_EQ(outages[0].value, 7.0 * obs::kTraceUsPerHour);
 }
 
 }  // namespace

@@ -31,17 +31,8 @@ namespace {
 using namespace spice;
 
 struct ObsGuard {
-  explicit ObsGuard(bool metrics, bool tracing = false, bool detail = false) {
-    obs::set_metrics_enabled(metrics);
-    obs::set_tracing_enabled(tracing);
-    obs::set_detail_enabled(detail);
-  }
-  ~ObsGuard() {
-    obs::set_process_tracer(nullptr);
-    obs::set_detail_enabled(false);
-    obs::set_tracing_enabled(false);
-    obs::set_metrics_enabled(false);
-  }
+  explicit ObsGuard(bool metrics) { obs::set_metrics_enabled(metrics); }
+  ~ObsGuard() { obs::set_metrics_enabled(false); }
 };
 
 /// Read a whole file (exposition checks).
@@ -153,12 +144,21 @@ TEST(SelfMetrics, PublishesRegistryAndTracerGauges) {
   const obs::MetricsSnapshot snapshot = registry.snapshot();
   double shards = -1.0;
   double counters = -1.0;
+  double recorded = -1.0;
+  double overwritten = -1.0;
   for (const auto& gauge : snapshot.gauges) {
     if (gauge.name == "obs.metrics.counter_shards") shards = gauge.value;
     if (gauge.name == "obs.metrics.registered_counters") counters = gauge.value;
+    if (gauge.name == "obs.recorder.recorded") recorded = gauge.value;
+    if (gauge.name == "obs.recorder.overwritten") overwritten = gauge.value;
   }
   EXPECT_EQ(shards, static_cast<double>(obs::Counter::kShards));
   EXPECT_GE(counters, 1.0);
+  // The process recorder's totals, read at the call (the default-on
+  // recorder may already hold events from earlier tests).
+  EXPECT_GE(recorded, 0.0);
+  EXPECT_GE(overwritten, 0.0);
+  EXPECT_LE(overwritten, recorded);
 }
 
 // --- exporter lifecycle ----------------------------------------------------

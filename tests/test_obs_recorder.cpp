@@ -6,10 +6,9 @@
 //   * the per-thread ring keeps exactly the last `capacity` events,
 //     counts overwrites, and a drain never returns a torn event even with
 //     writers running (the TSan stress below is the race detector's food);
-//   * the Tracer stamps the emitting thread's context into every event and
-//     honours both drop policies — KeepOldest retains the head of the
-//     session, KeepNewest the tail, and the JSON drop marker names the
-//     policy that ran;
+//   * record() stamps the emitting thread's context into every event and
+//     the Chrome writer renders it; a wrapped ring keeps the tail in order
+//     and the JSON says how many events were overwritten;
 //   * the watchdog gauge band probe alerts when a gauge is stuck outside
 //     its band for the window, stays quiet in band, and re-arms;
 //   * HistogramSample::quantile interpolates inside the right bucket;
@@ -194,7 +193,7 @@ TEST(FlightRecorder, ConcurrentWritersAndDrainerStayCoherent) {
         bool known = false;
         for (const char* n : kNames) known |= (e.name == n);
         ASSERT_TRUE(known) << "torn or corrupt event name";
-        ASSERT_LE(static_cast<int>(e.kind), 4);
+        ASSERT_LE(e.kind, obs::RecordKind::End);
       }
       ++drains;
     }
@@ -224,60 +223,50 @@ TEST(FlightRecorder, ConcurrentWritersAndDrainerStayCoherent) {
             static_cast<std::size_t>(kWriters) * (recorder.capacity() - 1));
 }
 
-// --- Tracer context stamping + drop policies ------------------------------
+// --- context stamping + keep-newest retention in the Chrome writer -------
+//
+// TracerContext keeps the suite name of the test it replaced; it drives
+// the flight recorder and its writer.
 
 TEST(TracerContext, PushStampsCurrentContext) {
-  obs::Tracer tracer("test");
+  obs::set_recorder_enabled(true);
+  obs::FlightRecorder recorder(64);
   const obs::ContextScope scope(obs::TraceContext::campaign(4).with_job(2));
-  tracer.instant("marked", "test", 1.0, 0);
-  const auto events = tracer.events();
+  recorder.record(obs::RecordKind::Instant, "marked");
+  const auto events = recorder.drain();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(obs::TraceContext{events[0].ctx}.to_string(), "c4.j2");
+  EXPECT_EQ(events[0].ctx.to_string(), "c4.j2");
   std::ostringstream os;
-  tracer.write_json(os);
+  obs::write_chrome_trace(os, events, recorder, "test");
   EXPECT_NE(os.str().find("\"ctx\":\"c4.j2\""), std::string::npos);
   EXPECT_TRUE(json_is_valid(os.str()));
 }
 
-TEST(TracerDropPolicy, KeepOldestRetainsTheHead) {
-  obs::Tracer tracer("test");
-  tracer.set_event_limit(3);
-  for (int i = 0; i < 6; ++i) {
-    tracer.instant("e" + std::to_string(i), "test", static_cast<double>(i), 0);
+// A wrapped ring keeps its newest events in order, and the writer's JSON
+// says how many fell off the head.
+TEST(ChromeTrace, WrappedRingKeepsTheTailAndCountsTheOverwritten) {
+  obs::set_recorder_enabled(true);
+  obs::FlightRecorder recorder(16);
+  static const char* const kNames[] = {"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"};
+  for (int i = 0; i < 40; ++i) {
+    recorder.record_at(obs::RecordKind::Instant, kNames[i % 8], static_cast<double>(i), 0.0,
+                       {});
   }
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "e0");
-  EXPECT_EQ(events[2].name, "e2");
-  EXPECT_EQ(tracer.dropped_count(), 3u);
-  std::ostringstream os;
-  tracer.write_json(os);
-  EXPECT_NE(os.str().find("keep-oldest: newest dropped"), std::string::npos);
-  EXPECT_TRUE(json_is_valid(os.str()));
-}
-
-TEST(TracerDropPolicy, KeepNewestRetainsTheTailInOrder) {
-  obs::Tracer tracer("test");
-  tracer.set_event_limit(3);
-  tracer.set_drop_policy(obs::DropPolicy::KeepNewest);
-  for (int i = 0; i < 7; ++i) {
-    tracer.instant("e" + std::to_string(i), "test", static_cast<double>(i), 0);
+  const auto events = recorder.drain();
+  // capacity − 1 resident (the oldest slot is discarded on a wrapped ring),
+  // in chronological order, ending at the newest event.
+  ASSERT_EQ(events.size(), 15u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_DOUBLE_EQ(events[i].ts_us, static_cast<double>(25 + i));
   }
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 3u);
-  // Chronological order of the most recent three.
-  EXPECT_EQ(events[0].name, "e4");
-  EXPECT_EQ(events[1].name, "e5");
-  EXPECT_EQ(events[2].name, "e6");
-  EXPECT_EQ(tracer.dropped_count(), 4u);
+  EXPECT_STREQ(events.back().name, "e7");
+  EXPECT_EQ(recorder.overwritten_count(), 24u);
   std::ostringstream os;
-  tracer.write_json(os);
-  EXPECT_NE(os.str().find("keep-newest: oldest overwritten"), std::string::npos);
-  // The ring-rotated emission order must still be valid JSON with the
-  // newest events present and the overwritten ones gone.
+  obs::write_chrome_trace(os, events, recorder, "test");
+  EXPECT_NE(os.str().find("24 events overwritten"), std::string::npos);
   EXPECT_TRUE(json_is_valid(os.str()));
-  EXPECT_NE(os.str().find("\"e6\""), std::string::npos);
-  EXPECT_EQ(os.str().find("\"e0\""), std::string::npos);
+  EXPECT_NE(os.str().find(R"("name":"e7","cat":"e7","ph":"i","ts":39)"), std::string::npos);
+  EXPECT_EQ(os.str().find(R"("ts":24,)"), std::string::npos);
 }
 
 // --- Watchdog gauge band probe --------------------------------------------
