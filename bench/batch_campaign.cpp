@@ -92,27 +92,27 @@ int main() {
   table.write_pretty(std::cout, 2);
 
   std::printf("\n--- Claim checks ---\n");
+  const bool fed_in_week =
+      fed.campaign.completed == plan.jobs.size() && fed.makespan_days < 7.0;
+  const bool uk_too_slow = uk.makespan_days > 7.0;
+  const bool fed_matches_us = fed.makespan_days <= us.makespan_days * 1.3;
+  const bool survives_breach = breached.campaign.completed == plan.jobs.size();
+  const bool cpu_near_paper =
+      fed.campaign.total_cpu_hours > 45000.0 && fed.campaign.total_cpu_hours < 105000.0;
   std::printf("[%s] federated campaign completes all %zu jobs in under a week "
               "(measured %.2f days)\n",
-              (fed.campaign.completed == plan.jobs.size() && fed.makespan_days < 7.0)
-                  ? "PASS"
-                  : "FAIL",
-              plan.jobs.size(), fed.makespan_days);
+              fed_in_week ? "PASS" : "FAIL", plan.jobs.size(), fed.makespan_days);
   std::printf("[%s] the UK grid alone could NOT do it in a week (measured %.2f days) — "
               "the federation was required, not just convenient\n",
-              uk.makespan_days > 7.0 ? "PASS" : "FAIL", uk.makespan_days);
+              uk_too_slow ? "PASS" : "FAIL", uk.makespan_days);
   std::printf("[%s] federation at least matches the US-only allocation (%.2f vs %.2f "
               "days) while adding UK capacity and redundancy\n",
-              fed.makespan_days <= us.makespan_days * 1.3 ? "PASS" : "FAIL",
-              fed.makespan_days, us.makespan_days);
+              fed_matches_us ? "PASS" : "FAIL", fed.makespan_days, us.makespan_days);
   std::printf("[%s] campaign survives the security-breach outage via requeueing\n",
-              breached.campaign.completed == plan.jobs.size() ? "PASS" : "FAIL");
+              survives_breach ? "PASS" : "FAIL");
   std::printf("[%s] total CPU-hours within 40%% of the paper's 75,000 (measured %.0f)\n",
-              (fed.campaign.total_cpu_hours > 45000.0 &&
-               fed.campaign.total_cpu_hours < 105000.0)
-                  ? "PASS"
-                  : "FAIL",
-              fed.campaign.total_cpu_hours);
+              cpu_near_paper ? "PASS" : "FAIL", fed.campaign.total_cpu_hours);
   std::printf("(worst single-site option: %.1f days)\n", worst_single);
-  return 0;
+  return (fed_in_week && uk_too_slow && fed_matches_us && survives_breach && cpu_near_paper) ? 0
+                                                                                            : 1;
 }

@@ -108,6 +108,12 @@ int main() {
   rows.push_back(run(round_robin_outage_scenario(10), false));
   rows.push_back(run(round_robin_outage_scenario(10), true));
   rows.push_back(run(fault_draw_scenario(), false));
+  rows.push_back(run(backfill_outage_tie_scenario(), false,
+                     [] {
+                       auto c = default_checkers();
+                       c.push_back(recovery_count_checker({{"S", 1}}));
+                       return c;
+                     }()));
   for (const Row& row : rows) print_row(row);
 
   bool clean_ok = true;

@@ -180,6 +180,38 @@ Scenario outage_severity_scenario(double outage_hours) {
   return s;
 }
 
+Scenario backfill_outage_tie_scenario() {
+  Scenario s;
+  s.name = "backfill-outage-tie";
+  s.build = [](ChoiceOracle* oracle, std::uint64_t) {
+    auto world = std::make_unique<ScenarioWorld>();
+    world->federation.add_site({.name = "S", .grid = "TeraGrid", .processors = 128});
+
+    // t=0: job 1 takes 64 processors until 4, which is the shadow time of
+    // the 128-processor head (job 2). Jobs 3, 5 and 6 fit the free 64 and
+    // end by 4, so they backfill; job 4 would end at 6 and waits. Job 3's
+    // finish at t=2 ties with the outage [2, 3): either it completes and
+    // frees processors for one more scan (job 4 still waits), or the
+    // outage kills it with jobs 1 and 6 and flushes jobs 2 and 4.
+    CampaignConfig config;
+    config.jobs = {campaign_job(1, 64, 4.0), campaign_job(2, 128, 2.0),
+                   campaign_job(3, 32, 2.0), campaign_job(4, 32, 6.0),
+                   campaign_job(5, 16, 1.0), campaign_job(6, 16, 3.0)};
+    config.checkpoint_interval_hours = 1.0;
+    config.retry.base_backoff_hours = 0.5;
+    config.retry.backoff_factor = 2.0;
+    config.retry.jitter_fraction = 0.0;
+    config.oracle = oracle;
+
+    FaultConfig faults;
+    faults.scheduled = {{.site = "S", .start_hours = 2.0, .duration_hours = 1.0}};
+
+    finish_world(*world, std::move(config), std::move(faults));
+    return world;
+  };
+  return s;
+}
+
 Scenario stale_finish_scenario(bool inject_bug) {
   Scenario s;
   s.name = inject_bug ? "stale-finish-mutated" : "stale-finish-clean";

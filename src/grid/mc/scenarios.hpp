@@ -72,6 +72,14 @@ Scenario fault_draw_scenario();
 /// duration (0 = none): explored makespans must be monotone in severity.
 Scenario outage_severity_scenario(double outage_hours);
 
+/// One 128-processor site under EASY backfill: a 64-processor job runs,
+/// the full-width head waits for it, and three of the four jobs behind
+/// the head backfill around it. One backfilled job finishes at t=2, the
+/// instant a scheduled outage starts, so the explorer runs the site's
+/// indexed backfill scan and its fail_until queue flush in both orders;
+/// the killed checkpointing jobs restart with banked work.
+Scenario backfill_outage_tie_scenario();
+
 /// The mutation-sensitivity demo: one site + one infeasible "noise" site
 /// carrying seed-varied background load, one 10 h job killed by a short
 /// outage whose re-dispatch lands exactly on the killed attempt's stale

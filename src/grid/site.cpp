@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -13,6 +14,141 @@ namespace {
 /// Simulation hours → trace µs on the virtual timeline.
 double sim_us(double hours) { return hours * obs::kTraceUsPerHour; }
 }  // namespace
+
+// --- BackfillQueue -------------------------------------------------------------
+
+BackfillQueue::BackfillQueue(const JobTable& table, double speed)
+    : table_(&table), speed_(speed) {}
+
+double BackfillQueue::fastest_fit(const Block& b, int free_procs) {
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < b.steps && b.step_procs[i] <= free_procs; ++i) fastest = b.step_hours[i];
+  return fastest;
+}
+
+void BackfillQueue::add_step(Block& b, int procs, double hours) {
+  int i = 0;  // first step needing more processors
+  while (i < b.steps && b.step_procs[i] <= procs) ++i;
+  if (i > 0 && b.step_hours[i - 1] <= hours) return;  // dominated
+  // The new step replaces [first, last): the steps it dominates.
+  const int first = i > 0 && b.step_procs[i - 1] == procs ? i - 1 : i;
+  int last = i;
+  while (last < b.steps && b.step_hours[last] >= hours) ++last;
+  std::array<int, kSteps + 1> p;
+  std::array<double, kSteps + 1> h;
+  int n = 0;
+  for (int k = 0; k < first; ++k, ++n) p[n] = b.step_procs[k], h[n] = b.step_hours[k];
+  p[n] = procs;
+  h[n++] = hours;
+  for (int k = last; k < b.steps; ++k, ++n) p[n] = b.step_procs[k], h[n] = b.step_hours[k];
+  if (n > kSteps) {
+    // Over budget: merge the adjacent pair closest in hours, (p_j, h_j) +
+    // (p_j+1, h_j+1) → (p_j, h_j+1), a lower bound for both.
+    int j = 0;
+    for (int k = 1; k + 1 < n; ++k) {
+      if (h[k] - h[k + 1] < h[j] - h[j + 1]) j = k;
+    }
+    h[j] = h[j + 1];
+    for (int k = j + 1; k + 1 < n; ++k) p[k] = p[k + 1], h[k] = h[k + 1];
+    --n;
+  }
+  std::copy_n(p.begin(), n, b.step_procs.begin());
+  std::copy_n(h.begin(), n, b.step_hours.begin());
+  b.steps = static_cast<std::uint8_t>(n);
+}
+
+void BackfillQueue::rebuild(Block& b) {
+  b.steps = 0;
+  for (int k = 0; k < b.count; ++k) {
+    add_step(b, table_->processors(b.rows[k]), duration(b.rows[k]));
+  }
+  b.stale = false;
+}
+
+void BackfillQueue::push_back(JobRow row) {
+  if (blocks_.empty() || blocks_.back()->count == kBlockRows) {
+    blocks_.push_back(std::make_unique<Block>());
+  }
+  Block& b = *blocks_.back();
+  b.rows[b.count++] = row;
+  add_step(b, table_->processors(row), duration(row));
+  ++size_;
+}
+
+void BackfillQueue::pop_front() {
+  Block& b = *blocks_.front();
+  std::copy(b.rows.begin() + 1, b.rows.begin() + b.count, b.rows.begin());
+  --b.count;
+  b.stale = true;
+  --size_;
+  if (b.count == 0) blocks_.erase(blocks_.begin());
+}
+
+std::vector<JobRow> BackfillQueue::take_all() {
+  std::vector<JobRow> rows;
+  rows.reserve(size_);
+  for_each([&rows](JobRow row) { rows.push_back(row); });
+  blocks_.clear();
+  size_ = 0;
+  return rows;
+}
+
+void BackfillQueue::repack() {
+  // Writes never overtake reads: every block before the destination is
+  // full, so the destination slot is at or before the source slot.
+  std::size_t dst = 0;
+  int fill = 0;
+  for (const auto& src : blocks_) {
+    for (int k = 0; k < src->count; ++k) {
+      if (fill == kBlockRows) {
+        blocks_[dst]->count = kBlockRows;
+        blocks_[dst]->stale = true;
+        ++dst;
+        fill = 0;
+      }
+      blocks_[dst]->rows[fill++] = src->rows[k];
+    }
+  }
+  blocks_[dst]->count = static_cast<std::uint8_t>(fill);
+  blocks_[dst]->stale = true;
+  blocks_.resize(dst + 1);
+}
+
+template <typename Shadow, typename TryStart>
+void BackfillQueue::backfill(const int& free_procs, double now, Shadow&& shadow,
+                             TryStart&& try_start) {
+  double deadline = 0.0;
+  bool have_deadline = false;
+  bool erased = false;
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    Block& b = *blocks_[i];
+    if (b.stale) rebuild(b);
+    const double fastest = fastest_fit(b, free_procs);
+    if (fastest == std::numeric_limits<double>::infinity()) continue;
+    if (!have_deadline) {
+      deadline = shadow();
+      have_deadline = true;
+    }
+    if (now + fastest > deadline) continue;
+    // Test each row in order; started rows leave, the rest slide down.
+    int kept = i == 0 ? 1 : 0;  // the head stays
+    for (int k = kept; k < b.count; ++k) {
+      const JobRow row = b.rows[k];
+      if (!try_start(row, deadline)) b.rows[kept++] = row;
+    }
+    if (kept != b.count) {
+      size_ -= static_cast<std::size_t>(b.count - kept);
+      b.count = static_cast<std::uint8_t>(kept);
+      b.stale = true;
+      erased = true;
+    }
+  }
+  if (!erased) return;
+  std::erase_if(blocks_, [](const std::unique_ptr<Block>& b) { return b->count == 0; });
+  if (blocks_.size() * (kBlockRows / 2) > size_ + kBlockRows) repack();
+}
+
+// --- Site ----------------------------------------------------------------------
 
 void Site::trace(obs::RecordKind kind, const char* name, double ts_hours, double value,
                  obs::TraceContext ctx) {
@@ -27,7 +163,8 @@ Site::Site(SiteSpec spec, EventQueue& events)
       owned_table_(std::make_unique<JobTable>()),
       table_(owned_table_.get()),
       id_(table_->register_site(spec_.name)),
-      free_procs_(spec_.processors) {
+      free_procs_(spec_.processors),
+      queue_(*table_, spec_.speed) {
   SPICE_REQUIRE(spec_.processors > 0, "site needs processors");
   SPICE_REQUIRE(spec_.speed > 0.0, "site speed must be positive");
 }
@@ -37,7 +174,8 @@ Site::Site(SiteSpec spec, EventQueue& events, JobTable& table)
       events_(events),
       table_(&table),
       id_(table_->register_site(spec_.name)),
-      free_procs_(spec_.processors) {
+      free_procs_(spec_.processors),
+      queue_(*table_, spec_.speed) {
   SPICE_REQUIRE(spec_.processors > 0, "site needs processors");
   SPICE_REQUIRE(spec_.speed > 0.0, "site speed must be positive");
 }
@@ -72,26 +210,32 @@ bool Site::fits_now(int procs, double duration) const {
 }
 
 double Site::shadow_time(JobRow head) const {
+  const double now = events_.now();
   const double duration = table_->remaining_hours(head) / spec_.speed;
-  // Candidate start times: now, then each running-job end and reservation
-  // end, in order. At each candidate check feasibility.
-  std::vector<double> candidates{events_.now()};
-  for (const auto& r : running_) candidates.push_back(r.end_time);
-  for (const auto& res : reservations_) candidates.push_back(res.end);
+  const int procs = table_->processors(head);
+  // Candidate start times: now, then each running-job end (freeing its
+  // processors) and reservation end, in order. Walking them sorted with a
+  // running sum gives free_at_t = free + Σ procs of jobs ending ≤ t.
+  std::vector<std::pair<double, int>>& candidates = shadow_scratch_;
+  candidates.clear();
+  candidates.emplace_back(now, 0);
+  for (const auto& r : running_) candidates.emplace_back(r.end_time, table_->processors(r.row));
+  for (const auto& res : reservations_) candidates.emplace_back(res.end, 0);
   std::sort(candidates.begin(), candidates.end());
 
-  for (const double t : candidates) {
-    if (t < events_.now()) continue;
-    int free_at_t = free_procs_;
-    for (const auto& r : running_) {
-      if (r.end_time <= t) free_at_t += table_->processors(r.row);
+  int free_at_t = free_procs_;
+  for (std::size_t i = 0; i < candidates.size();) {
+    const double t = candidates[i].first;
+    for (; i < candidates.size() && candidates[i].first == t; ++i) {
+      free_at_t += candidates[i].second;
     }
+    if (t < now) continue;
     const int reserved = max_reserved_overlap(t, t + duration);
-    if (table_->processors(head) + reserved <= free_at_t) return t;
+    if (procs + reserved <= free_at_t) return t;
   }
   // No feasible candidate (should not happen for jobs that fit the
-  // machine); fall back to the last running end.
-  return candidates.empty() ? events_.now() : candidates.back();
+  // machine); fall back to the last candidate.
+  return candidates.back().first;
 }
 
 double Site::queued_work_of(JobRow row) const {
@@ -193,6 +337,12 @@ void Site::finish_row(JobRow row) {
   free_procs_ += procs;
   running_procs_ -= procs;
   running_end_work_ = running_.empty() ? 0.0 : running_end_work_ - procs * ended_at;
+  complete_run(row);
+  dispatch();
+}
+
+void Site::complete_run(JobRow row) {
+  const int procs = table_->processors(row);
   table_->set_state(row, RowState::Completed);
   table_->end_time(row) = events_.now();
   const double wall = events_.now() - table_->start_time(row);
@@ -212,7 +362,6 @@ void Site::finish_row(JobRow row) {
           obs::current_context().with_job(table_->id(row)));
   }
   complete_row(row);
-  dispatch();
 }
 
 void Site::dispatch() {
@@ -229,20 +378,20 @@ void Site::dispatch() {
   if (queue_.empty()) return;
 
   // Conservative EASY backfill: jobs behind the head may start only if
-  // they fit now and finish before the head's shadow time.
-  const double shadow = shadow_time(queue_.front());
-  for (auto it = queue_.begin() + 1; it != queue_.end();) {
-    const JobRow row = *it;
-    const double duration = table_->remaining_hours(row) / spec_.speed;
-    if (fits_now(table_->processors(row), duration) &&
-        events_.now() + duration <= shadow) {
-      it = queue_.erase(it);
-      queued_work_ -= queued_work_of(row);
-      start_row(row);
-    } else {
-      ++it;
-    }
-  }
+  // they fit now and finish before the head's shadow time. The shadow is
+  // computed only once some job could fit free_procs_.
+  const double now = events_.now();
+  queue_.backfill(
+      free_procs_, now, [this] { return shadow_time(queue_.front()); },
+      [this, now](JobRow row, double shadow) {
+        const double duration = table_->remaining_hours(row) / spec_.speed;
+        if (!fits_now(table_->processors(row), duration) || now + duration > shadow) {
+          return false;
+        }
+        queued_work_ -= queued_work_of(row);
+        start_row(row);
+        return true;
+      });
 }
 
 void Site::fail_row(JobRow row, const char* reason) {
@@ -316,19 +465,26 @@ void Site::fail_until(double until) {
     if (interval > 0.0 && elapsed > 0.0) {
       credited_wall = std::floor(elapsed / interval) * interval;
     }
+    const double banked =
+        credited_wall > 0.0
+            ? std::min(1.0, table_->completed_fraction(r.row) +
+                                credited_wall * spec_.speed / table_->runtime_hours(r.row))
+            : table_->completed_fraction(r.row);
+    if (banked >= 1.0) {
+      // The outage tied with the job's finish and fired first, and the
+      // last checkpoint banked all of its work: the run completed. Failing
+      // it would re-run the job for zero hours.
+      complete_run(r.row);
+      continue;
+    }
     table_->consumed_cpu_hours(r.row) += procs * elapsed;
     table_->wasted_cpu_hours(r.row) += procs * (elapsed - credited_wall);
-    if (credited_wall > 0.0) {
-      table_->completed_fraction(r.row) =
-          std::min(1.0, table_->completed_fraction(r.row) +
-                            credited_wall * spec_.speed / table_->runtime_hours(r.row));
-    }
+    table_->completed_fraction(r.row) = banked;
     fail_row(r.row, "site outage");
     complete_row(r.row);
   }
   // Kill queued jobs (no CPU burned, nothing credited or wasted).
-  std::deque<JobRow> queued;
-  queued.swap(queue_);
+  const std::vector<JobRow> queued = queue_.take_all();
   queued_work_ = 0.0;
   for (const JobRow row : queued) {
     fail_row(row, "site outage");
@@ -354,7 +510,7 @@ std::uint64_t Site::fingerprint() const {
   mix_double(busy_proc_hours_);
   mix_double(queued_work_);
   mix(queue_.size());
-  for (const JobRow row : queue_) mix(table_->id(row));
+  queue_.for_each([&](JobRow row) { mix(table_->id(row)); });
   // Running-set membership sorted by job id: the running_ vector's order
   // only encodes swap-remove history, which interleavings permute freely.
   std::vector<std::pair<JobId, double>> running;

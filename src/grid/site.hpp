@@ -6,7 +6,9 @@
 // gets a "shadow" start time computed from running-job completions; later
 // queue entries may start immediately only if they fit in the currently
 // free processors AND are guaranteed to finish before the shadow time, so
-// backfilling never delays the head job.
+// backfilling never delays the head job. The queue is a BackfillQueue,
+// whose per-block index lets the backfill scan skip whole runs of jobs
+// that cannot start without visiting them.
 //
 // Jobs live as JobTable rows; the queue and running set hold row indices.
 // Finish events are cancellable: an outage cancels the pending finish of
@@ -15,10 +17,12 @@
 // (submit(Job), CompletionHandler) remain for callers that predate the
 // table and for tests.
 
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grid/des.hpp"
@@ -46,6 +50,87 @@ struct Reservation {
   double end = 0.0;
   int processors = 0;
   std::string holder;
+};
+
+/// A site's batch queue: job rows in FCFS order, stored in blocks of
+/// kBlockRows consecutive entries. Each block keeps a dominance staircase
+/// of (processors, minimum duration) over its jobs: the step with the most
+/// processors ≤ the free count gives the shortest duration among the
+/// block's jobs that fit, so when even that one would end after the shadow
+/// time the backfill scan skips the block unvisited. Entries of blocks it
+/// does visit are tested one by one, in queue order, so the start sequence
+/// is exactly that of a linear scan.
+///
+/// Memory is O(live queue): a block holds only row ids (processors and
+/// durations are read from the JobTable, constant while a row is queued),
+/// drained blocks are freed, and the blocks are repacked whenever their
+/// mean fill drops below half.
+class BackfillQueue {
+ public:
+  static constexpr int kBlockRows = 64;
+  /// Staircase steps kept per block. A block with more non-dominated
+  /// (processors, duration) pairs merges two adjacent steps into a lower
+  /// bound, which can only make the scan visit a block it could have
+  /// skipped, never skip a job that could start.
+  static constexpr int kSteps = 8;
+
+  /// `speed` converts a row's remaining hours into its duration here.
+  BackfillQueue(const JobTable& table, double speed);
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] JobRow front() const { return blocks_.front()->rows[0]; }
+
+  void push_back(JobRow row);
+  void pop_front();
+  /// Empty the queue, returning its rows in FCFS order.
+  std::vector<JobRow> take_all();
+
+  /// Visit the rows in FCFS order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const auto& b : blocks_) {
+      for (int k = 0; k < b->count; ++k) visit(b->rows[k]);
+    }
+  }
+
+  /// The EASY backfill scan over every row behind the head, in FCFS
+  /// order. A block is skipped when none of its jobs fits `free_procs`
+  /// (re-read per block) or, failing that, when its fastest fitting job
+  /// would end after `shadow()` (called at most once, before any start).
+  /// `try_start(row, shadow)` is asked for every row behind the head in
+  /// the other blocks; rows it starts leave the queue. It must not touch
+  /// the queue itself.
+  template <typename Shadow, typename TryStart>
+  void backfill(const int& free_procs, double now, Shadow&& shadow, TryStart&& try_start);
+
+ private:
+  struct Block {
+    std::array<JobRow, kBlockRows> rows{};
+    /// The staircase: processors strictly ascending, hours strictly
+    /// descending.
+    std::array<int, kSteps> step_procs{};
+    std::array<double, kSteps> step_hours{};
+    std::uint8_t count = 0;
+    std::uint8_t steps = 0;
+    bool stale = false;  ///< rows left since the staircase was built
+  };
+
+  [[nodiscard]] double duration(JobRow row) const {
+    return table_->remaining_hours(row) / speed_;
+  }
+  /// Shortest duration among the block's jobs needing ≤ `free_procs`
+  /// processors (a lower bound after step merges); +inf when none fits.
+  [[nodiscard]] static double fastest_fit(const Block& b, int free_procs);
+  void add_step(Block& b, int procs, double hours);
+  void rebuild(Block& b);
+  /// Move every row forward into full blocks and free the emptied tail.
+  void repack();
+
+  const JobTable* table_;
+  double speed_;
+  std::vector<std::unique_ptr<Block>> blocks_;  ///< FCFS order
+  std::size_t size_ = 0;
 };
 
 class Site {
@@ -138,6 +223,8 @@ class Site {
   [[nodiscard]] double queued_work_of(JobRow row) const;
   void start_row(JobRow row);
   void finish_row(JobRow row);
+  /// Completion accounting of a run that ended now and has left running_.
+  void complete_run(JobRow row);
   void dispatch();
   void fail_row(JobRow row, const char* reason);
   /// Fan completion out to handlers, then release the row unless a
@@ -160,8 +247,10 @@ class Site {
   RowCompletionHandler on_done_row_;
   RecoveryHandler on_recovered_;
   int free_procs_;
-  std::deque<JobRow> queue_;
+  BackfillQueue queue_;
   std::vector<Running> running_;
+  /// shadow_time's (time, processors freed) candidates, reused per call.
+  mutable std::vector<std::pair<double, int>> shadow_scratch_;
   std::vector<Reservation> reservations_;
   double outage_until_ = -1.0;
   bool inject_stale_finish_bug_ = false;

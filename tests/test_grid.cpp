@@ -4,9 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -492,6 +500,471 @@ TEST(Site, BusyProcHoursAccounting) {
   f.site.submit(make_job(2, 64, 3.0));
   f.events.run();
   EXPECT_DOUBLE_EQ(f.site.busy_proc_hours(), 64 * 2.0 + 64 * 3.0);
+}
+
+// --- Indexed backfill vs. the linear scan ------------------------------------------
+
+/// Differential oracle for Site's indexed backfill: the same FCFS +
+/// conservative EASY scheduler with the queue as a std::deque, a linear
+/// scan behind the head and the O(R²) shadow time. It drives its own
+/// JobTable through the same transitions in the same order as Site, so
+/// the two tables, the two event queues and the two fingerprint() values
+/// must agree after every event.
+class ReferenceSite {
+ public:
+  ReferenceSite(SiteSpec spec, EventQueue& events, JobTable& table)
+      : spec_(std::move(spec)),
+        events_(events),
+        table_(table),
+        id_(table.register_site(spec_.name)),
+        free_procs_(spec_.processors) {}
+
+  void set_row_completion_handler(std::function<void(JobRow)> handler) {
+    on_done_ = std::move(handler);
+  }
+
+  void submit_row(JobRow row) {
+    if (in_outage()) {
+      fail_row(row, "site in outage");
+      complete_row(row);
+      return;
+    }
+    table_.set_state(row, RowState::Queued);
+    table_.submit_time(row) = events_.now();
+    table_.site(row) = id_;
+    queue_.push_back(row);
+    queued_work_ += queued_work_of(row);
+    dispatch();
+  }
+
+  void add_reservation(const Reservation& r) {
+    reservations_.push_back(r);
+    if (r.start > events_.now()) events_.at(r.start, [this] { dispatch(); });
+    events_.at(std::max(r.end, events_.now()), [this] { dispatch(); });
+  }
+
+  void fail_until(double until) {
+    outage_until_ = std::max(outage_until_, until);
+    std::vector<Running> dead;
+    dead.swap(running_);
+    for (const auto& r : dead) {
+      events_.cancel(table_.event_token(r.row));
+      table_.event_token(r.row) = kInvalidToken;
+      const int procs = table_.processors(r.row);
+      free_procs_ += procs;
+      const double elapsed = events_.now() - table_.start_time(r.row);
+      const double interval = table_.checkpoint_interval_hours(r.row);
+      double credited_wall = 0.0;
+      if (interval > 0.0 && elapsed > 0.0) {
+        credited_wall = std::floor(elapsed / interval) * interval;
+      }
+      const double banked =
+          credited_wall > 0.0
+              ? std::min(1.0, table_.completed_fraction(r.row) +
+                                  credited_wall * spec_.speed / table_.runtime_hours(r.row))
+              : table_.completed_fraction(r.row);
+      if (banked >= 1.0) {  // all work banked: the run completed
+        complete_run(r.row);
+        continue;
+      }
+      table_.consumed_cpu_hours(r.row) += procs * elapsed;
+      table_.wasted_cpu_hours(r.row) += procs * (elapsed - credited_wall);
+      table_.completed_fraction(r.row) = banked;
+      fail_row(r.row, "site outage");
+      complete_row(r.row);
+    }
+    std::deque<JobRow> queued;
+    queued.swap(queue_);
+    queued_work_ = 0.0;
+    for (const JobRow row : queued) {
+      fail_row(row, "site outage");
+      complete_row(row);
+    }
+    events_.at(until, [this] {
+      if (!in_outage()) dispatch();
+    });
+  }
+
+  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+
+  /// Site::fingerprint's digest over the same state.
+  [[nodiscard]] std::uint64_t fingerprint() const {
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kPrime; };
+    const auto mix_double = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(id_)));
+    mix(static_cast<std::uint64_t>(free_procs_));
+    mix_double(outage_until_);
+    mix_double(busy_proc_hours_);
+    mix_double(queued_work_);
+    mix(queue_.size());
+    for (const JobRow row : queue_) mix(table_.id(row));
+    std::vector<std::pair<JobId, double>> running;
+    for (const auto& r : running_) running.emplace_back(table_.id(r.row), r.end_time);
+    std::sort(running.begin(), running.end());
+    mix(running.size());
+    for (const auto& [id, end] : running) {
+      mix(id);
+      mix_double(end);
+    }
+    mix(reservations_.size());
+    return h;
+  }
+
+ private:
+  struct Running {
+    JobRow row;
+    double end_time;
+  };
+
+  [[nodiscard]] bool in_outage() const { return events_.now() < outage_until_; }
+
+  [[nodiscard]] double queued_work_of(JobRow row) const {
+    return table_.processors(row) * table_.remaining_hours(row) / spec_.speed;
+  }
+
+  [[nodiscard]] int max_reserved_overlap(double t0, double t1) const {
+    auto reserved_at = [this](double t) {
+      int total = 0;
+      for (const auto& r : reservations_) {
+        if (t >= r.start && t < r.end) total += r.processors;
+      }
+      return total;
+    };
+    int peak = reserved_at(t0);
+    for (const auto& r : reservations_) {
+      if (r.start > t0 && r.start < t1) peak = std::max(peak, reserved_at(r.start));
+    }
+    return peak;
+  }
+
+  [[nodiscard]] bool fits_now(int procs, double duration) const {
+    if (procs > free_procs_) return false;
+    const double now = events_.now();
+    return procs + max_reserved_overlap(now, now + duration) <= free_procs_;
+  }
+
+  [[nodiscard]] double shadow_time(JobRow head) const {
+    const double duration = table_.remaining_hours(head) / spec_.speed;
+    std::vector<double> candidates{events_.now()};
+    for (const auto& r : running_) candidates.push_back(r.end_time);
+    for (const auto& res : reservations_) candidates.push_back(res.end);
+    std::sort(candidates.begin(), candidates.end());
+    for (const double t : candidates) {
+      if (t < events_.now()) continue;
+      int free_at_t = free_procs_;
+      for (const auto& r : running_) {
+        if (r.end_time <= t) free_at_t += table_.processors(r.row);
+      }
+      if (table_.processors(head) + max_reserved_overlap(t, t + duration) <= free_at_t) {
+        return t;
+      }
+    }
+    return candidates.back();
+  }
+
+  void start_row(JobRow row) {
+    const double duration = table_.remaining_hours(row) / spec_.speed;
+    table_.set_state(row, RowState::Running);
+    table_.start_time(row) = events_.now();
+    free_procs_ -= table_.processors(row);
+    const double end = events_.now() + duration;
+    table_.running_index(row) = static_cast<std::uint32_t>(running_.size());
+    running_.push_back(Running{row, end});
+    table_.event_token(row) = events_.at(end, [this, row] { finish_row(row); });
+  }
+
+  void finish_row(JobRow row) {
+    const std::uint32_t idx = table_.running_index(row);
+    running_[idx] = running_.back();
+    table_.running_index(running_[idx].row) = idx;
+    running_.pop_back();
+    table_.event_token(row) = kInvalidToken;
+    free_procs_ += table_.processors(row);
+    complete_run(row);
+    dispatch();
+  }
+
+  void complete_run(JobRow row) {
+    const int procs = table_.processors(row);
+    table_.set_state(row, RowState::Completed);
+    table_.end_time(row) = events_.now();
+    const double wall = events_.now() - table_.start_time(row);
+    table_.consumed_cpu_hours(row) += procs * wall;
+    table_.completed_fraction(row) = 1.0;
+    busy_proc_hours_ += procs * wall;
+    complete_row(row);
+  }
+
+  void dispatch() {
+    if (in_outage()) return;
+    while (!queue_.empty()) {
+      const JobRow head = queue_.front();
+      if (!fits_now(table_.processors(head), table_.remaining_hours(head) / spec_.speed)) break;
+      queue_.pop_front();
+      queued_work_ -= queued_work_of(head);
+      start_row(head);
+    }
+    if (queue_.empty()) return;
+    const double shadow = shadow_time(queue_.front());
+    for (auto it = queue_.begin() + 1; it != queue_.end();) {
+      const JobRow row = *it;
+      const double duration = table_.remaining_hours(row) / spec_.speed;
+      if (fits_now(table_.processors(row), duration) && events_.now() + duration <= shadow) {
+        it = queue_.erase(it);
+        queued_work_ -= queued_work_of(row);
+        start_row(row);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void fail_row(JobRow row, const char* reason) {
+    table_.set_state(row, RowState::Failed);
+    table_.end_time(row) = events_.now();
+    table_.site(row) = id_;
+    table_.fail_reason(row) = reason;
+  }
+
+  void complete_row(JobRow row) {
+    if (on_done_) on_done_(row);
+    const RowState s = table_.state(row);
+    if (s == RowState::Completed || s == RowState::Failed) table_.release(row);
+  }
+
+  SiteSpec spec_;
+  EventQueue& events_;
+  JobTable& table_;
+  SiteId id_;
+  std::function<void(JobRow)> on_done_;
+  int free_procs_;
+  std::deque<JobRow> queue_;
+  std::vector<Running> running_;
+  std::vector<Reservation> reservations_;
+  double outage_until_ = -1.0;
+  double busy_proc_hours_ = 0.0;
+  double queued_work_ = 0.0;
+};
+
+/// One randomized single-site script: bursts of jobs with mixed,
+/// non-power-of-two processor counts (queues many blocks deep),
+/// reservations that make fits_now stricter than the free count, and
+/// outages that flush the queue mid-run. Jobs killed by an outage are
+/// resubmitted after a delay and resume from their last checkpoint, so
+/// restarts carry partial remaining work.
+struct BackfillScript {
+  SiteSpec spec;
+  std::vector<std::pair<double, Job>> submits;
+  std::vector<Reservation> reservations;
+  std::vector<std::pair<double, double>> outages;  ///< (at, until)
+};
+
+BackfillScript make_backfill_script(std::uint64_t seed) {
+  static const int kProcs[] = {1, 3, 5, 6, 11, 13, 24, 37, 50, 77, 90};
+  Rng rng = Rng::stream(seed, 0xbacf111ULL, 0);
+  BackfillScript s;
+  s.spec = {.name = "S", .grid = "G", .processors = 97 + static_cast<int>(rng.uniform_index(160)),
+            .speed = rng.uniform(0.7, 1.6)};
+  for (JobId id = 1; id <= 700; ++id) {
+    // Most jobs arrive in three bursts; the rest trickle in.
+    const double at = id % 4 != 0 ? 20.0 * static_cast<double>(rng.uniform_index(3))
+                                  : rng.uniform(0.0, 60.0);
+    Job job = make_job(id, kProcs[rng.uniform_index(std::size(kProcs))], rng.uniform(0.1, 6.0));
+    job.checkpoint_interval_hours = rng.uniform() < 0.3 ? 0.0 : rng.uniform(0.1, 1.0);
+    s.submits.emplace_back(at, job);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const double start = rng.uniform(0.0, 70.0);
+    s.reservations.push_back({start, start + rng.uniform(0.5, 8.0),
+                              1 + static_cast<int>(rng.uniform_index(40)), "res"});
+  }
+  for (int i = 0; i < 4; ++i) {
+    const double at = rng.uniform(5.0, 80.0);
+    s.outages.emplace_back(at, at + rng.uniform(0.5, 4.0));
+  }
+  return s;
+}
+
+/// One side of the differential run: a site of type SiteT over its own
+/// event queue and table, armed with the script, logging every start.
+template <typename SiteT>
+struct BackfillWorld {
+  EventQueue events;
+  JobTable table;
+  SiteT site;
+  std::vector<std::pair<JobId, double>> starts;   ///< (job id, start time)
+  std::set<std::pair<JobId, double>> logged;
+  std::vector<std::tuple<JobId, int, double>> done;  ///< (id, state, end)
+  std::size_t banked_restarts = 0;  ///< resubmissions with checkpointed work
+
+  explicit BackfillWorld(const BackfillScript& script) : site(script.spec, events, table) {
+    site.set_row_completion_handler([this](JobRow row) {
+      done.emplace_back(table.id(row), static_cast<int>(table.state(row)), table.end_time(row));
+      // Outage victims come back after a delay and resume from their
+      // last checkpoint; a resubmission into the outage fails again.
+      if (table.state(row) == RowState::Failed && table.requeues(row) < 20) {
+        if (table.completed_fraction(row) > 0.0) ++banked_restarts;
+        ++table.requeues(row);
+        table.set_state(row, RowState::Backoff);
+        const double delay = 0.25 * static_cast<double>(1 + table.id(row) % 8);
+        events.at(events.now() + delay, [this, row] { site.submit_row(row); });
+      }
+    });
+    for (const auto& [at, job] : script.submits) {
+      events.at(at, [this, job] { site.submit_row(table.insert(job)); });
+    }
+    for (const Reservation& r : script.reservations) site.add_reservation(r);
+    for (const auto& [at, until] : script.outages) {
+      events.at(at, [this, until] { site.fail_until(until); });
+    }
+  }
+
+  /// Log the rows that started since the last call. The table appends
+  /// each row to its Running list when it starts, so new starts sit at
+  /// the tail in start order.
+  void log_starts() {
+    for (JobRow row = table.head(RowState::Running); row != kNoRow; row = table.next(row)) {
+      const std::pair<JobId, double> start{table.id(row), table.start_time(row)};
+      if (logged.insert(start).second) starts.push_back(start);
+    }
+  }
+};
+
+/// What a differential run saw, for the tests' coverage checks.
+struct DifferentialRun {
+  std::size_t deepest = 0;     ///< longest queue, in rows
+  std::size_t backfilled = 0;  ///< starts out of job-id order
+  std::size_t banked_restarts = 0;
+};
+
+/// Step the indexed Site and the linear-scan reference through `script`
+/// in lockstep: after every event both event queues, both job tables and
+/// both site fingerprints must agree; at the end, the (job id, start time)
+/// sequences and the completions must be identical.
+DifferentialRun run_differential(const BackfillScript& script) {
+  BackfillWorld<Site> indexed(script);
+  BackfillWorld<ReferenceSite> linear(script);
+  DifferentialRun run;
+  for (std::size_t step = 1;; ++step) {
+    const bool a = indexed.events.step();
+    const bool b = linear.events.step();
+    EXPECT_EQ(a, b) << "step " << step;
+    if (!a || !b) break;
+    indexed.log_starts();
+    linear.log_starts();
+    const bool same = indexed.site.fingerprint() == linear.site.fingerprint() &&
+                      indexed.table.fingerprint() == linear.table.fingerprint() &&
+                      indexed.events.fingerprint() == linear.events.fingerprint();
+    EXPECT_TRUE(same) << "diverged at step " << step << ", t=" << indexed.events.now();
+    if (!same) break;
+    run.deepest = std::max(run.deepest, indexed.site.queue_length());
+  }
+  EXPECT_EQ(indexed.starts, linear.starts);
+  EXPECT_EQ(indexed.done, linear.done);
+  for (std::size_t i = 1; i < indexed.starts.size(); ++i) {
+    run.backfilled += indexed.starts[i].first < indexed.starts[i - 1].first ? 1 : 0;
+  }
+  run.banked_restarts = indexed.banked_restarts;
+  return run;
+}
+
+TEST(Site, IndexedBackfillMatchesLinearScanDifferentially) {
+  constexpr auto kBlock = static_cast<std::size_t>(BackfillQueue::kBlockRows);
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 7ULL, 2005ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DifferentialRun run = run_differential(make_backfill_script(seed));
+    // The script really exercised the index: queues several blocks deep,
+    // backfilled starts, and restarts with banked work.
+    EXPECT_GT(run.deepest, 4 * kBlock);
+    EXPECT_GT(run.backfilled, 20u);
+    EXPECT_GT(run.banked_restarts, 5u);
+  }
+}
+
+TEST(Site, IndexedBackfillMatchesLinearScanOnAThinningQueue) {
+  // A 60- and a 40-processor job fill the site; behind a full-width head
+  // wait 640 one-to-three-processor jobs, three in four short enough to
+  // backfill before the head's shadow time. As processors free up the
+  // short jobs leave from the middle of the queue, its blocks fall below
+  // half full and are repacked mid-run. At t=40 an outage ties with the
+  // 60-processor job's finish and fires first: that job's checkpoints
+  // banked all of its work, so it completes, and the queue is flushed.
+  BackfillScript script;
+  script.spec = {.name = "S", .grid = "G", .processors = 100};
+  Job wide = make_job(1, 60, 40.0);
+  wide.checkpoint_interval_hours = 10.0;
+  script.submits.emplace_back(0.0, wide);
+  script.outages.emplace_back(40.0, 41.0);
+  script.submits.emplace_back(0.0, make_job(2, 40, 2.0));
+  script.submits.emplace_back(0.0, make_job(3, 100, 5.0));
+  for (JobId id = 4; id < 644; ++id) {
+    const double hours = id % 4 == 0 ? 60.0 : 0.5 + 0.25 * static_cast<double>(id % 3);
+    script.submits.emplace_back(0.0, make_job(id, 1 + static_cast<int>(id % 3), hours));
+  }
+  const DifferentialRun run = run_differential(script);
+  EXPECT_GT(run.deepest, 640u);
+  EXPECT_GT(run.backfilled, 0u);
+}
+
+TEST(Site, DeepQueueCampaignDigestIsPinned) {
+  // 10k jobs on 3 sites at t=0: site queues thousands deep, mixed
+  // non-power-of-two job sizes, a reservation, and scheduled outages that
+  // flush the queues and restart checkpointed jobs. The digest covers
+  // every finished job's placement and timing, and was recorded with the
+  // linear-scan queue, so it pins the indexed scan's start sequence.
+  EventQueue events;
+  Federation federation(events);
+  federation.add_site({.name = "A", .grid = "TeraGrid", .processors = 250});
+  federation.add_site({.name = "B", .grid = "TeraGrid", .processors = 97, .speed = 1.3});
+  Site& c = federation.add_site({.name = "C", .grid = "NGS", .processors = 400, .speed = 0.85});
+  c.add_reservation({30.0, 42.0, 120, "demo"});
+  FaultConfig fault_config;
+  fault_config.scheduled = {{.site = "A", .start_hours = 25.0, .duration_hours = 3.0},
+                            {.site = "B", .start_hours = 60.0, .duration_hours = 5.5},
+                            {.site = "C", .start_hours = 90.0, .duration_hours = 2.0}};
+  FaultInjector faults(federation, fault_config);
+  faults.arm();
+
+  CampaignConfig config;
+  config.job_count = 10000;
+  config.job_factory = [](std::size_t i) {
+    static const int kProcs[] = {3, 7, 12, 20, 33, 45, 64};
+    SplitMix64 mix(0xdee9ULL ^ i);
+    Job job = make_job(static_cast<JobId>(i), kProcs[mix.next() % std::size(kProcs)],
+                       0.25 + 7.75 * (static_cast<double>(mix.next() >> 11) * 0x1.0p-53));
+    job.kind = JobKind::Campaign;
+    return job;
+  };
+  config.checkpoint_interval_hours = 1.0;
+  config.max_requeues = 10;
+  Broker broker(federation, config);
+  broker.submit_all();
+  while (!broker.done() && events.step()) {
+  }
+  ASSERT_TRUE(broker.done());
+  const CampaignResult r = broker.result();
+  EXPECT_EQ(r.completed, 10000u);
+  EXPECT_GT(r.checkpoint_restarts, 0u);
+
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kPrime; };
+  const auto mix_double = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  for (const Job& job : r.finished_jobs) {
+    mix(job.id);
+    mix(static_cast<std::uint64_t>(job.state));
+    for (const char ch : job.site) mix(static_cast<std::uint64_t>(ch));
+    mix_double(job.submit_time);
+    mix_double(job.start_time);
+    mix_double(job.end_time);
+    mix_double(job.consumed_cpu_hours);
+    mix_double(job.wasted_cpu_hours);
+  }
+  mix_double(r.makespan_hours);
+  mix(r.checkpoint_restarts);
+  EXPECT_EQ(h, 0x8bfdf4307bf27620ULL) << std::hex << "digest " << h;
 }
 
 // --- workload generator --------------------------------------------------------------

@@ -210,6 +210,23 @@ TEST(Explorer, MakespanMonotoneInFaultSeverityAcrossSiblingTraces) {
   EXPECT_GT(prev_min, 12.0);  // the 6 h outage really delayed the campaign
 }
 
+TEST(Explorer, BackfillScanAndOutageFlushTieExhaustive) {
+  // A backfilled job's finish and the site's outage share t=2: both orders
+  // run the indexed backfill scan and the fail_until queue flush, and the
+  // killed checkpointing jobs restart. Every invariant must hold at every
+  // state, with one recovery for the one outage. When the outage fires
+  // first, job 3's checkpoints have banked all of its work: it completes
+  // rather than re-running for zero hours, which run-token-monotone flags.
+  const ExploreResult result = explore(backfill_outage_tie_scenario(), no_pruning(),
+                                       with_recoveries({{"S", 1}}));
+  EXPECT_TRUE(result.ok()) << result.violations.front().checker << ": "
+                           << result.violations.front().message;
+  EXPECT_TRUE(result.stats.exhausted);
+  EXPECT_GE(result.stats.traces, 2u);
+  EXPECT_EQ(result.completed_traces, result.stats.traces);
+  EXPECT_GE(result.stats.max_tie_group, 2u);
+}
+
 // --- Mutation sensitivity ----------------------------------------------------
 
 TEST(Explorer, StaleFinishMutationFoundByExploration) {
