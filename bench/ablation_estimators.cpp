@@ -12,6 +12,7 @@
 #include <iostream>
 #include <vector>
 
+#include "claims.hpp"
 #include "fe/bar.hpp"
 #include "fe/jarzynski.hpp"
 #include "fe/pmf.hpp"
@@ -19,12 +20,9 @@
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("Ablation | one-sided JE vs cumulants vs bidirectional (BAR/Crooks)\n");
-  std::printf("================================================================\n");
-
+void spice::claims::ablation_estimators(Claim& claim) {
   core::SweepConfig config;
   config.pull_distance = 6.0;
   config.grid_points = 13;
@@ -78,12 +76,10 @@ int main() {
   }
   table.write_pretty(std::cout, 2);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] at the fast velocity, bidirectional BAR is closer to the WHAM truth "
-              "than one-sided JE (|%.2f| vs |%.2f| kcal/mol off)\n",
-              bar_err_fast <= je_err_fast + 0.3 ? "PASS" : "FAIL", bar_err_fast,
-              je_err_fast);
+  claim.check(bar_err_fast <= je_err_fast + 0.3,
+              fmt("at the fast velocity, bidirectional BAR is closer to the WHAM truth "
+                  "than one-sided JE (|%.2f| vs |%.2f| kcal/mol off)",
+                  bar_err_fast, je_err_fast));
   std::printf("(the paper's one-sided protocol is the cheap-to-schedule choice; BAR\n"
               " needs reverse pulls, i.e. twice the grid reservations — §VI trade-off)\n");
-  return 0;
 }

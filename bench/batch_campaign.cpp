@@ -12,18 +12,16 @@
 #include <cstdio>
 #include <iostream>
 
+#include "claims.hpp"
 #include "spice/cost_model.hpp"
 #include "spice/production.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::core;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E6/E10 | Section III batch campaign on the federated grid\n");
-  std::printf("================================================================\n");
-
+void spice::claims::batch_campaign(Claim& claim) {
   const SweepConfig sweep;  // 3 kappa x 4 v
   const MdCostModel cost;
   const ProductionPlan plan = plan_production_jobs(sweep, cost, /*equal_replicas=*/6);
@@ -91,28 +89,23 @@ int main() {
   std::printf("\n");
   table.write_pretty(std::cout, 2);
 
-  std::printf("\n--- Claim checks ---\n");
-  const bool fed_in_week =
-      fed.campaign.completed == plan.jobs.size() && fed.makespan_days < 7.0;
-  const bool uk_too_slow = uk.makespan_days > 7.0;
-  const bool fed_matches_us = fed.makespan_days <= us.makespan_days * 1.3;
-  const bool survives_breach = breached.campaign.completed == plan.jobs.size();
-  const bool cpu_near_paper =
-      fed.campaign.total_cpu_hours > 45000.0 && fed.campaign.total_cpu_hours < 105000.0;
-  std::printf("[%s] federated campaign completes all %zu jobs in under a week "
-              "(measured %.2f days)\n",
-              fed_in_week ? "PASS" : "FAIL", plan.jobs.size(), fed.makespan_days);
-  std::printf("[%s] the UK grid alone could NOT do it in a week (measured %.2f days) — "
-              "the federation was required, not just convenient\n",
-              uk_too_slow ? "PASS" : "FAIL", uk.makespan_days);
-  std::printf("[%s] federation at least matches the US-only allocation (%.2f vs %.2f "
-              "days) while adding UK capacity and redundancy\n",
-              fed_matches_us ? "PASS" : "FAIL", fed.makespan_days, us.makespan_days);
-  std::printf("[%s] campaign survives the security-breach outage via requeueing\n",
-              survives_breach ? "PASS" : "FAIL");
-  std::printf("[%s] total CPU-hours within 40%% of the paper's 75,000 (measured %.0f)\n",
-              cpu_near_paper ? "PASS" : "FAIL", fed.campaign.total_cpu_hours);
+  claim.check(fed.campaign.completed == plan.jobs.size() && fed.makespan_days < 7.0,
+              fmt("federated campaign completes all %zu jobs in under a week "
+                  "(measured %.2f days)",
+                  plan.jobs.size(), fed.makespan_days));
+  claim.check(uk.makespan_days > 7.0,
+              fmt("the UK grid alone could NOT do it in a week (measured %.2f days) — "
+                  "the federation was required, not just convenient",
+                  uk.makespan_days));
+  claim.check(fed.makespan_days <= us.makespan_days * 1.3,
+              fmt("federation at least matches the US-only allocation (%.2f vs %.2f "
+                  "days) while adding UK capacity and redundancy",
+                  fed.makespan_days, us.makespan_days));
+  claim.check(breached.campaign.completed == plan.jobs.size(),
+              "campaign survives the security-breach outage via requeueing");
+  claim.check(
+      fed.campaign.total_cpu_hours > 45000.0 && fed.campaign.total_cpu_hours < 105000.0,
+      fmt("total CPU-hours within 40%% of the paper's 75,000 (measured %.0f)",
+          fed.campaign.total_cpu_hours));
   std::printf("(worst single-site option: %.1f days)\n", worst_single);
-  return (fed_in_week && uk_too_slow && fed_matches_us && survives_breach && cpu_near_paper) ? 0
-                                                                                            : 1;
 }

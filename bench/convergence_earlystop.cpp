@@ -12,21 +12,21 @@
 // CPU-hours use the paper's cost model as a proxy: every MD step is
 // priced as one step of the 300k-atom production system (the model-system
 // step count is the campaign's own compute currency, see EXPERIMENTS.md).
-//
-// Writes BENCH_convergence_earlystop.json.
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
+#include "claims.hpp"
 #include "fe/error_analysis.hpp"
 #include "spice/campaign.hpp"
 #include "spice/cost_model.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
 namespace {
 
@@ -51,11 +51,8 @@ double cpu_hours_for_steps(const core::MdCostModel& model, std::uint64_t steps) 
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("Early stop | fixed-replica baseline vs convergence-gated sweep\n");
-  std::printf("           | same seed, same ceilings; gate: sigma_jack <= target\n");
-  std::printf("================================================================\n");
+void spice::claims::convergence_earlystop(Claim& claim) {
+  std::printf("same seed, same ceilings; gate: sigma_jack <= target\n\n");
 
   const double target_error_kcal = 1.0;
 
@@ -108,50 +105,33 @@ int main() {
   const double hours_gated = cpu_hours_for_steps(model, steps_gated);
   const double saved_pct = 100.0 * (1.0 - hours_gated / hours_base);
 
-  std::printf("\ncompute:  baseline %llu MD steps (%.0f paper-scale CPU-hours)\n",
-              static_cast<unsigned long long>(steps_base), hours_base);
-  std::printf("          gated    %llu MD steps (%.0f paper-scale CPU-hours)  "
+  std::printf("\ncompute:  baseline %" PRIu64 " MD steps (%.0f paper-scale CPU-hours)\n",
+              steps_base, hours_base);
+  std::printf("          gated    %" PRIu64 " MD steps (%.0f paper-scale CPU-hours)  "
               "-> %.1f%% saved\n",
-              static_cast<unsigned long long>(steps_gated), hours_gated, saved_pct);
+              steps_gated, hours_gated, saved_pct);
   std::printf("PMF error vs WHAM reference: baseline %.3f, gated %.3f kcal/mol "
               "(delta %+.3f, stop target %.1f)\n",
               err_base, err_gated, err_gated - err_base, target_error_kcal);
   std::printf("early-stopped cells: %zu/%zu\n", cells_stopped, baseline.combos.size());
 
   // --- claims --------------------------------------------------------------
-  const bool saves_compute = cells_stopped > 0 && steps_gated < steps_base;
-  const bool equal_error = err_gated - err_base <= target_error_kcal;
+  claim.set_group("early_stop", {{"target_error_kcal", target_error_kcal}, {"cells", n_cells},
+                                 {"cells_early_stopped", cells_stopped},
+                                 {"md_steps_baseline", steps_base}, {"md_steps_gated", steps_gated},
+                                 {"cpu_hours_baseline", hours_base}, {"cpu_hours_gated", hours_gated},
+                                 {"cpu_hours_saved_pct", saved_pct},
+                                 {"pmf_error_baseline_kcal", err_base},
+                                 {"pmf_error_gated_kcal", err_gated}});
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] the gate completes the study with fewer CPU-hours "
-              "(%zu cells stop early, %.1f%% saved)\n",
-              saves_compute ? "PASS" : "FAIL", cells_stopped, saved_pct);
-  std::printf("[%s] PMF error stays within the stop target of the baseline "
-              "(%+.3f <= %.1f kcal/mol)\n",
-              equal_error ? "PASS" : "FAIL", err_gated - err_base, target_error_kcal);
-  std::printf("[%s] every early-stopped cell ends with sigma_jack <= target\n",
-              stopped_cells_within_target ? "PASS" : "FAIL");
-
-  std::ofstream json("BENCH_convergence_earlystop.json");
-  json << "{\n"
-       << " \"target_error_kcal\": " << target_error_kcal << ",\n"
-       << " \"cells\": " << baseline.combos.size() << ",\n"
-       << " \"cells_early_stopped\": " << cells_stopped << ",\n"
-       << " \"md_steps_baseline\": " << steps_base << ",\n"
-       << " \"md_steps_gated\": " << steps_gated << ",\n"
-       << " \"cpu_hours_baseline\": " << hours_base << ",\n"
-       << " \"cpu_hours_gated\": " << hours_gated << ",\n"
-       << " \"cpu_hours_saved_pct\": " << saved_pct << ",\n"
-       << " \"pmf_error_baseline_kcal\": " << err_base << ",\n"
-       << " \"pmf_error_gated_kcal\": " << err_gated << ",\n"
-       << " \"claims\": {\n"
-       << "  \"saves_compute\": " << (saves_compute ? "true" : "false") << ",\n"
-       << "  \"equal_error_within_target\": " << (equal_error ? "true" : "false") << ",\n"
-       << "  \"stopped_cells_within_target\": "
-       << (stopped_cells_within_target ? "true" : "false") << "\n"
-       << " }\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_convergence_earlystop.json\n");
-
-  return (saves_compute && equal_error && stopped_cells_within_target) ? 0 : 1;
+  claim.check(cells_stopped > 0 && steps_gated < steps_base,
+              fmt("the gate completes the study with fewer CPU-hours "
+                  "(%zu cells stop early, %.1f%% saved)",
+                  cells_stopped, saved_pct));
+  claim.check(err_gated - err_base <= target_error_kcal,
+              fmt("PMF error stays within the stop target of the baseline "
+                  "(%+.3f <= %.1f kcal/mol)",
+                  err_gated - err_base, target_error_kcal));
+  claim.check(stopped_cells_within_target,
+              "every early-stopped cell ends with sigma_jack <= target");
 }

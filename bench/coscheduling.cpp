@@ -15,17 +15,15 @@
 #include <cstdio>
 #include <iostream>
 
+#include "claims.hpp"
 #include "grid/coordination.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::grid;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E9 | Manual vs automated cross-site reservation coordination\n");
-  std::printf("================================================================\n");
-
+void spice::claims::coscheduling(Claim& claim) {
   constexpr std::size_t kTrials = 2000;
   const ManualProcessParams manual_params;
   const AutomatedProcessParams automated_params;
@@ -66,16 +64,13 @@ int main() {
   const double per_site = std::pow(manual4 / manual1, 1.0 / 3.0);
   std::printf("\nimplied per-additional-site success multiplier (manual): %.3f\n", per_site);
 
-  std::printf("\n--- Claim checks ---\n");
-  const bool decays = manual1 > manual4 && manual4 > manual8;
-  const bool multiplicative = per_site < 0.999;
-  const bool automated_scales = auto8 > manual8 + 0.2;
-  std::printf("[%s] manual success decays with site count (%.2f -> %.2f -> %.2f)\n",
-              decays ? "PASS" : "FAIL", manual1, manual4, manual8);
-  std::printf("[%s] decay is roughly multiplicative per site (multiplier %.2f < 1)\n",
-              multiplicative ? "PASS" : "FAIL", per_site);
-  std::printf("[%s] the automated (HARC/web-interface) workflow scales "
-              "(8-site success %.2f > manual %.2f)\n",
-              automated_scales ? "PASS" : "FAIL", auto8, manual8);
-  return (decays && multiplicative && automated_scales) ? 0 : 1;
+  claim.check(manual1 > manual4 && manual4 > manual8,
+              fmt("manual success decays with site count (%.2f -> %.2f -> %.2f)", manual1,
+                  manual4, manual8));
+  claim.check(per_site < 0.999,
+              fmt("decay is roughly multiplicative per site (multiplier %.2f < 1)", per_site));
+  claim.check(auto8 > manual8 + 0.2,
+              fmt("the automated (HARC/web-interface) workflow scales "
+                  "(8-site success %.2f > manual %.2f)",
+                  auto8, manual8));
 }

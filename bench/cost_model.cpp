@@ -7,17 +7,15 @@
 #include <cstdio>
 #include <iostream>
 
+#include "claims.hpp"
 #include "spice/cost_model.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::core;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E5 | Section I cost model: why vanilla MD cannot do this problem\n");
-  std::printf("================================================================\n");
-
+void spice::claims::cost_model(Claim& claim) {
   const MdCostModel model;
 
   std::printf("\n--- Base rates ---\n");
@@ -60,20 +58,21 @@ int main() {
   std::printf("\n--- Moore's-law-only scenario ---\n");
   const double years = moore_years_until_routine(model, 10.0);
   std::printf("years of speed-doubling (18 mo) until 10 us fits in a week: %.1f\n", years);
-  std::printf("[%s] 'a couple of decades away' (10-30 years)\n",
-              (years > 10.0 && years < 30.0) ? "PASS" : "FAIL");
-
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] ~3000 CPU-h per ns\n",
-              std::abs(cpu_hours_per_ns(model) - 3000.0) < 300.0 ? "PASS" : "FAIL");
   const double v10 = vanilla_cpu_hours(model, 10.0);
-  std::printf("[%s] vanilla 10 us ~ 3x10^7 CPU-h\n",
-              (v10 > 2.5e7 && v10 < 3.5e7) ? "PASS" : "FAIL");
-  std::printf("[%s] SMD-JE reduction lands in the 50-100x band for the paper's "
-              "sub-trajectory protocol\n",
-              (smdje_campaign_cost(model, 90, 0.38, 10.0).reduction_vs_vanilla > 50.0 &&
-               smdje_campaign_cost(model, 90, 0.38, 10.0).reduction_vs_vanilla < 400.0)
-                  ? "PASS"
-                  : "FAIL");
-  return 0;
+  const double reduction = smdje_campaign_cost(model, 90, 0.38, 10.0).reduction_vs_vanilla;
+  claim.set_group("cost", {{"cpu_hours_per_ns", cpu_hours_per_ns(model)},
+                          {"vanilla_10us_cpu_hours", v10},
+                          {"smdje_reduction_90_pulls", reduction},
+                          {"paper_campaign_reduction", paper.reduction_vs_vanilla},
+                          {"moore_years", years}});
+
+  claim.check(years > 10.0 && years < 30.0, "'a couple of decades away' (10-30 years)");
+  claim.check(std::abs(cpu_hours_per_ns(model) - 3000.0) < 300.0, "~3000 CPU-h per ns");
+  claim.check(v10 > 2.5e7 && v10 < 3.5e7, "vanilla 10 us ~ 3x10^7 CPU-h");
+  // The gate is wider than the paper's band: the 90-pull sub-trajectory
+  // protocol is shorter than the paper's production pulls.
+  claim.check(reduction > 50.0 && reduction < 400.0,
+              fmt("SMD-JE reduction of the 90-pull sub-trajectory protocol lies in "
+                  "(50, 400)x (paper: 50-100x; measured %.0fx)",
+                  reduction));
 }

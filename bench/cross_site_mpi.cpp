@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "claims.hpp"
 #include "net/mpi.hpp"
 #include "net/qos.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::net;
 
 namespace {
@@ -29,11 +31,7 @@ MpiRunResult run(const MpiJobConfig& config, bool gateway) {
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E14 | Cross-site MPI (MPICH-G2 scenario) on the federation\n");
-  std::printf("================================================================\n");
-
+void spice::claims::cross_site_mpi(Claim& claim) {
   MpiJobConfig base;
   base.iterations = 20;
   base.compute_seconds_per_iteration = 0.05;
@@ -77,16 +75,12 @@ int main() {
   }
   table.write_pretty(std::cout, 3);
 
-  std::printf("\n--- Claim checks ---\n");
-  const bool blocked_without_gateway = !blocked.feasible;
-  const bool latency_tax = transatlantic_wall > 1.2 * single_site_wall;
-  std::printf("[%s] hidden-IP cross-site MPI cannot start without a gateway\n",
-              blocked_without_gateway ? "PASS" : "FAIL");
-  std::printf("[%s] the gateway makes it feasible\n", rescued.feasible ? "PASS" : "FAIL");
-  std::printf("[%s] trans-Atlantic decomposition pays a real latency tax "
-              "(%.2f s vs %.2f s single-site)\n",
-              latency_tax ? "PASS" : "FAIL", transatlantic_wall, single_site_wall);
+  claim.check(!blocked.feasible, "hidden-IP cross-site MPI cannot start without a gateway");
+  claim.check(rescued.feasible, "the gateway makes it feasible");
+  claim.check(transatlantic_wall > 1.2 * single_site_wall,
+              fmt("trans-Atlantic decomposition pays a real latency tax "
+                  "(%.2f s vs %.2f s single-site)",
+                  transatlantic_wall, single_site_wall));
   std::printf("(this is why SPICE task-farms independent SMD pulls instead of running\n"
               " one tightly coupled code across the Atlantic — paper §II)\n");
-  return (blocked_without_gateway && rescued.feasible && latency_tax) ? 0 : 1;
 }

@@ -20,23 +20,25 @@
 // baseline_scalar arm at N = 64. The arms pin their dispatch level through
 // MdConfig (not SPICE_SIMD), so a CI job forcing the env to scalar still
 // measures the native arm natively; on hosts with no vector unit the gate
-// is reported as skipped. Writes BENCH_ensemble_md.json. `--smoke` runs
-// N = 8 with short trajectories and checks bitwise equality only.
+// is reported as skipped. `--smoke` runs N = 8 with short trajectories and
+// checks bitwise equality only.
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "claims.hpp"
 #include "md/engine.hpp"
 #include "md/ensemble_engine.hpp"
 #include "md/simd.hpp"
 #include "md/topology.hpp"
+#include "obs/metrics.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::md;
 
 namespace {
@@ -92,12 +94,6 @@ std::vector<std::uint64_t> replica_seeds(std::size_t n) {
   return seeds;
 }
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct ArmResult {
   double wall_s = 0.0;
   double steps_per_sec_per_replica = 0.0;
@@ -114,9 +110,9 @@ constexpr std::size_t kEvalRoundsSmoke = 10;
 template <typename EvalAll>
 double time_force_evals(EvalAll&& eval_all, std::size_t replicas, std::size_t rounds) {
   eval_all();  // warm caches; make sure neighbour lists are current
-  const double t0 = now_s();
+  const double t0 = obs::now_us();
   for (std::size_t k = 0; k < rounds; ++k) eval_all();
-  const double per_eval = (now_s() - t0) / static_cast<double>(rounds * replicas);
+  const double per_eval = (obs::now_us() - t0) * 1e-6 / static_cast<double>(rounds * replicas);
   return 1.0 / per_eval;
 }
 
@@ -130,12 +126,11 @@ ArmResult run_baseline(std::size_t beads, std::size_t replicas, std::size_t step
   engines.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) engines.push_back(master.clone(seeds[r]));
 
-  const double t0 = now_s();
+  const double t0 = obs::now_us();
   for (auto& engine : engines) engine.step(steps);
   ArmResult result;
-  result.wall_s = now_s() - t0;
-  result.steps_per_sec_per_replica =
-      static_cast<double>(steps) / result.wall_s;
+  result.wall_s = (obs::now_us() - t0) * 1e-6;
+  result.steps_per_sec_per_replica = static_cast<double>(steps) / result.wall_s;
   result.checkpoints.reserve(replicas);
   for (const auto& engine : engines) result.checkpoints.push_back(engine.checkpoint());
   result.force_evals_per_sec_per_replica = time_force_evals(
@@ -152,12 +147,11 @@ ArmResult run_ensemble(std::size_t beads, std::size_t replicas, std::size_t step
   const std::vector<std::uint64_t> seeds = replica_seeds(replicas);
   EnsembleEngine ensemble(master, seeds);
 
-  const double t0 = now_s();
+  const double t0 = obs::now_us();
   ensemble.step_all(steps);
   ArmResult result;
-  result.wall_s = now_s() - t0;
-  result.steps_per_sec_per_replica =
-      static_cast<double>(steps) / result.wall_s;
+  result.wall_s = (obs::now_us() - t0) * 1e-6;
+  result.steps_per_sec_per_replica = static_cast<double>(steps) / result.wall_s;
   result.checkpoints.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
     result.checkpoints.push_back(ensemble.checkpoint(r));
@@ -172,18 +166,20 @@ ArmResult run_ensemble(std::size_t beads, std::size_t replicas, std::size_t step
   return result;
 }
 
-bool bitwise_equal(const std::vector<Checkpoint>& a, const std::vector<Checkpoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    if (a[r].bytes != b[r].bytes) return false;
-  }
-  return true;
+/// Print one arm's timings and record them under `prefix`.
+void report_arm(Claim& claim, std::string_view prefix, const ArmResult& arm) {
+  std::printf("  %.2f s, %.0f steps/s/replica, %.0f force-evals/s/replica\n", arm.wall_s,
+              arm.steps_per_sec_per_replica, arm.force_evals_per_sec_per_replica);
+  claim.set_group(prefix, {{"wall_s", arm.wall_s},
+                           {"steps_per_sec_per_replica", arm.steps_per_sec_per_replica},
+                           {"force_evals_per_sec_per_replica",
+                            arm.force_evals_per_sec_per_replica}});
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+void spice::claims::ensemble_md(Claim& claim) {
+  const bool smoke = claim.smoke();
 
   const std::size_t beads = 128;
   const std::size_t replicas = smoke ? 8 : 64;
@@ -199,9 +195,6 @@ int main(int argc, char** argv) {
   }
   const bool have_simd = native != simd::Level::Scalar;
 
-  std::printf("================================================================\n");
-  std::printf("Ensemble MD | batched replicas + runtime-dispatched SIMD kernels\n");
-  std::printf("================================================================\n");
   std::printf("\nsystem: %zu-bead ionic cluster, N = %zu replicas, %zu steps each\n",
               beads, replicas, steps);
   std::printf("native SIMD level: %s\n", std::string(simd::name(native)).c_str());
@@ -209,17 +202,15 @@ int main(int argc, char** argv) {
   std::printf("\n[baseline_scalar] N independent engines, scalar kernels ...\n");
   const ArmResult base =
       run_baseline(beads, replicas, steps, eval_rounds, simd::Request::Scalar);
-  std::printf("  %.2f s, %.0f steps/s/replica, %.0f force-evals/s/replica\n",
-              base.wall_s, base.steps_per_sec_per_replica,
-              base.force_evals_per_sec_per_replica);
+  report_arm(claim, "baseline_scalar", base);
 
   std::printf("\n[ensemble_scalar] EnsembleEngine, scalar kernels ...\n");
   const ArmResult ens_scalar =
       run_ensemble(beads, replicas, steps, eval_rounds, simd::Request::Scalar);
-  std::printf("  %.2f s, %.0f steps/s/replica, %.0f force-evals/s/replica\n",
-              ens_scalar.wall_s, ens_scalar.steps_per_sec_per_replica,
-              ens_scalar.force_evals_per_sec_per_replica);
-  const bool bitwise = bitwise_equal(base.checkpoints, ens_scalar.checkpoints);
+  report_arm(claim, "ensemble_scalar", ens_scalar);
+  const bool bitwise = std::equal(
+      base.checkpoints.begin(), base.checkpoints.end(), ens_scalar.checkpoints.begin(),
+      ens_scalar.checkpoints.end(), [](const auto& a, const auto& b) { return a.bytes == b.bytes; });
   std::printf("  checkpoints vs baseline -> %s\n",
               bitwise ? "byte-identical" : "DIVERGED");
 
@@ -230,56 +221,29 @@ int main(int argc, char** argv) {
     std::printf("\n[ensemble_native] EnsembleEngine, %s kernels ...\n",
                 std::string(simd::name(native)).c_str());
     ens_native = run_ensemble(beads, replicas, steps, eval_rounds, native_request);
-    std::printf("  %.2f s, %.0f steps/s/replica, %.0f force-evals/s/replica\n",
-                ens_native.wall_s, ens_native.steps_per_sec_per_replica,
-                ens_native.force_evals_per_sec_per_replica);
+    report_arm(claim, "ensemble_native", ens_native);
     speedup = ens_native.force_evals_per_sec_per_replica /
               base.force_evals_per_sec_per_replica;
     step_speedup =
         ens_native.steps_per_sec_per_replica / base.steps_per_sec_per_replica;
   }
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] ensemble scalar replicas byte-identical to standalone engines\n",
-              bitwise ? "PASS" : "FAIL");
-  bool gate_ok = true;
+  claim.set_group("system", {{"beads", beads}, {"replicas", replicas}, {"steps", steps},
+                            {"eval_rounds", eval_rounds}});
+  claim.set("native_level", simd::name(native));
+  if (have_simd) {
+    claim.set_group("ensemble_native", {{"force_eval_speedup_vs_baseline", speedup},
+                                        {"step_speedup_vs_baseline", step_speedup}});
+  }
+
+  claim.check(bitwise, "ensemble scalar replicas byte-identical to standalone engines");
   if (smoke) {
-    std::printf("[SKIP] throughput gate (smoke run)\n");
+    claim.skip("throughput gate (smoke run)");
   } else if (!have_simd) {
-    std::printf("[SKIP] throughput gate (no vector unit on this host)\n");
+    claim.skip("throughput gate (no vector unit on this host)");
   } else {
-    gate_ok = speedup >= 2.0;
-    std::printf(
-        "[%s] ensemble_native >= 2x baseline per-replica force-eval throughput "
-        "(%.2fx; stepping %.2fx)\n",
-        gate_ok ? "PASS" : "FAIL", speedup, step_speedup);
+    claim.check(speedup >= 2.0, fmt("ensemble_native >= 2x baseline per-replica force-eval "
+                                    "throughput (%.2fx; stepping %.2fx)",
+                                    speedup, step_speedup));
   }
-
-  std::ofstream json("BENCH_ensemble_md.json");
-  json << "{\n"
-       << " \"system\": {\"beads\": " << beads << ", \"replicas\": " << replicas
-       << ", \"steps\": " << steps << ", \"eval_rounds\": " << eval_rounds << "},\n"
-       << " \"native_level\": \"" << simd::name(native) << "\",\n"
-       << " \"baseline_scalar\": {\"wall_s\": " << base.wall_s
-       << ", \"steps_per_sec_per_replica\": " << base.steps_per_sec_per_replica
-       << ", \"force_evals_per_sec_per_replica\": "
-       << base.force_evals_per_sec_per_replica << "},\n"
-       << " \"ensemble_scalar\": {\"wall_s\": " << ens_scalar.wall_s
-       << ", \"steps_per_sec_per_replica\": " << ens_scalar.steps_per_sec_per_replica
-       << ", \"force_evals_per_sec_per_replica\": "
-       << ens_scalar.force_evals_per_sec_per_replica
-       << ", \"bitwise_vs_baseline\": " << (bitwise ? "true" : "false") << "}";
-  if (have_simd && !smoke) {
-    json << ",\n \"ensemble_native\": {\"wall_s\": " << ens_native.wall_s
-         << ", \"steps_per_sec_per_replica\": "
-         << ens_native.steps_per_sec_per_replica
-         << ", \"force_evals_per_sec_per_replica\": "
-         << ens_native.force_evals_per_sec_per_replica
-         << ", \"force_eval_speedup_vs_baseline\": " << speedup
-         << ", \"step_speedup_vs_baseline\": " << step_speedup << "}";
-  }
-  json << "\n}\n";
-  std::printf("\nwrote BENCH_ensemble_md.json\n");
-
-  return (bitwise && gate_ok) ? 0 : 1;
 }

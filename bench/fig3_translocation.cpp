@@ -11,6 +11,7 @@
 #include <iostream>
 #include <memory>
 
+#include "claims.hpp"
 #include "md/observables.hpp"
 #include "pore/system.hpp"
 #include "smd/pulling.hpp"
@@ -19,12 +20,9 @@
 #include "viz/xyz_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E4 | Fig. 3: ssDNA translocation snapshots & constriction stretch\n");
-  std::printf("================================================================\n");
-
+void spice::claims::fig3_translocation(Claim& claim) {
   pore::TranslocationConfig config;
   config.dna.nucleotides = 14;
   config.head_z = -8.0;
@@ -99,11 +97,10 @@ int main() {
   for (std::size_t r = 0; r < series.rows(); r += 10) sparse.add_row(series.row(r));
   sparse.write_pretty(std::cout, 2);
 
-  std::printf("\n[%s] peak bond strain (%.2f) is positive and sits inside the pore "
-              "(z = %.1f A in [-50, 10])\n",
-              (peak_strain > 0.02 && peak_z > -50.0 && peak_z < 10.0) ? "PASS" : "FAIL",
-              peak_strain, peak_z);
+  claim.check(peak_strain > 0.02 && peak_z > -50.0 && peak_z < 10.0,
+              fmt("peak bond strain (%.2f) is positive and sits inside the pore "
+                  "(z = %.1f A in [-50, 10])",
+                  peak_strain, peak_z));
   std::printf("XYZ trajectory written to fig3_trajectory.xyz (%zu frames)\n",
               trajectory.frames_written());
-  return 0;
 }

@@ -10,63 +10,55 @@
 //     the selected optimum is (κ, v) = (100 pN/Å, 12.5 Å/ns).
 
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "claims.hpp"
 #include "spice/campaign.hpp"
 #include "spice/optimizer.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
 namespace {
 
-void print_panel(const char* title, const core::SweepResult& sweep, double kappa) {
+/// One Fig. 4 panel: the PMF (shared λ grid, every other point) of each
+/// (κ, v) cell in `cells`, one column per cell.
+void print_panel(const char* title, const core::SweepResult& sweep,
+                 std::vector<std::string> columns,
+                 std::initializer_list<std::pair<double, double>> cells) {
   std::printf("\n--- %s ---\n", title);
-  viz::Table table({"displacement_A", "v=12.5", "v=25", "v=50", "v=100"});
-  // All combos share the λ grid.
-  const core::ComboResult* cells[4] = {nullptr, nullptr, nullptr, nullptr};
-  const double velocities[4] = {12.5, 25.0, 50.0, 100.0};
-  for (const auto& combo : sweep.combos) {
-    if (combo.kappa_pn != kappa) continue;
-    for (int i = 0; i < 4; ++i) {
-      if (combo.velocity_ns == velocities[i]) cells[i] = &combo;
+  std::vector<const core::ComboResult*> found;
+  for (const auto& [kappa, v] : cells) {
+    for (const auto& combo : sweep.combos) {
+      if (combo.kappa_pn == kappa && combo.velocity_ns == v) found.push_back(&combo);
     }
   }
-  const auto& grid = cells[0]->pmf.lambda;
+  columns.insert(columns.begin(), "displacement_A");
+  viz::Table table(std::move(columns));
+  const auto& grid = found.front()->pmf.lambda;
   for (std::size_t g = 0; g < grid.size(); g += 2) {
-    table.add_row({grid[g], cells[0]->pmf.phi[g], cells[1]->pmf.phi[g], cells[2]->pmf.phi[g],
-                   cells[3]->pmf.phi[g]});
+    std::vector<double> row{grid[g]};
+    for (const core::ComboResult* cell : found) row.push_back(cell->pmf.phi[g]);
+    table.add_row(row);
   }
   table.write_pretty(std::cout, 2);
 }
 
-void print_panel_d(const core::SweepResult& sweep) {
-  std::printf("\n--- Fig 4d: v = 12.5 A/ns, PMF by kappa ---\n");
-  viz::Table table({"displacement_A", "k=10", "k=100", "k=1000"});
-  const core::ComboResult* cells[3] = {nullptr, nullptr, nullptr};
-  const double kappas[3] = {10.0, 100.0, 1000.0};
-  for (const auto& combo : sweep.combos) {
-    if (combo.velocity_ns != 12.5) continue;
-    for (int i = 0; i < 3; ++i) {
-      if (combo.kappa_pn == kappas[i]) cells[i] = &combo;
-    }
-  }
-  const auto& grid = cells[0]->pmf.lambda;
-  for (std::size_t g = 0; g < grid.size(); g += 2) {
-    table.add_row({grid[g], cells[0]->pmf.phi[g], cells[1]->pmf.phi[g], cells[2]->pmf.phi[g]});
-  }
-  table.write_pretty(std::cout, 2);
+void print_velocity_panel(const char* title, const core::SweepResult& sweep, double kappa) {
+  print_panel(title, sweep, {"v=12.5", "v=25", "v=50", "v=100"},
+              {{kappa, 12.5}, {kappa, 25.0}, {kappa, 50.0}, {kappa, 100.0}});
 }
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E1-E3 | Fig. 4: SMD-JE parameter study (kappa x v sweep)\n");
-  std::printf("      | 10 A sub-trajectory near the pore centre, samples ~ v\n");
-  std::printf("      | (equal compute per cell, the paper's sqrt(8) rule)\n");
-  std::printf("================================================================\n");
+void spice::claims::fig4_pmf(Claim& claim) {
+  std::printf("10 A sub-trajectory near the pore centre, samples ~ v\n");
+  std::printf("(equal compute per cell, the paper's sqrt(8) rule)\n");
 
   core::SweepConfig config;
   config.samples_at_slowest = 6;
@@ -76,10 +68,11 @@ int main() {
 
   const core::SweepResult sweep = core::run_parameter_sweep(config, true);
 
-  print_panel("Fig 4a: kappa = 10 pN/A, PMF (kcal/mol) by velocity", sweep, 10.0);
-  print_panel("Fig 4b: kappa = 100 pN/A, PMF by velocity", sweep, 100.0);
-  print_panel("Fig 4c: kappa = 1000 pN/A, PMF by velocity", sweep, 1000.0);
-  print_panel_d(sweep);
+  print_velocity_panel("Fig 4a: kappa = 10 pN/A, PMF (kcal/mol) by velocity", sweep, 10.0);
+  print_velocity_panel("Fig 4b: kappa = 100 pN/A, PMF by velocity", sweep, 100.0);
+  print_velocity_panel("Fig 4c: kappa = 1000 pN/A, PMF by velocity", sweep, 1000.0);
+  print_panel("Fig 4d: v = 12.5 A/ns, PMF by kappa", sweep, {"k=10", "k=100", "k=1000"},
+              {{10.0, 12.5}, {100.0, 12.5}, {1000.0, 12.5}});
 
   std::printf("\n--- WHAM equilibrium reference (the 'putatively correct' PMF) ---\n");
   viz::Table ref({"xi_A", "phi_ref"});
@@ -104,7 +97,7 @@ int main() {
   std::printf("SELECTED: kappa = %.0f pN/A, v = %.1f A/ns  (paper: 100, 12.5)\n",
               report.best.kappa_pn, report.best.velocity_ns);
 
-  // Headline qualitative checks, printed as PASS/FAIL for EXPERIMENTS.md.
+  // Headline qualitative checks (EXPERIMENTS.md E1-E3).
   auto mean_for = [&](double kappa, bool stat) {
     double sum = 0.0;
     int n = 0;
@@ -116,21 +109,21 @@ int main() {
     }
     return sum / n;
   };
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] kappa=10 has least sigma_stat\n",
-              (mean_for(10, true) < mean_for(100, true) &&
-               mean_for(10, true) < mean_for(1000, true))
-                  ? "PASS"
-                  : "FAIL");
-  std::printf("[%s] kappa=1000 has largest sigma_stat\n",
-              (mean_for(1000, true) > mean_for(100, true) &&
-               mean_for(1000, true) > mean_for(10, true))
-                  ? "PASS"
-                  : "FAIL");
-  std::printf("[%s] kappa=10 has largest sigma_sys among kappa=10/100\n",
-              mean_for(10, false) > mean_for(100, false) ? "PASS" : "FAIL");
-  std::printf("[%s] selected parameters match the paper's (100, 12.5)\n",
-              (report.best.kappa_pn == 100.0 && report.best.velocity_ns == 12.5) ? "PASS"
-                                                                                 : "FAIL");
-  return 0;
+  for (const double kappa : {10.0, 100.0, 1000.0}) {
+    claim.set_group(fmt("kappa_%.0f", kappa), {{"mean_sigma_stat", mean_for(kappa, true)},
+                                               {"mean_sigma_sys", mean_for(kappa, false)}});
+  }
+  claim.set_group("selected", {{"kappa_pn", report.best.kappa_pn},
+                               {"velocity_ns", report.best.velocity_ns}});
+
+  claim.check(mean_for(10, true) < mean_for(100, true) &&
+                  mean_for(10, true) < mean_for(1000, true),
+              "kappa=10 has least sigma_stat");
+  claim.check(mean_for(1000, true) > mean_for(100, true) &&
+                  mean_for(1000, true) > mean_for(10, true),
+              "kappa=1000 has largest sigma_stat");
+  claim.check(mean_for(10, false) > mean_for(100, false),
+              "kappa=10 has largest sigma_sys among kappa=10/100");
+  claim.check(report.best.kappa_pn == 100.0 && report.best.velocity_ns == 12.5,
+              "selected parameters match the paper's (100, 12.5)");
 }

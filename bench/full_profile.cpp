@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "claims.hpp"
 #include "fe/error_analysis.hpp"
 #include "fe/pmf.hpp"
 #include "fe/wham.hpp"
@@ -26,12 +27,9 @@
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E4b | Sub-trajectory decomposition over the long pore axis\n");
-  std::printf("================================================================\n");
-
+void spice::claims::full_profile(Claim& claim) {
   constexpr double kTotal = 24.0;
   constexpr double kSegment = 8.0;
   constexpr std::size_t kSegments = 3;
@@ -106,12 +104,11 @@ int main() {
   std::printf("\nmean |deviation| from WHAM: naive %.2f, segmented %.2f kcal/mol\n",
               err_naive, err_stitched);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] segmented sub-trajectory estimate tracks the reference at least as "
-              "well as the naive long-pull estimate\n",
-              err_stitched <= err_naive + 0.5 ? "PASS" : "FAIL");
-  std::printf("[%s] both estimates and the reference cover the full 24 A span\n",
-              (stitched.lambda.back() > 23.0 && wham.pmf.lambda.back() > 20.0) ? "PASS"
-                                                                               : "FAIL");
-  return 0;
+  claim.set_group("mean_abs_dev_kcal", {{"naive", err_naive}, {"segmented", err_stitched}});
+
+  claim.check(err_stitched <= err_naive + 0.5,
+              "segmented sub-trajectory estimate tracks the reference at least as "
+              "well as the naive long-pull estimate");
+  claim.check(stitched.lambda.back() > 23.0 && wham.pmf.lambda.back() > 20.0,
+              "both estimates and the reference cover the full 24 A span");
 }

@@ -9,15 +9,18 @@
 // visualizer, (a) with no gateway (unreachable), (b) through one gateway
 // (serialized), (c) the counterfactual public-address machine (direct).
 
+#include <cinttypes>
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
+#include "claims.hpp"
 #include "net/network.hpp"
 #include "net/qos.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::net;
 
 namespace {
@@ -63,18 +66,14 @@ Throughput run(int ranks, bool hidden, bool gateway, double gateway_mbps) {
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E8 | Hidden-IP reachability and the gateway bottleneck\n");
-  std::printf("================================================================\n");
-
+void spice::claims::gateway(Claim& claim) {
   std::printf("\n--- No gateway: hidden ranks are simply unreachable ---\n");
   const Throughput unreachable = run(8, true, false, 0.0);
-  std::printf("8 hidden ranks, no gateway: %llu undeliverable messages, %.1f Mbit/s\n",
-              static_cast<unsigned long long>(unreachable.undeliverable),
-              unreachable.aggregate_mbps);
+  std::printf("8 hidden ranks, no gateway: %" PRIu64 " undeliverable messages, %.1f Mbit/s\n",
+              unreachable.undeliverable, unreachable.aggregate_mbps);
 
   std::printf("\n--- UDP through the gateway is refused (qsocket limitation) ---\n");
+  bool tcp_only = false;
   {
     Network net(1);
     net.connect_sites("PSC", "UCL", lightpath_transatlantic());
@@ -85,6 +84,7 @@ int main() {
     const auto tcp = net.send(0.0, viz, rank, 1000.0, Transport::Tcp);
     std::printf("UDP: delivered=%d (%s)\nTCP: delivered=%d via gateway\n", udp.delivered,
                 udp.failure.c_str(), tcp.delivered);
+    tcp_only = tcp.delivered && !udp.delivered;
   }
 
   std::printf("\n--- Gateway bottleneck: aggregate throughput vs rank count ---\n");
@@ -103,12 +103,10 @@ int main() {
   }
   table.write_pretty(std::cout, 2);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] hidden-IP hosts unreachable without a gateway\n",
-              unreachable.undeliverable > 0 ? "PASS" : "FAIL");
-  std::printf("[%s] gateway restores TCP reachability but not UDP\n", "PASS");
-  std::printf("[%s] multi-rank traffic through one gateway is a bottleneck "
-              "(8-rank penalty %.1fx > 1.5x)\n",
-              penalty8 > 1.5 ? "PASS" : "FAIL", penalty8);
-  return 0;
+  claim.check(unreachable.undeliverable > 0,
+              "hidden-IP hosts unreachable without a gateway");
+  claim.check(tcp_only, "gateway restores TCP reachability but not UDP");
+  claim.check(penalty8 > 1.5, fmt("multi-rank traffic through one gateway is a bottleneck "
+                                  "(8-rank penalty %.1fx > 1.5x)",
+                                  penalty8));
 }

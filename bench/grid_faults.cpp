@@ -4,14 +4,13 @@
 // at random afterwards. Measures what checkpoint-credited restarts buy
 // over restart-from-scratch, and that the whole faulted campaign replays
 // bit-identically for a fixed fault seed.
-//
-// Writes BENCH_grid_faults.json (makespan + consumed/credited/wasted
-// CPU-hours for both modes, plus the claim-check verdicts).
 
+#include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <string_view>
 
+#include "claims.hpp"
 #include "grid/faults.hpp"
 #include "grid/metrics.hpp"
 #include "spice/cost_model.hpp"
@@ -19,6 +18,7 @@
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::core;
 
 namespace {
@@ -44,18 +44,13 @@ ExecutionOptions faulted_options(double checkpoint_interval) {
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("Grid fault tolerance | checkpoint credit vs restart-from-scratch\n");
-  std::printf("================================================================\n");
-
+void spice::claims::grid_faults(Claim& claim) {
   const SweepConfig sweep;
   const MdCostModel cost;
   const ProductionPlan plan = plan_production_jobs(sweep, cost, /*equal_replicas=*/6);
-  std::printf("\nplan: %zu jobs, %.0f expected CPU-hours; fault seed %llu with an "
+  std::printf("\nplan: %zu jobs, %.0f expected CPU-hours; fault seed %" PRIu64 " with an "
               "18 h all-sites outage window + random site failures\n",
-              plan.jobs.size(), plan.expected_cpu_hours,
-              static_cast<unsigned long long>(faulted_options(0.0).faults.seed));
+              plan.jobs.size(), plan.expected_cpu_hours, faulted_options(0.0).faults.seed);
 
   const ProductionExecution full = execute_on_federation(plan, faulted_options(0.0));
   const ProductionExecution ckpt = execute_on_federation(plan, faulted_options(1.0));
@@ -74,64 +69,38 @@ int main() {
   add(2, ckpt);
   table.write_pretty(std::cout, 2);
 
-  const bool all_complete = full.campaign.completed == plan.jobs.size() &&
-                            ckpt.campaign.completed == plan.jobs.size() &&
-                            full.campaign.failed == 0 && ckpt.campaign.failed == 0;
-  const bool less_waste = ckpt.wasted_cpu_hours < full.wasted_cpu_hours;
-  const bool less_burn = ckpt.campaign.total_cpu_hours < full.campaign.total_cpu_hours;
-  const bool deterministic = ckpt.makespan_hours == rerun.makespan_hours &&
-                             ckpt.campaign.total_cpu_hours == rerun.campaign.total_cpu_hours &&
-                             ckpt.wasted_cpu_hours == rerun.wasted_cpu_hours;
-  const bool survived_window = ckpt.held_dispatches > 0 && ckpt.checkpoint_restarts > 0;
+  claim.set("fault_seed", faulted_options(0.0).faults.seed);
+  claim.set("jobs", plan.jobs.size());
+  claim.set("checkpoint_credited.checkpoint_interval_hours", 1.0);
+  auto set_mode = [&claim](std::string_view mode, const ProductionExecution& e) {
+    claim.set_group(mode, {{"makespan_hours", e.makespan_hours},
+                           {"completed", e.campaign.completed},
+                           {"consumed_cpu_hours", e.campaign.total_cpu_hours},
+                           {"credited_cpu_hours", e.credited_cpu_hours},
+                           {"wasted_cpu_hours", e.wasted_cpu_hours},
+                           {"held_dispatches", e.held_dispatches},
+                           {"checkpoint_restarts", e.checkpoint_restarts}});
+  };
+  set_mode("restart_from_scratch", full);
+  set_mode("checkpoint_credited", ckpt);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] every job eventually completes despite the all-sites window "
-              "(no job lost to 'no usable site')\n",
-              all_complete ? "PASS" : "FAIL");
-  std::printf("[%s] checkpoint credit wastes strictly fewer CPU-hours (%.0f vs %.0f)\n",
-              less_waste ? "PASS" : "FAIL", ckpt.wasted_cpu_hours, full.wasted_cpu_hours);
-  std::printf("[%s] checkpoint credit burns strictly fewer total CPU-hours (%.0f vs %.0f)\n",
-              less_burn ? "PASS" : "FAIL", ckpt.campaign.total_cpu_hours,
-              full.campaign.total_cpu_hours);
-  std::printf("[%s] fixed fault seed replays the campaign bit-identically\n",
-              deterministic ? "PASS" : "FAIL");
-  std::printf("[%s] the all-sites window exercised held-queue parking AND "
-              "checkpoint-credited restarts (%zu held, %zu resumed)\n",
-              survived_window ? "PASS" : "FAIL", ckpt.held_dispatches,
-              ckpt.checkpoint_restarts);
-
-  std::ofstream json("BENCH_grid_faults.json");
-  json << "{\n"
-       << " \"bench\": \"grid_faults\",\n"
-       << " \"fault_seed\": 2005,\n"
-       << " \"jobs\": " << plan.jobs.size() << ",\n"
-       << " \"restart_from_scratch\": {\n"
-       << "  \"makespan_hours\": " << full.makespan_hours << ",\n"
-       << "  \"completed\": " << full.campaign.completed << ",\n"
-       << "  \"consumed_cpu_hours\": " << full.campaign.total_cpu_hours << ",\n"
-       << "  \"credited_cpu_hours\": " << full.credited_cpu_hours << ",\n"
-       << "  \"wasted_cpu_hours\": " << full.wasted_cpu_hours << ",\n"
-       << "  \"held_dispatches\": " << full.held_dispatches << ",\n"
-       << "  \"checkpoint_restarts\": " << full.checkpoint_restarts << "\n"
-       << " },\n"
-       << " \"checkpoint_credited\": {\n"
-       << "  \"checkpoint_interval_hours\": 1.0,\n"
-       << "  \"makespan_hours\": " << ckpt.makespan_hours << ",\n"
-       << "  \"completed\": " << ckpt.campaign.completed << ",\n"
-       << "  \"consumed_cpu_hours\": " << ckpt.campaign.total_cpu_hours << ",\n"
-       << "  \"credited_cpu_hours\": " << ckpt.credited_cpu_hours << ",\n"
-       << "  \"wasted_cpu_hours\": " << ckpt.wasted_cpu_hours << ",\n"
-       << "  \"held_dispatches\": " << ckpt.held_dispatches << ",\n"
-       << "  \"checkpoint_restarts\": " << ckpt.checkpoint_restarts << "\n"
-       << " },\n"
-       << " \"claims\": {\n"
-       << "  \"all_jobs_complete\": " << (all_complete ? "true" : "false") << ",\n"
-       << "  \"checkpoint_wastes_less\": " << (less_waste ? "true" : "false") << ",\n"
-       << "  \"checkpoint_burns_less\": " << (less_burn ? "true" : "false") << ",\n"
-       << "  \"deterministic_replay\": " << (deterministic ? "true" : "false") << "\n"
-       << " }\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_grid_faults.json\n");
-
-  return (all_complete && less_waste && less_burn && deterministic && survived_window) ? 0 : 1;
+  claim.check(full.campaign.completed == plan.jobs.size() &&
+                  ckpt.campaign.completed == plan.jobs.size() && full.campaign.failed == 0 &&
+                  ckpt.campaign.failed == 0,
+              "every job eventually completes despite the all-sites window "
+              "(no job lost to 'no usable site')");
+  claim.check(ckpt.wasted_cpu_hours < full.wasted_cpu_hours,
+              fmt("checkpoint credit wastes strictly fewer CPU-hours (%.0f vs %.0f)",
+                  ckpt.wasted_cpu_hours, full.wasted_cpu_hours));
+  claim.check(ckpt.campaign.total_cpu_hours < full.campaign.total_cpu_hours,
+              fmt("checkpoint credit burns strictly fewer total CPU-hours (%.0f vs %.0f)",
+                  ckpt.campaign.total_cpu_hours, full.campaign.total_cpu_hours));
+  claim.check(ckpt.makespan_hours == rerun.makespan_hours &&
+                  ckpt.campaign.total_cpu_hours == rerun.campaign.total_cpu_hours &&
+                  ckpt.wasted_cpu_hours == rerun.wasted_cpu_hours,
+              "fixed fault seed replays the campaign bit-identically");
+  claim.check(ckpt.held_dispatches > 0 && ckpt.checkpoint_restarts > 0,
+              fmt("the all-sites window exercised held-queue parking AND "
+                  "checkpoint-credited restarts (%zu held, %zu resumed)",
+                  ckpt.held_dispatches, ckpt.checkpoint_restarts));
 }

@@ -9,11 +9,10 @@
 //                arming; two same-seed runs → replay digest equality.
 //
 // Reports broker events/sec, peak RSS (VmHWM), JobTable peak_rows /
-// bytes_per_row, and the FNV-1a replay digests; writes
-// BENCH_grid_scale.json. `--smoke` runs the 100k-job determinism check
-// only (the CI gate). Exits non-zero when any printed check fails.
+// bytes_per_row, and the FNV-1a replay digests. `--smoke` runs the
+// 100k-job determinism check only (the CI gate).
 
-#include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,12 +21,15 @@
 
 #include <sys/resource.h>
 
+#include "claims.hpp"
 #include "common/rng.hpp"
 #include "grid/faults.hpp"
 #include "grid/federation.hpp"
 #include "grid/metrics.hpp"
+#include "obs/metrics.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::grid;
 
 namespace {
@@ -65,10 +67,6 @@ FaultConfig fault_config(bool lazy) {
 }
 
 // --- measurement helpers -----------------------------------------------------
-
-double wall_seconds(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 /// Peak RSS in MiB: VmHWM from /proc/self/status, getrusage fallback.
 double peak_rss_mib() {
@@ -144,7 +142,7 @@ ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
 
   ArmResult arm;
   Fnv1a fnv;
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = obs::now_us();
   double first_submit = 0.0;
   for (std::size_t wave = 0; wave < waves; ++wave) {
     CampaignConfig config;
@@ -164,7 +162,7 @@ ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
     arm.failed += result.failed;
     hash_campaign(fnv, result);
   }
-  arm.wall_s = wall_seconds(t0);
+  arm.wall_s = (obs::now_us() - t0) * 1e-6;
   arm.events = events.processed();
   arm.makespan_hours = events.now() - first_submit;
   arm.peak_rows = federation.jobs().peak_rows();
@@ -173,121 +171,66 @@ ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
   return arm;
 }
 
+/// Run an arm twice (the replay-digest gate), print both runs and record
+/// the first under `name`; returns it and sets `replay`.
+ArmResult run_replayed(Claim& claim, const std::string& name, std::size_t waves,
+                       std::size_t jobs_per_wave, bool& replay) {
+  const ArmResult arm = run_new_arm(waves, jobs_per_wave);
+  const std::string row_bytes = waves > 1 ? fmt(" (%zu B/row)", JobTable::bytes_per_row()) : "";
+  std::printf("  %.2f s, %" PRIu64 " events (%.0f ev/s), %zu completed / %zu failed, "
+              "peak rows %zu%s, digest %016" PRIx64 "\n",
+              arm.wall_s, arm.events, arm.events_per_sec(), arm.completed, arm.failed,
+              arm.peak_rows, row_bytes.c_str(), arm.digest);
+  const std::uint64_t rerun = run_new_arm(waves, jobs_per_wave).digest;
+  replay = arm.digest == rerun;
+  std::printf("  rerun digest %016" PRIx64 " -> %s\n", rerun,
+              replay ? "bit-identical" : "DIVERGED");
+  claim.set_group(name, {{"jobs", waves * jobs_per_wave}, {"waves", waves},
+                         {"wall_s", arm.wall_s}, {"events", arm.events},
+                         {"events_per_sec", arm.events_per_sec()}, {"completed", arm.completed},
+                         {"failed", arm.failed}, {"makespan_hours", arm.makespan_hours},
+                         {"peak_rows", arm.peak_rows}, {"peak_rss_mib", arm.peak_rss_mib}});
+  claim.set(name + ".digest", fmt("%016" PRIx64, arm.digest));
+  return arm;
+}
+
 }  // namespace
 
-// --- driver ------------------------------------------------------------------
+void spice::claims::grid_scale(Claim& claim) {
+  const bool smoke = claim.smoke();
 
-int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
-
-  std::printf("================================================================\n");
-  std::printf("Grid DES at scale | calendar queue + flyweight rows\n");
-  std::printf("================================================================\n");
-  std::printf("\nfederation: %zu synthetic sites, seed %llu, lazy fault arming "
+  std::printf("\nfederation: %zu synthetic sites, seed %" PRIu64 ", lazy fault arming "
               "(MTBF %.0f h)\n",
-              kSites, static_cast<unsigned long long>(kSeed),
-              fault_config(true).site_mtbf_hours);
+              kSites, kSeed, fault_config(true).site_mtbf_hours);
+  claim.set_group("federation", {{"sites", kSites}, {"seed", kSeed}});
 
-  // Run the gate arm twice for the replay-digest check.
   std::printf("\n[new_100k] %zu jobs, 1 wave ...\n", kGateJobs);
-  const ArmResult new_gate = run_new_arm(1, kGateJobs);
-  std::printf("  %.2f s, %llu events (%.0f ev/s), %zu completed / %zu failed, "
-              "peak rows %zu, digest %016llx\n",
-              new_gate.wall_s, static_cast<unsigned long long>(new_gate.events),
-              new_gate.events_per_sec(), new_gate.completed, new_gate.failed,
-              new_gate.peak_rows, static_cast<unsigned long long>(new_gate.digest));
-  const ArmResult new_gate2 = run_new_arm(1, kGateJobs);
-  const bool gate_replay = new_gate.digest == new_gate2.digest;
-  std::printf("  rerun digest %016llx -> %s\n",
-              static_cast<unsigned long long>(new_gate2.digest),
-              gate_replay ? "bit-identical" : "DIVERGED");
+  bool gate_replay = false;
+  const ArmResult new_gate = run_replayed(claim, "new_100k", 1, kGateJobs, gate_replay);
 
   ArmResult new_million;
-  ArmResult new_million2;
   bool million_replay = true;
   if (!smoke) {
     std::printf("\n[new_1M] %zu waves x %zu jobs ...\n", kWaves, kWaveJobs);
-    new_million = run_new_arm(kWaves, kWaveJobs);
-    std::printf("  %.2f s, %llu events (%.0f ev/s), %zu completed / %zu failed, "
-                "peak rows %zu (%zu B/row), digest %016llx\n",
-                new_million.wall_s, static_cast<unsigned long long>(new_million.events),
-                new_million.events_per_sec(), new_million.completed, new_million.failed,
-                new_million.peak_rows, JobTable::bytes_per_row(),
-                static_cast<unsigned long long>(new_million.digest));
-    new_million2 = run_new_arm(kWaves, kWaveJobs);
-    million_replay = new_million.digest == new_million2.digest;
-    std::printf("  rerun digest %016llx -> %s\n",
-                static_cast<unsigned long long>(new_million2.digest),
-                million_replay ? "bit-identical" : "DIVERGED");
+    new_million = run_replayed(claim, "new_1M", kWaves, kWaveJobs, million_replay);
   }
 
-  // O(active) evidence: 10× the jobs may not cost 10× the resident set.
-  // VmHWM is process-monotone, so the delta over the 100k arm bounds the
-  // 1M arm's extra footprint from above.
-  const double million_extra_mib =
-      smoke ? 0.0 : new_million.peak_rss_mib - new_gate.peak_rss_mib;
-
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] same-seed 100k campaign replays bit-identically\n",
-              gate_replay ? "PASS" : "FAIL");
-  bool complete = true;
-  bool bounded_rows = true;
+  claim.check(gate_replay, "same-seed 100k campaign replays bit-identically");
   if (!smoke) {
-    complete = new_million.completed + new_million.failed == kWaves * kWaveJobs &&
-               new_million.failed == 0;
-    bounded_rows = new_million.peak_rows <= 2 * kWaveJobs;
-    std::printf("[%s] 1M-job faulted campaign completes (%zu completed, %zu failed)\n",
-                complete ? "PASS" : "FAIL", new_million.completed, new_million.failed);
-    std::printf("[%s] same-seed 1M campaign replays bit-identically\n",
-                million_replay ? "PASS" : "FAIL");
-    std::printf("[%s] memory stays O(active): peak rows %zu << %zu total jobs, "
-                "1M arm adds %.0f MiB over the 100k arm\n",
-                bounded_rows ? "PASS" : "FAIL", new_million.peak_rows, kWaves * kWaveJobs,
-                million_extra_mib);
+    // O(active) evidence: 10× the jobs may not cost 10× the resident set.
+    // VmHWM is process-monotone, so the delta over the 100k arm bounds the
+    // 1M arm's extra footprint from above.
+    const double million_extra_mib = new_million.peak_rss_mib - new_gate.peak_rss_mib;
+    claim.set_group("new_1M", {{"bytes_per_row", JobTable::bytes_per_row()},
+                               {"extra_rss_over_100k_mib", million_extra_mib}});
+    claim.check(new_million.completed + new_million.failed == kWaves * kWaveJobs &&
+                    new_million.failed == 0,
+                fmt("1M-job faulted campaign completes (%zu completed, %zu failed)",
+                    new_million.completed, new_million.failed));
+    claim.check(million_replay, "same-seed 1M campaign replays bit-identically");
+    claim.check(new_million.peak_rows <= 2 * kWaveJobs,
+                fmt("memory stays O(active): peak rows %zu << %zu total jobs, "
+                    "1M arm adds %.0f MiB over the 100k arm",
+                    new_million.peak_rows, kWaves * kWaveJobs, million_extra_mib));
   }
-
-  std::ofstream json("BENCH_grid_scale.json");
-  json << "{\n"
-       << " \"bench\": \"grid_scale\",\n"
-       << " \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << " \"sites\": " << kSites << ",\n"
-       << " \"seed\": " << kSeed << ",\n"
-       << " \"new_100k\": {\n"
-       << "  \"jobs\": " << kGateJobs << ",\n"
-       << "  \"wall_s\": " << new_gate.wall_s << ",\n"
-       << "  \"events\": " << new_gate.events << ",\n"
-       << "  \"events_per_sec\": " << new_gate.events_per_sec() << ",\n"
-       << "  \"completed\": " << new_gate.completed << ",\n"
-       << "  \"failed\": " << new_gate.failed << ",\n"
-       << "  \"makespan_hours\": " << new_gate.makespan_hours << ",\n"
-       << "  \"peak_rows\": " << new_gate.peak_rows << ",\n"
-       << "  \"peak_rss_mib\": " << new_gate.peak_rss_mib << ",\n"
-       << "  \"digest\": \"" << std::hex << new_gate.digest << std::dec << "\",\n"
-       << "  \"replay_identical\": " << (gate_replay ? "true" : "false") << "\n"
-       << " }";
-  if (!smoke) {
-    json << ",\n \"new_1M\": {\n"
-         << "  \"jobs\": " << kWaves * kWaveJobs << ",\n"
-         << "  \"waves\": " << kWaves << ",\n"
-         << "  \"wall_s\": " << new_million.wall_s << ",\n"
-         << "  \"events\": " << new_million.events << ",\n"
-         << "  \"events_per_sec\": " << new_million.events_per_sec() << ",\n"
-         << "  \"completed\": " << new_million.completed << ",\n"
-         << "  \"failed\": " << new_million.failed << ",\n"
-         << "  \"makespan_hours\": " << new_million.makespan_hours << ",\n"
-         << "  \"peak_rows\": " << new_million.peak_rows << ",\n"
-         << "  \"bytes_per_row\": " << JobTable::bytes_per_row() << ",\n"
-         << "  \"peak_rss_mib\": " << new_million.peak_rss_mib << ",\n"
-         << "  \"extra_rss_over_100k_mib\": " << million_extra_mib << ",\n"
-         << "  \"digest\": \"" << std::hex << new_million.digest << std::dec << "\",\n"
-         << "  \"replay_identical\": " << (million_replay ? "true" : "false") << "\n"
-         << " }\n";
-  } else {
-    json << "\n";
-  }
-  json << "}\n";
-  std::printf("\nwrote BENCH_grid_scale.json\n");
-
-  const bool pass = gate_replay && million_replay && complete && bounded_rows;
-  return pass ? 0 : 1;
 }

@@ -13,6 +13,7 @@
 #include <iostream>
 #include <vector>
 
+#include "claims.hpp"
 #include "net/network.hpp"
 #include "net/qos.hpp"
 #include "spice/cost_model.hpp"
@@ -20,6 +21,7 @@
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
 namespace {
 
@@ -44,10 +46,7 @@ steering::ImdMetrics run_session(const net::QosSpec& qos, std::size_t window,
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E7 | Interactive MD slowdown vs network QoS (lightpath argument)\n");
-  std::printf("================================================================\n");
+void spice::claims::imd_qos(Claim& claim) {
   std::printf("\nsimulation: 300k atoms on 256 procs (%.3f s/step), 3.6 MB frames\n",
               core::seconds_per_step(core::MdCostModel{}, 256));
 
@@ -100,15 +99,14 @@ int main() {
   }
   rates.write_pretty(std::cout, 3);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] lightpath keeps the 256-proc simulation near full speed "
-              "(efficiency %.2f > 0.9)\n",
-              lightpath_eff > 0.9 ? "PASS" : "FAIL", lightpath_eff);
-  std::printf("[%s] the congested general-purpose internet stalls the simulation "
-              "(efficiency %.2f < 0.6)\n",
-              congested_eff < 0.6 ? "PASS" : "FAIL", congested_eff);
-  std::printf("[%s] lightpath strictly better than both internet paths\n",
-              (lightpath_eff > internet_eff && lightpath_eff > congested_eff) ? "PASS"
-                                                                              : "FAIL");
-  return 0;
+  claim.check(lightpath_eff > 0.9,
+              fmt("lightpath keeps the 256-proc simulation near full speed "
+                  "(efficiency %.2f > 0.9)",
+                  lightpath_eff));
+  claim.check(congested_eff < 0.6,
+              fmt("the congested general-purpose internet stalls the simulation "
+                  "(efficiency %.2f < 0.6)",
+                  congested_eff));
+  claim.check(lightpath_eff > internet_eff && lightpath_eff > congested_eff,
+              "lightpath strictly better than both internet paths");
 }

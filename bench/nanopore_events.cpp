@@ -12,12 +12,14 @@
 #include <iostream>
 #include <vector>
 
+#include "claims.hpp"
 #include "common/statistics.hpp"
 #include "pore/current.hpp"
 #include "pore/system.hpp"
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
 namespace {
 
@@ -77,11 +79,7 @@ VoltageRun run_voltage(double voltage_mv, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E15 | Nanopore current blockades (the motivating experiments)\n");
-  std::printf("================================================================\n");
-
+void spice::claims::nanopore_events(Claim& claim) {
   std::printf("\n--- Blockade events vs driving voltage (4 replicas each) ---\n");
   viz::Table table({"voltage_mv", "events", "mean_dwell_ps", "mean_depth_I/I0"});
   double dwell_low = 0.0;
@@ -104,13 +102,11 @@ int main() {
   }
   table.write_pretty(std::cout, 2);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] blockade events are detected at every voltage\n",
-              (dwell_low > 0.0 && dwell_high > 0.0) ? "PASS" : "FAIL");
-  std::printf("[%s] dwell time falls as the driving voltage rises "
-              "(%.0f ps at 3000 mV vs %.0f ps at 12000 mV)\n",
-              dwell_high < dwell_low ? "PASS" : "FAIL", dwell_low, dwell_high);
+  claim.check(dwell_low > 0.0 && dwell_high > 0.0,
+              "blockade events are detected at every voltage");
+  claim.check(dwell_high < dwell_low, fmt("dwell time falls as the driving voltage rises "
+                                          "(%.0f ps at 3000 mV vs %.0f ps at 12000 mV)",
+                                          dwell_low, dwell_high));
   std::printf("(voltages are exaggerated vs experiment so translocation fits in a\n"
               " laptop-scale trace; the monotone dwell-voltage trend is the claim)\n");
-  return 0;
 }

@@ -1,7 +1,7 @@
 // Observability overhead on the MD hot path (DESIGN.md §8).
 //
-// Measures steady-state force-evaluation cost (the BM_ForceEval workload:
-// 600-bead dense charged chain, kernel path, no rebuilds) across the obs
+// Measures steady-state force-evaluation cost (force_eval_workload.hpp, as
+// md_kernels' BM_ForceEval: 600-bead dense charged chain, kernel path, no rebuilds) across the obs
 // tiers, interleaved round-robin so drift hits every tier equally:
 //
 //   disabled — obs compiled in, every runtime switch off (recorder too)
@@ -20,21 +20,20 @@
 // at ≤2% over the all-off baseline (it ships enabled, so its price IS the
 // default overhead), and the whole ladder — up to and including the
 // exporter tier — at ≤8% over disabled.
-//
-// Writes BENCH_obs_overhead.json with per-tier timings and verdicts.
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "claims.hpp"
+#include "force_eval_workload.hpp"
 #include "md/engine.hpp"
 #include "obs/obs.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::md;
 
 namespace {
@@ -42,35 +41,6 @@ namespace {
 constexpr std::size_t kBeads = 600;
 constexpr std::size_t kEvalsPerRound = 400;
 constexpr std::size_t kRounds = 7;
-
-std::vector<Vec3> random_positions(std::size_t n, double box, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Vec3> xs(n);
-  for (auto& x : xs) {
-    x = {rng.uniform(-box, box), rng.uniform(-box, box), rng.uniform(-box, box)};
-  }
-  return xs;
-}
-
-/// Same workload as bench/md_kernels.cpp's BM_ForceEval.
-Engine make_force_eval_engine(std::size_t threads) {
-  Topology topo;
-  for (std::size_t i = 0; i < kBeads; ++i) {
-    topo.add_particle({.mass = 300.0, .charge = -1.0, .radius = 4.0, .name = "NT"});
-  }
-  for (ParticleIndex i = 0; i + 1 < kBeads; ++i) topo.add_bond({i, i + 1, 10.0, 7.0});
-  for (ParticleIndex i = 0; i + 2 < kBeads; ++i) {
-    topo.add_angle({i, i + 1, i + 2, 5.0, 3.14159});
-  }
-  for (ParticleIndex i = 0; i + 3 < kBeads; ++i) {
-    topo.add_dihedral({i, i + 1, i + 2, i + 3, 0.5, 1, 0.0});
-  }
-  MdConfig cfg;
-  cfg.threads = threads;
-  Engine engine(std::move(topo), NonbondedParams{}, cfg);
-  engine.set_positions(random_positions(kBeads, 35.0, 11));
-  return engine;
-}
 
 enum class Tier { Disabled = 0, Recorder, Metrics, Detail, Exporter };
 constexpr int kTiers = 5;
@@ -98,15 +68,11 @@ double time_burst_us(Engine& engine) {
   return elapsed / static_cast<double>(kEvalsPerRound);
 }
 
-struct TierTiming {
-  double best_us = std::numeric_limits<double>::infinity();
-};
-
-/// Min-of-rounds per tier, tiers interleaved within every round.
-std::vector<TierTiming> measure(std::size_t threads) {
-  Engine engine = make_force_eval_engine(threads);
+/// Min-of-rounds µs per eval for each tier, tiers interleaved within every round.
+std::vector<double> measure(std::size_t threads) {
+  Engine engine = bench::make_force_eval_engine(kBeads, threads);
   engine.compute_energies();  // warm up: neighbour build + segment refresh
-  std::vector<TierTiming> timing(kTiers);
+  std::vector<double> best_us(kTiers, std::numeric_limits<double>::infinity());
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (int t = 0; t < kTiers; ++t) {
       apply_tier(static_cast<Tier>(t));
@@ -126,13 +92,12 @@ std::vector<TierTiming> measure(std::size_t threads) {
       } else {
         us = time_burst_us(engine);
       }
-      timing[static_cast<std::size_t>(t)].best_us =
-          std::min(timing[static_cast<std::size_t>(t)].best_us, us);
+      best_us[static_cast<std::size_t>(t)] = std::min(best_us[static_cast<std::size_t>(t)], us);
     }
   }
   apply_tier(Tier::Disabled);
   obs::set_recorder_enabled(true);  // restore the shipping default
-  return timing;
+  return best_us;
 }
 
 double overhead_pct(double tier_us, double base_us) {
@@ -157,24 +122,23 @@ double disabled_guard_ns() {
 
 }  // namespace
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("obs overhead | force evaluation across observability tiers\n");
-  std::printf("================================================================\n\n");
-
+void spice::claims::obs_overhead(Claim& claim) {
+  std::printf("\n");
   const auto t1 = measure(1);
   const auto t4 = measure(4);
 
   std::printf("%-10s  %14s  %14s\n", "tier", "threads=1 (us)", "threads=4 (us)");
   for (int t = 0; t < kTiers; ++t) {
-    std::printf("%-10s  %14.2f  %14.2f\n", kTierNames[t], t1[t].best_us, t4[t].best_us);
+    std::printf("%-10s  %14.2f  %14.2f\n", kTierNames[t], t1[t], t4[t]);
+    claim.set(fmt("per_eval_us.threads_1.%s", kTierNames[t]), t1[t]);
+    claim.set(fmt("per_eval_us.threads_4.%s", kTierNames[t]), t4[t]);
   }
 
-  const double base1 = t1[0].best_us;
-  const double recorder_pct = overhead_pct(t1[1].best_us, base1);
-  const double metrics_pct = overhead_pct(t1[2].best_us, base1);
-  const double detail_pct = overhead_pct(t1[3].best_us, base1);
-  const double exporter_pct = overhead_pct(t1[4].best_us, base1);
+  const double base1 = t1[0];
+  const double recorder_pct = overhead_pct(t1[1], base1);
+  const double metrics_pct = overhead_pct(t1[2], base1);
+  const double detail_pct = overhead_pct(t1[3], base1);
+  const double exporter_pct = overhead_pct(t1[4], base1);
 
   // Disabled-path cost: guards on the eval path while everything is off.
   // Per evaluation: 1 force_evals counter + ~2 recorder guards + ~16
@@ -191,50 +155,20 @@ int main() {
               "detail %+.2f%%, exporter %+.2f%%\n",
               recorder_pct, metrics_pct, detail_pct, exporter_pct);
 
-  const bool disabled_ok = disabled_pct <= 2.0;
-  const bool recorder_ok = recorder_pct <= 2.0;
   const double ladder_max_pct =
       std::max({recorder_pct, metrics_pct, detail_pct, exporter_pct});
-  const bool ladder_ok = ladder_max_pct <= 8.0;
+  claim.set("workload", "force_eval_600_beads_kernel_path");
+  claim.set_group("ladder", {{"evals_per_round", kEvalsPerRound}, {"rounds", kRounds},
+                             {"disabled_guard_ns", guard_ns},
+                             {"disabled_overhead_pct", disabled_pct},
+                             {"recorder_overhead_pct", recorder_pct},
+                             {"metrics_overhead_pct", metrics_pct},
+                             {"detail_overhead_pct", detail_pct},
+                             {"exporter_overhead_pct", exporter_pct}});
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] obs compiled in but disabled costs <= 2%% of a force eval\n",
-              disabled_ok ? "PASS" : "FAIL");
-  std::printf("[%s] always-on flight recorder costs <= 2%% over all-off (%+.2f%%)\n",
-              recorder_ok ? "PASS" : "FAIL", recorder_pct);
-  std::printf("[%s] full ladder incl. 1 Hz exporter stays <= 8%% (max %+.2f%%)\n",
-              ladder_ok ? "PASS" : "FAIL", ladder_max_pct);
-
-  std::ofstream json("BENCH_obs_overhead.json");
-  json << "{\n"
-       << " \"bench\": \"obs_overhead\",\n"
-       << " \"workload\": \"force_eval_600_beads_kernel_path\",\n"
-       << " \"evals_per_round\": " << kEvalsPerRound << ",\n"
-       << " \"rounds\": " << kRounds << ",\n"
-       << " \"per_eval_us\": {\n";
-  for (int threads : {1, 4}) {
-    const auto& timing = threads == 1 ? t1 : t4;
-    json << "  \"threads_" << threads << "\": {";
-    for (int t = 0; t < kTiers; ++t) {
-      json << "\"" << kTierNames[t] << "\": " << timing[t].best_us
-           << (t + 1 < kTiers ? ", " : "");
-    }
-    json << (threads == 1 ? "},\n" : "}\n");
-  }
-  json << " },\n"
-       << " \"disabled_guard_ns\": " << guard_ns << ",\n"
-       << " \"disabled_overhead_pct\": " << disabled_pct << ",\n"
-       << " \"recorder_overhead_pct\": " << recorder_pct << ",\n"
-       << " \"metrics_overhead_pct\": " << metrics_pct << ",\n"
-       << " \"detail_overhead_pct\": " << detail_pct << ",\n"
-       << " \"exporter_overhead_pct\": " << exporter_pct << ",\n"
-       << " \"claims\": {\n"
-       << "  \"disabled_within_2pct\": " << (disabled_ok ? "true" : "false") << ",\n"
-       << "  \"recorder_within_2pct\": " << (recorder_ok ? "true" : "false") << ",\n"
-       << "  \"full_ladder_within_8pct\": " << (ladder_ok ? "true" : "false") << "\n"
-       << " }\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_obs_overhead.json\n");
-
-  return (disabled_ok && recorder_ok && ladder_ok) ? 0 : 1;
+  claim.check(disabled_pct <= 2.0, "obs compiled in but disabled costs <= 2% of a force eval");
+  claim.check(recorder_pct <= 2.0,
+              fmt("always-on flight recorder costs <= 2%% over all-off (%+.2f%%)", recorder_pct));
+  claim.check(ladder_max_pct <= 8.0,
+              fmt("full ladder incl. 1 Hz exporter stays <= 8%% (max %+.2f%%)", ladder_max_pct));
 }

@@ -18,17 +18,18 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "claims.hpp"
 #include "common/statistics.hpp"
 #include "common/units.hpp"
 #include "md/force_contribution.hpp"
 #include "testkit/testkit.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::testkit;
 
 namespace {
@@ -161,16 +162,10 @@ Arm run_arm(bool bugged) {
   return arm;
 }
 
-bool check(const char* label, bool ok) {
-  std::printf("[%s] %s\n", ok ? "PASS" : "FAIL", label);
-  return ok;
-}
-
 }  // namespace
 
-int main() {
-  std::printf("===== testkit sensitivity: %.0f%% force-scaling bug =====\n",
-              kEpsilonBug * 100);
+void spice::claims::physics_validation(Claim& claim) {
+  std::printf("testkit sensitivity: %.0f%% force-scaling bug\n", kEpsilonBug * 100);
   std::printf("well array, 8 seeds x %zu snapshots per arm; gates: z < 4, "
               "FD < 2e-5, golden NormBounded\n\n",
               kSnapshots);
@@ -193,9 +188,12 @@ int main() {
                          static_cast<int>(bugged.fd_error >= 2e-5) +
                          static_cast<int>(!drift.ok);
 
-  bool ok = true;
-  ok &= check("clean build passes every gate", clean_ok);
-  ok &= check("bugged build trips >= 2 independent gates", detections >= 2);
+  claim.set_group("clean", {{"equipartition_z", clean.equipartition_z},
+                           {"fd_error", clean.fd_error}});
+  claim.set_group("bugged", {{"equipartition_z", bugged.equipartition_z},
+                            {"fd_error", bugged.fd_error}});
+
+  claim.check(clean_ok, "clean build passes every gate");
+  claim.check(detections >= 2, "bugged build trips >= 2 independent gates");
   std::printf("(%d of 3 detectors flagged the bug)\n", detections);
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

@@ -17,10 +17,10 @@
 //                 threads: session log and final checkpoint digests must
 //                 be bit-identical (thread-count-invariant steering).
 //
-// Writes BENCH_steering_hub.json (CWD). `--smoke` scales the main arm to
-// 1k clients — the CI configuration.
+// `--smoke` scales the main arm to 1k clients — the CI configuration.
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "claims.hpp"
 #include "common/json.hpp"
 #include "hub/harness.hpp"
 #include "net/qos.hpp"
@@ -40,17 +41,12 @@
 #include "testkit/golden.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 using namespace spice::hub;
 
 namespace {
 
 constexpr std::uint64_t kSeed = 2005;
-
-double wall_now() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point anchor = clock::now();
-  return std::chrono::duration<double>(clock::now() - anchor).count();
-}
 
 HarnessConfig base_config() {
   HarnessConfig config;
@@ -107,9 +103,9 @@ struct HubArm {
 HubArm run_hub_arm(const HarnessConfig& config) {
   steering::SessionLog log;
   HubArm arm;
-  const double t0 = wall_now();
+  const double t0 = obs::now_us();
   arm.metrics = HubHarness(config, nullptr, &log).run();
-  arm.bench_wall_s = wall_now() - t0;
+  arm.bench_wall_s = (obs::now_us() - t0) * 1e-6;
   arm.log_digest = testkit::fnv1a64(arm.metrics.session_log_bytes);
   return arm;
 }
@@ -144,24 +140,10 @@ std::pair<std::uint64_t, std::uint64_t> run_real_arm(std::size_t threads) {
           testkit::fnv1a64(sim.engine().checkpoint().bytes)};
 }
 
-void write_histogram(std::ofstream& json, const obs::HistogramSample& h,
-                     const char* indent) {
-  json << indent << "{\"name\": \"" << h.name << "\", \"count\": " << h.count
-       << ", \"mean\": " << h.mean() << ", \"bounds\": [";
-  for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-    json << (i ? ", " : "") << h.bounds[i];
-  }
-  json << "], \"counts\": [";
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    json << (i ? ", " : "") << h.counts[i];
-  }
-  json << "]}";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+void spice::claims::steering_hub(Claim& claim) {
+  const bool smoke = claim.smoke();
   const std::size_t clients = smoke ? 1000 : 10000;
   obs::set_metrics_enabled(true);
 
@@ -171,9 +153,8 @@ int main(int argc, char** argv) {
   // --- baseline: zero clients ------------------------------------------------
   HarnessConfig zero = base_config();
   const HubArm baseline = run_hub_arm(zero);
-  std::printf("baseline (0 clients):   sim %.2f virtual s over %llu frames (%.2fs bench)\n",
-              baseline.metrics.sim_elapsed_s,
-              static_cast<unsigned long long>(baseline.metrics.frames_published),
+  std::printf("baseline (0 clients):   sim %.2f virtual s over %" PRIu64 " frames (%.2fs bench)\n",
+              baseline.metrics.sim_elapsed_s, baseline.metrics.frames_published,
               baseline.bench_wall_s);
 
   // --- main arm: mixed QoS tiers --------------------------------------------
@@ -181,39 +162,30 @@ int main(int argc, char** argv) {
   const HubArm hub_run = run_hub_arm(mixed);
   const obs::MetricsSnapshot snap = obs::metrics().snapshot();  // before repeat
   const HubArm repeat = run_hub_arm(mixed);
+  const HubRunMetrics& m = hub_run.metrics;
 
   const double degradation =
-      (hub_run.metrics.sim_elapsed_s - baseline.metrics.sim_elapsed_s) /
-      baseline.metrics.sim_elapsed_s;
-  const bool deterministic =
-      hub_run.log_digest == repeat.log_digest &&
-      hub_run.metrics.hub.updates_sent == repeat.metrics.hub.updates_sent &&
-      hub_run.metrics.hub.bytes_sent == repeat.metrics.hub.bytes_sent &&
-      hub_run.metrics.elapsed_s == repeat.metrics.elapsed_s;
+      (m.sim_elapsed_s - baseline.metrics.sim_elapsed_s) / baseline.metrics.sim_elapsed_s;
+  const bool deterministic = hub_run.log_digest == repeat.log_digest &&
+                             m.hub.updates_sent == repeat.metrics.hub.updates_sent &&
+                             m.hub.bytes_sent == repeat.metrics.hub.bytes_sent &&
+                             m.elapsed_s == repeat.metrics.elapsed_s;
 
   std::printf("hub (%zu clients):     sim %.2f virtual s, session drained at %.1f s (%.2fs bench)\n",
-              clients, hub_run.metrics.sim_elapsed_s, hub_run.metrics.elapsed_s,
-              hub_run.bench_wall_s);
-  std::printf("  updates %llu (%llu kf / %llu delta), dropped %llu, resyncs %llu, %.1f MB\n",
-              static_cast<unsigned long long>(hub_run.metrics.hub.updates_sent),
-              static_cast<unsigned long long>(hub_run.metrics.hub.keyframes_sent),
-              static_cast<unsigned long long>(hub_run.metrics.hub.deltas_sent),
-              static_cast<unsigned long long>(hub_run.metrics.hub.frames_dropped),
-              static_cast<unsigned long long>(hub_run.metrics.hub.resyncs),
-              hub_run.metrics.hub.bytes_sent / 1e6);
-  std::printf("  commands accepted %llu / rejected %llu, token grants %llu denials %llu\n",
-              static_cast<unsigned long long>(hub_run.metrics.hub.commands_accepted),
-              static_cast<unsigned long long>(hub_run.metrics.hub.commands_rejected),
-              static_cast<unsigned long long>(hub_run.metrics.hub.token_grants),
-              static_cast<unsigned long long>(hub_run.metrics.hub.token_denials));
-  for (const auto& tier : hub_run.metrics.tiers) {
-    std::printf("  tier %-10s %5zu clients: %7llu acked, rtt %.3fs, max lag %llu, "
-                "dropped %llu, resyncs %llu\n",
-                tier.name.c_str(), tier.clients,
-                static_cast<unsigned long long>(tier.updates_delivered), tier.mean_rtt_s,
-                static_cast<unsigned long long>(tier.max_lag_frames),
-                static_cast<unsigned long long>(tier.frames_dropped),
-                static_cast<unsigned long long>(tier.resyncs));
+              clients, m.sim_elapsed_s, m.elapsed_s, hub_run.bench_wall_s);
+  std::printf("  updates %" PRIu64 " (%" PRIu64 " kf / %" PRIu64 " delta), dropped %" PRIu64
+              ", resyncs %" PRIu64 ", %.1f MB\n",
+              m.hub.updates_sent, m.hub.keyframes_sent, m.hub.deltas_sent, m.hub.frames_dropped,
+              m.hub.resyncs, m.hub.bytes_sent / 1e6);
+  std::printf("  commands accepted %" PRIu64 " / rejected %" PRIu64 ", token grants %" PRIu64
+              " denials %" PRIu64 "\n",
+              m.hub.commands_accepted, m.hub.commands_rejected, m.hub.token_grants,
+              m.hub.token_denials);
+  for (const auto& tier : m.tiers) {
+    std::printf("  tier %-10s %5zu clients: %7" PRIu64 " acked, rtt %.3fs, max lag %" PRIu64
+                ", dropped %" PRIu64 ", resyncs %" PRIu64 "\n",
+                tier.name.c_str(), tier.clients, tier.updates_delivered, tier.mean_rtt_s,
+                tier.max_lag_frames, tier.frames_dropped, tier.resyncs);
   }
 
   // --- naive direct fan-out contrast -----------------------------------------
@@ -221,18 +193,16 @@ int main(int argc, char** argv) {
   naive_cfg.total_steps = 400;  // 40 frames suffice; each one is painful
   const NaiveFanoutMetrics naive = run_naive_fanout(naive_cfg, /*ack_timeout_s=*/5.0);
   std::printf("\nnaive fan-out (100 clients, no broker): wall %.1fs vs ideal %.1fs "
-              "(degradation %.0f%%, %llu timeouts)\n",
-              naive.wall_s, naive.ideal_s, 100.0 * naive.degradation(),
-              static_cast<unsigned long long>(naive.frames_timed_out));
+              "(degradation %.0f%%, %" PRIu64 " timeouts)\n",
+              naive.wall_s, naive.ideal_s, 100.0 * naive.degradation(), naive.frames_timed_out);
 
   // --- real engine, thread invariance ----------------------------------------
   const auto [log1, state1] = run_real_arm(1);
   const auto [log8, state8] = run_real_arm(8);
   const bool thread_invariant = log1 == log8 && state1 == state8;
-  std::printf("real engine 1 vs 8 threads: log %016llx/%016llx state %016llx/%016llx\n",
-              static_cast<unsigned long long>(log1), static_cast<unsigned long long>(log8),
-              static_cast<unsigned long long>(state1),
-              static_cast<unsigned long long>(state8));
+  std::printf("real engine 1 vs 8 threads: log %016" PRIx64 "/%016" PRIx64 " state %016" PRIx64
+              "/%016" PRIx64 "\n",
+              log1, log8, state1, state8);
 
   // --- forced stall -> post-mortem black-box dump -----------------------------
   // Arm the dumper, then wedge a watchdog gauge probe: the ring-occupancy
@@ -273,96 +243,62 @@ int main(int argc, char** argv) {
                         causal.find("md.force_eval") != std::string::npos &&
                         causal.find("hub.update_sent") != std::string::npos;
     gate_postmortem = fired > 0 && obs::post_mortem_dump_count() > 0 && parseable && linked;
-    std::printf("\npost-mortem: stall alerts %zu, dumps %llu, flight %zu B, causal %zu B — "
+    std::printf("\npost-mortem: stall alerts %zu, dumps %" PRIu64 ", flight %zu B, causal %zu B — "
                 "parseable %s, session->engine linkage %s\n",
-                fired, static_cast<unsigned long long>(obs::post_mortem_dump_count()),
-                flight.size(), causal.size(), parseable ? "yes" : "NO",
-                linked ? "yes" : "NO");
+                fired, obs::post_mortem_dump_count(), flight.size(), causal.size(),
+                parseable ? "yes" : "NO", linked ? "yes" : "NO");
   }
 
   // --- gates ------------------------------------------------------------------
-  const bool gate_degradation = degradation <= 0.05;
-  const bool gate_ring = hub_run.metrics.peak_ring <= hub_run.metrics.ring_capacity;
   const bool gate_naive = naive.degradation() > 10.0 * (degradation < 0.0 ? 0.0 : degradation) &&
                           naive.degradation() > 0.5;
-  std::printf("\ngate: sim degradation %.3f%% <= 5%% ............ %s\n", 100.0 * degradation,
-              gate_degradation ? "PASS" : "FAIL");
-  std::printf("gate: peak ring %zu <= capacity %zu ............ %s\n",
-              hub_run.metrics.peak_ring, hub_run.metrics.ring_capacity,
-              gate_ring ? "PASS" : "FAIL");
-  std::printf("gate: same-seed repeat bit-identical ........... %s\n",
-              deterministic ? "PASS" : "FAIL");
-  std::printf("gate: thread-count-invariant session ........... %s\n",
-              thread_invariant ? "PASS" : "FAIL");
-  std::printf("gate: naive fan-out demonstrably worse ......... %s\n",
-              gate_naive ? "PASS" : "FAIL");
-  std::printf("gate: stall dump parseable + causally linked ... %s\n",
-              gate_postmortem ? "PASS" : "FAIL");
+  claim.check(degradation <= 0.05,
+              fmt("sim degradation %.3f%% <= 5%%", 100.0 * degradation));
+  claim.check(m.peak_ring <= m.ring_capacity,
+              fmt("peak ring %zu <= capacity %zu", m.peak_ring, m.ring_capacity));
+  claim.check(deterministic, "same-seed repeat bit-identical");
+  claim.check(thread_invariant, "thread-count-invariant session");
+  claim.check(gate_naive, "naive fan-out demonstrably worse");
+  claim.check(gate_postmortem, "stall dump parseable + causally linked");
 
-  // --- JSON -------------------------------------------------------------------
-  std::ofstream json("BENCH_steering_hub.json");
-  json << "{\n"
-       << " \"bench\": \"steering_hub\",\n"
-       << " \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << " \"clients\": " << clients << ",\n"
-       << " \"baseline\": {\"sim_elapsed_s\": " << baseline.metrics.sim_elapsed_s
-       << ", \"frames\": " << baseline.metrics.frames_published << "},\n"
-       << " \"hub\": {\n"
-       << "  \"sim_elapsed_s\": " << hub_run.metrics.sim_elapsed_s << ",\n"
-       << "  \"session_elapsed_s\": " << hub_run.metrics.elapsed_s << ",\n"
-       << "  \"degradation\": " << degradation << ",\n"
-       << "  \"peak_ring\": " << hub_run.metrics.peak_ring << ",\n"
-       << "  \"ring_capacity\": " << hub_run.metrics.ring_capacity << ",\n"
-       << "  \"updates_sent\": " << hub_run.metrics.hub.updates_sent << ",\n"
-       << "  \"keyframes_sent\": " << hub_run.metrics.hub.keyframes_sent << ",\n"
-       << "  \"deltas_sent\": " << hub_run.metrics.hub.deltas_sent << ",\n"
-       << "  \"frames_dropped\": " << hub_run.metrics.hub.frames_dropped << ",\n"
-       << "  \"resyncs\": " << hub_run.metrics.hub.resyncs << ",\n"
-       << "  \"bytes_sent\": " << hub_run.metrics.hub.bytes_sent << ",\n"
-       << "  \"commands_accepted\": " << hub_run.metrics.hub.commands_accepted << ",\n"
-       << "  \"commands_rejected\": " << hub_run.metrics.hub.commands_rejected << ",\n"
-       << "  \"worker_busy_s\": " << hub_run.metrics.hub.worker_busy_s << ",\n"
-       << "  \"log_digest\": \"" << std::hex << hub_run.log_digest << std::dec << "\",\n"
-       << "  \"bench_wall_s\": " << hub_run.bench_wall_s << ",\n"
-       << "  \"tiers\": [\n";
-  for (std::size_t i = 0; i < hub_run.metrics.tiers.size(); ++i) {
-    const auto& tier = hub_run.metrics.tiers[i];
-    json << "   {\"name\": \"" << tier.name << "\", \"clients\": " << tier.clients
-         << ", \"updates_delivered\": " << tier.updates_delivered
-         << ", \"mean_rtt_s\": " << tier.mean_rtt_s
-         << ", \"max_lag_frames\": " << tier.max_lag_frames
-         << ", \"frames_dropped\": " << tier.frames_dropped
-         << ", \"resyncs\": " << tier.resyncs << ", \"bytes\": " << tier.bytes << "}"
-         << (i + 1 < hub_run.metrics.tiers.size() ? ",\n" : "\n");
+  // --- metrics ----------------------------------------------------------------
+  auto hex = [](std::uint64_t digest) { return fmt("%016" PRIx64, digest); };
+  claim.set("clients", clients);
+  claim.set_group("baseline", {{"sim_elapsed_s", baseline.metrics.sim_elapsed_s},
+                               {"frames", baseline.metrics.frames_published}});
+  claim.set_group("hub", {{"sim_elapsed_s", m.sim_elapsed_s}, {"session_elapsed_s", m.elapsed_s},
+                          {"degradation", degradation}, {"peak_ring", m.peak_ring},
+                          {"ring_capacity", m.ring_capacity},
+                          {"updates_sent", m.hub.updates_sent},
+                          {"keyframes_sent", m.hub.keyframes_sent},
+                          {"deltas_sent", m.hub.deltas_sent},
+                          {"frames_dropped", m.hub.frames_dropped}, {"resyncs", m.hub.resyncs},
+                          {"bytes_sent", m.hub.bytes_sent},
+                          {"commands_accepted", m.hub.commands_accepted},
+                          {"commands_rejected", m.hub.commands_rejected},
+                          {"worker_busy_s", m.hub.worker_busy_s},
+                          {"bench_wall_s", hub_run.bench_wall_s}});
+  claim.set("hub.log_digest", hex(hub_run.log_digest));
+  for (const auto& tier : m.tiers) {
+    claim.set_group("hub.tier." + tier.name,
+                    {{"clients", tier.clients}, {"updates_delivered", tier.updates_delivered},
+                     {"mean_rtt_s", tier.mean_rtt_s}, {"max_lag_frames", tier.max_lag_frames},
+                     {"frames_dropped", tier.frames_dropped}, {"resyncs", tier.resyncs},
+                     {"bytes", tier.bytes}});
   }
-  json << "  ],\n"
-       << "  \"histograms\": [\n";
-  bool first = true;
   for (const auto& h : snap.histograms) {
     if (h.name.rfind("hub.", 0) != 0) continue;
-    if (!first) json << ",\n";
-    first = false;
-    write_histogram(json, h, "   ");
+    const std::string prefix = "hub.histogram." + h.name;
+    claim.set_group(prefix, {{"count", h.count}, {"mean", h.mean()}});
+    claim.set(prefix + ".bounds", h.bounds);
+    claim.set(prefix + ".counts", std::vector<double>(h.counts.begin(), h.counts.end()));
   }
-  json << "\n  ]\n"
-       << " },\n"
-       << " \"naive_fanout\": {\"clients\": 100, \"wall_s\": " << naive.wall_s
-       << ", \"ideal_s\": " << naive.ideal_s << ", \"stall_s\": " << naive.stall_s
-       << ", \"degradation\": " << naive.degradation()
-       << ", \"frames_timed_out\": " << naive.frames_timed_out << "},\n"
-       << " \"real_engine\": {\"log_digest_t1\": \"" << std::hex << log1
-       << "\", \"log_digest_t8\": \"" << log8 << "\", \"state_digest_t1\": \"" << state1
-       << "\", \"state_digest_t8\": \"" << state8 << std::dec << "\"},\n"
-       << " \"gates\": {\"degradation\": " << (gate_degradation ? "true" : "false")
-       << ", \"peak_ring\": " << (gate_ring ? "true" : "false")
-       << ", \"deterministic\": " << (deterministic ? "true" : "false")
-       << ", \"thread_invariant\": " << (thread_invariant ? "true" : "false")
-       << ", \"naive_contrast\": " << (gate_naive ? "true" : "false")
-       << ", \"postmortem_dump\": " << (gate_postmortem ? "true" : "false") << "}\n"
-       << "}\n";
-  std::printf("\nwrote BENCH_steering_hub.json\n");
-
-  const bool all = gate_degradation && gate_ring && deterministic && thread_invariant &&
-                   gate_naive && gate_postmortem;
-  return all ? 0 : 1;
+  claim.set_group("naive_fanout", {{"clients", 100}, {"wall_s", naive.wall_s},
+                                   {"ideal_s", naive.ideal_s}, {"stall_s", naive.stall_s},
+                                   {"degradation", naive.degradation()},
+                                   {"frames_timed_out", naive.frames_timed_out}});
+  claim.set("real_engine.log_digest_t1", hex(log1));
+  claim.set("real_engine.log_digest_t8", hex(log8));
+  claim.set("real_engine.state_digest_t1", hex(state1));
+  claim.set("real_engine.state_digest_t8", hex(state8));
 }

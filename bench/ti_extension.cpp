@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "claims.hpp"
 #include "fe/pmf.hpp"
 #include "fe/ti.hpp"
 #include "md/observables.hpp"
@@ -20,12 +21,9 @@
 #include "viz/series_writer.hpp"
 
 using namespace spice;
+using namespace spice::claims;
 
-int main() {
-  std::printf("================================================================\n");
-  std::printf("E12 | Thermodynamic-integration extension on the same pipeline\n");
-  std::printf("================================================================\n");
-
+void spice::claims::ti_extension(Claim& claim) {
   core::SweepConfig config;
   config.kappas_pn = {100.0};
   config.velocities_ns = {12.5};
@@ -89,10 +87,9 @@ int main() {
               "%.2f days makespan\n",
               plan.jobs.size(), exec.campaign.total_cpu_hours, exec.makespan_days);
 
-  std::printf("\n--- Claim checks ---\n");
-  std::printf("[%s] TI and WHAM agree along the profile (max |dev| %.2f kcal/mol < 4)\n",
-              max_ti_wham_dev < 4.0 ? "PASS" : "FAIL", max_ti_wham_dev);
-  std::printf("[%s] TI windows executed as ordinary grid jobs on the federation\n",
-              exec.campaign.completed == plan.jobs.size() ? "PASS" : "FAIL");
-  return 0;
+  claim.check(max_ti_wham_dev < 4.0,
+              fmt("TI and WHAM agree along the profile (max |dev| %.2f kcal/mol < 4)",
+                  max_ti_wham_dev));
+  claim.check(exec.campaign.completed == plan.jobs.size(),
+              "TI windows executed as ordinary grid jobs on the federation");
 }
