@@ -8,6 +8,7 @@
 // quantifying how much the (harder to schedule, notes §VI) bidirectional
 // protocol would have bought the original study.
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -44,16 +45,20 @@ void spice::claims::ablation_estimators(Claim& claim) {
   double bar_err_fast = 0.0;
   for (const double velocity : {50.0, 200.0}) {
     const std::size_t n = 10;
-    std::vector<smd::PullResult> forward;
-    std::vector<double> wf;
-    std::vector<double> wr;
+    std::vector<std::uint64_t> forward_seeds;
+    std::vector<std::uint64_t> reverse_seeds;
     for (std::size_t r = 0; r < n; ++r) {
-      forward.push_back(
-          core::run_single_pull(master, config, 100.0, velocity, 9000 + r * 7));
-      wf.push_back(forward.back().samples.back().work);
-      const auto rev =
-          core::run_reverse_pull(master, config, 100.0, velocity, 9500 + r * 7);
-      wr.push_back(rev.samples.back().work);
+      forward_seeds.push_back(9000 + r * 7);
+      reverse_seeds.push_back(9500 + r * 7);
+    }
+    const std::vector<smd::PullResult> forward =
+        core::run_forward_pulls(master, config, 100.0, velocity, forward_seeds);
+    std::vector<double> wf;
+    for (const auto& pull : forward) wf.push_back(pull.samples.back().work);
+    std::vector<double> wr;
+    for (const auto& pull :
+         core::run_reverse_pulls(master, config, 100.0, velocity, reverse_seeds)) {
+      wr.push_back(pull.samples.back().work);
     }
     const fe::WorkEnsemble ensemble =
         fe::grid_work_ensemble(forward, config.pull_distance, config.grid_points);

@@ -12,15 +12,16 @@
 // estimate stays closer to the WHAM reference because each JE average
 // operates at low accumulated dissipation.
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "claims.hpp"
 #include "fe/error_analysis.hpp"
 #include "fe/pmf.hpp"
 #include "fe/wham.hpp"
+#include "md/ensemble_engine.hpp"
 #include "md/observables.hpp"
 #include "pore/system.hpp"
 #include "smd/pulling.hpp"
@@ -46,18 +47,14 @@ void spice::claims::full_profile(Claim& claim) {
 
   std::printf("\nrunning %zu pulls of %.0f A at v = %.0f A/ns, kappa = %.0f pN/A...\n",
               kReplicas, kTotal, kVelocity, kKappa);
-  std::vector<smd::PullResult> pulls;
-  for (std::size_t r = 0; r < kReplicas; ++r) {
-    md::Engine engine = master.engine.clone(6000 + r);
-    smd::SmdParams params;
-    params.spring_pn_per_angstrom = kKappa;
-    params.velocity_angstrom_per_ns = kVelocity;
-    params.smd_atoms = {0};
-    auto pull = std::make_shared<smd::ConstantVelocityPull>(params);
-    pull->attach(engine);
-    engine.add_contribution(pull);
-    pulls.push_back(smd::run_pull(engine, *pull, kTotal, 300));
-  }
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t r = 0; r < kReplicas; ++r) seeds.push_back(6000 + r);
+  md::EnsembleEngine ensemble(master.engine, seeds, {.threads = master.engine.config().threads});
+  smd::SmdParams params;
+  params.spring_pn_per_angstrom = kKappa;
+  params.velocity_angstrom_per_ns = kVelocity;
+  params.smd_atoms = {0};
+  const std::vector<smd::PullResult> pulls = smd::run_pulls(ensemble, params, kTotal, 300);
 
   // Naive: one JE estimate across the whole 24 Å.
   const fe::WorkEnsemble whole = fe::grid_work_ensemble(pulls, kTotal, 25);

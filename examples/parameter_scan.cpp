@@ -3,13 +3,14 @@
 // pull split into 10 Å segments whose PMFs are JE-estimated independently
 // and stitched back together.
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "fe/error_analysis.hpp"
 #include "fe/pmf.hpp"
+#include "md/ensemble_engine.hpp"
 #include "pore/system.hpp"
 #include "smd/pulling.hpp"
 #include "spice/campaign.hpp"
@@ -54,18 +55,13 @@ int main() {
   system_config.md.seed = 23;
   const pore::TranslocationSystem master = pore::build_translocation_system(system_config);
 
-  std::vector<smd::PullResult> pulls;
-  for (int replica = 0; replica < 6; ++replica) {
-    md::Engine engine = master.engine.clone(500 + replica);
-    smd::SmdParams params;
-    params.spring_pn_per_angstrom = choice.best.kappa_pn;
-    params.velocity_angstrom_per_ns = 200.0;
-    params.smd_atoms = {0};
-    auto pull = std::make_shared<smd::ConstantVelocityPull>(params);
-    pull->attach(engine);
-    engine.add_contribution(pull);
-    pulls.push_back(smd::run_pull(engine, *pull, 8.0));
-  }
+  const std::vector<std::uint64_t> seeds{500, 501, 502, 503, 504, 505};
+  md::EnsembleEngine ensemble(master.engine, seeds);
+  smd::SmdParams params;
+  params.spring_pn_per_angstrom = choice.best.kappa_pn;
+  params.velocity_angstrom_per_ns = 200.0;
+  params.smd_atoms = {0};
+  const std::vector<smd::PullResult> pulls = smd::run_pulls(ensemble, params, 8.0);
 
   const auto segments = fe::split_subtrajectories(pulls, 4.0, 2, 9);
   std::vector<fe::PmfEstimate> parts;

@@ -7,12 +7,13 @@
 //
 // Build & run:   ./build/examples/quickstart
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "fe/jarzynski.hpp"
+#include "md/ensemble_engine.hpp"
 #include "pore/system.hpp"
 #include "smd/pulling.hpp"
 #include "viz/ascii_render.hpp"
@@ -40,19 +41,17 @@ int main() {
   params.velocity_angstrom_per_ns = 100.0;
   params.smd_atoms = {system.dna_selection.front()};  // the C3'-equivalent bead
 
-  std::vector<smd::PullResult> pulls;
-  constexpr int kReplicas = 6;
+  //    Each replica starts from the equilibrated system under its own
+  //    stochastic seed; the ensemble steps them all together.
   constexpr double kDistance = 5.0;  // Å
-  for (int replica = 0; replica < kReplicas; ++replica) {
-    md::Engine engine = system.engine.clone(/*clone_seed=*/100 + replica);
-    auto pull = std::make_shared<smd::ConstantVelocityPull>(params);
-    pull->attach(engine);
-    engine.add_contribution(pull);
-    pulls.push_back(smd::run_pull(engine, *pull, kDistance));
-    std::printf("replica %d: pulled %.1f A in %llu steps, W = %+.2f kcal/mol\n", replica,
-                pulls.back().pulled_distance,
-                static_cast<unsigned long long>(pulls.back().steps),
-                pulls.back().samples.back().work);
+  const std::vector<std::uint64_t> seeds{100, 101, 102, 103, 104, 105};
+  md::EnsembleEngine replicas(system.engine, seeds);
+  const std::vector<smd::PullResult> pulls = smd::run_pulls(replicas, params, kDistance);
+  for (std::size_t replica = 0; replica < pulls.size(); ++replica) {
+    std::printf("replica %zu: pulled %.1f A in %llu steps, W = %+.2f kcal/mol\n", replica,
+                pulls[replica].pulled_distance,
+                static_cast<unsigned long long>(pulls[replica].steps),
+                pulls[replica].samples.back().work);
   }
 
   // 4. Jarzynski: Φ(λ) = −kT ln ⟨exp(−βW(λ))⟩ over the ensemble.

@@ -115,35 +115,44 @@ double ConstantForcePull::accumulate_range(std::span<const Vec3> /*positions*/,
   return 0.0;
 }
 
+namespace {
+
+PullSample sample_of(const ConstantVelocityPull& pull, double time) {
+  return {time, pull.lambda(), pull.xi(), pull.spring_force(), pull.work()};
+}
+
+/// The one pull schedule: hold_ps plus distance/v of anchor travel,
+/// rounded up to whole steps; `record` runs at attach (λ = 0), after every
+/// `sample_every` steps and always after the final step, and `advance(n)`
+/// steps the engine(s) n times between records. Returns the step count.
+template <class Advance, class Record>
+std::uint64_t drive_pull(const SmdParams& params, double dt, double distance,
+                         std::size_t sample_every, Advance&& advance, Record&& record) {
+  SPICE_REQUIRE(distance > 0.0, "pull distance must be positive");
+  SPICE_REQUIRE(sample_every > 0, "sample_every must be positive");
+  const auto total_steps = static_cast<std::uint64_t>(
+      std::ceil((distance / params.velocity_internal() + params.hold_ps) / dt));
+  record();
+  for (std::uint64_t done = 0; done < total_steps;) {
+    const std::uint64_t next = std::min<std::uint64_t>(total_steps, done + sample_every);
+    advance(next - done);
+    done = next;
+    record();
+  }
+  return total_steps;
+}
+
+}  // namespace
+
 PullResult run_pull(spice::md::Engine& engine, ConstantVelocityPull& pull, double distance,
                     std::size_t sample_every) {
   SPICE_REQUIRE(pull.attached(), "run_pull needs an attached pull");
-  SPICE_REQUIRE(distance > 0.0, "pull distance must be positive");
-  SPICE_REQUIRE(sample_every > 0, "sample_every must be positive");
-
   PullResult result;
-  auto record = [&] {
-    PullSample s;
-    s.time = engine.time();
-    s.lambda = pull.lambda();
-    s.xi = pull.xi();
-    s.force = pull.spring_force();
-    s.work = pull.work();
-    result.samples.push_back(s);
-  };
-
-  const double dt = engine.config().dt;
-  const double v = pull.params().velocity_internal();
-  const auto total_steps = static_cast<std::uint64_t>(
-      std::ceil((distance / v + pull.params().hold_ps) / dt));
-
-  record();  // λ = 0 starting point
-  for (std::uint64_t s = 0; s < total_steps; ++s) {
-    engine.step();
-    if ((s + 1) % sample_every == 0 || s + 1 == total_steps) record();
-  }
+  result.steps = drive_pull(
+      pull.params(), engine.config().dt, distance, sample_every,
+      [&](std::uint64_t n) { engine.step(n); },
+      [&] { result.samples.push_back(sample_of(pull, engine.time())); });
   result.pulled_distance = pull.lambda();
-  result.steps = total_steps;
   return result;
 }
 
@@ -152,46 +161,43 @@ std::vector<PullResult> run_ensemble_pull(
     std::span<const std::shared_ptr<ConstantVelocityPull>> pulls, double distance,
     std::size_t sample_every) {
   SPICE_REQUIRE(pulls.size() == ensemble.size(), "one pull per ensemble replica");
-  SPICE_REQUIRE(distance > 0.0, "pull distance must be positive");
-  SPICE_REQUIRE(sample_every > 0, "sample_every must be positive");
-  const double dt = ensemble.replica(0).config().dt;
-  const double v = pulls[0]->params().velocity_internal();
-  const double hold = pulls[0]->params().hold_ps;
+  // The first pass checks pulls[0] before the protocol check reads it.
   for (const auto& pull : pulls) {
     SPICE_REQUIRE(pull != nullptr && pull->attached(), "run_ensemble_pull needs attached pulls");
-    SPICE_REQUIRE(pull->params().velocity_internal() == v && pull->params().hold_ps == hold,
+    SPICE_REQUIRE(pull->params().velocity_internal() == pulls[0]->params().velocity_internal() &&
+                      pull->params().hold_ps == pulls[0]->params().hold_ps,
                   "ensemble pulls must share one protocol");
   }
-  const auto total_steps = static_cast<std::uint64_t>(std::ceil((distance / v + hold) / dt));
 
+  // All replicas step in lock-step between sample boundaries, so each one
+  // visits exactly the steps run_pull records on a standalone engine.
   std::vector<PullResult> results(pulls.size());
-  auto record = [&](std::size_t r) {
-    const ConstantVelocityPull& pull = *pulls[r];
-    PullSample s;
-    s.time = ensemble.replica(r).time();
-    s.lambda = pull.lambda();
-    s.xi = pull.xi();
-    s.force = pull.spring_force();
-    s.work = pull.work();
-    results[r].samples.push_back(s);
-  };
-  for (std::size_t r = 0; r < pulls.size(); ++r) record(r);  // λ = 0 starting point
-
-  // Step all replicas in lock-step to each sample boundary. This visits
-  // exactly the steps where run_pull records: multiples of sample_every,
-  // plus the final step.
-  std::uint64_t done = 0;
-  while (done < total_steps) {
-    const std::uint64_t next = std::min<std::uint64_t>(total_steps, done + sample_every);
-    ensemble.step_all(next - done);
-    done = next;
-    for (std::size_t r = 0; r < pulls.size(); ++r) record(r);
-  }
+  const std::uint64_t steps = drive_pull(
+      pulls[0]->params(), ensemble.replica(0).config().dt, distance, sample_every,
+      [&](std::uint64_t n) { ensemble.step_all(n); },
+      [&] {
+        for (std::size_t r = 0; r < pulls.size(); ++r) {
+          results[r].samples.push_back(sample_of(*pulls[r], ensemble.replica(r).time()));
+        }
+      });
   for (std::size_t r = 0; r < pulls.size(); ++r) {
     results[r].pulled_distance = pulls[r]->lambda();
-    results[r].steps = total_steps;
+    results[r].steps = steps;
   }
   return results;
+}
+
+std::vector<PullResult> run_pulls(spice::md::EnsembleEngine& ensemble, const SmdParams& params,
+                                  double distance, std::size_t sample_every) {
+  std::vector<std::shared_ptr<ConstantVelocityPull>> pulls;
+  pulls.reserve(ensemble.size());
+  for (std::size_t r = 0; r < ensemble.size(); ++r) {
+    auto pull = std::make_shared<ConstantVelocityPull>(params);
+    pull->attach(ensemble.replica(r));
+    ensemble.add_contribution(r, pull);
+    pulls.push_back(std::move(pull));
+  }
+  return run_ensemble_pull(ensemble, pulls, distance, sample_every);
 }
 
 }  // namespace spice::smd

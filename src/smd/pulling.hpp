@@ -142,7 +142,8 @@ struct PullResult {
 /// Drive `engine` until the spring anchor has advanced by `distance` Å,
 /// recording a sample every `sample_every` steps (and always the final
 /// state). The pull must already be attached and registered with the
-/// engine.
+/// engine. For a single live engine (steering, harness pulls); a set of
+/// pulls from one master runs through run_pulls.
 [[nodiscard]] PullResult run_pull(spice::md::Engine& engine, ConstantVelocityPull& pull,
                                   double distance, std::size_t sample_every = 10);
 
@@ -156,5 +157,13 @@ struct PullResult {
     spice::md::EnsembleEngine& ensemble,
     std::span<const std::shared_ptr<ConstantVelocityPull>> pulls, double distance,
     std::size_t sample_every = 10);
+
+/// Attach a fresh `params` spring to every replica of `ensemble` at its
+/// current state and run them all through run_ensemble_pull. Result r
+/// equals run_pull with the same spring on the standalone clone that
+/// replica r mirrors (EnsembleEngine's determinism contract).
+[[nodiscard]] std::vector<PullResult> run_pulls(spice::md::EnsembleEngine& ensemble,
+                                                const SmdParams& params, double distance,
+                                                std::size_t sample_every = 10);
 
 }  // namespace spice::smd

@@ -21,6 +21,17 @@ namespace {
 /// nucleotide; the coarse-grained equivalent is bead 0.
 constexpr std::uint32_t kHeadBead = 0;
 const Vec3 kPullDirection{0.0, 0.0, -1.0};
+
+/// The (κ, v) spring on the strand's head bead along `direction`.
+spice::smd::SmdParams head_spring(double kappa_pn, double velocity_ns, const Vec3& direction) {
+  spice::smd::SmdParams params;
+  params.spring_pn_per_angstrom = kappa_pn;
+  params.velocity_angstrom_per_ns = velocity_ns;
+  params.direction = direction;
+  params.smd_atoms = {kHeadBead};
+  return params;
+}
+
 }  // namespace
 
 SweepConfig::SweepConfig() {
@@ -40,88 +51,48 @@ std::size_t SweepConfig::samples_for(double velocity_ns) const {
   return std::max<std::size_t>(2, static_cast<std::size_t>(std::lround(scaled)));
 }
 
-spice::smd::PullResult run_single_pull(const spice::pore::TranslocationSystem& master,
-                                       const SweepConfig& config, double kappa_pn,
-                                       double velocity_ns, std::uint64_t replica_seed) {
-  spice::md::Engine engine = master.engine.clone(replica_seed);
-
-  spice::smd::SmdParams params;
-  params.spring_pn_per_angstrom = kappa_pn;
-  params.velocity_angstrom_per_ns = velocity_ns;
-  params.direction = kPullDirection;
-  params.smd_atoms = {kHeadBead};
-  auto pull = std::make_shared<spice::smd::ConstantVelocityPull>(params);
-  pull->attach(engine);
-  engine.add_contribution(pull);
-
-  static obs::Counter& pulls = obs::metrics().counter("campaign.pulls");
-  pulls.add(1);
-  return spice::smd::run_pull(engine, *pull, config.pull_distance, config.sample_every);
-}
-
-namespace {
-
-/// One batched wave of replicas: an EnsembleEngine stepping all of them
-/// through run_ensemble_pull. Replica r's trajectory is bit-identical to
-/// run_single_pull(master, config, κ, v, seeds[r]) — the ensemble changes
-/// the execution schedule, never the physics.
-std::vector<spice::smd::PullResult> run_pull_wave(
+std::vector<spice::smd::PullResult> run_forward_pulls(
     const spice::pore::TranslocationSystem& master, const SweepConfig& config,
     double kappa_pn, double velocity_ns, std::span<const std::uint64_t> seeds) {
-  spice::md::EnsembleConfig ensemble_config;
-  ensemble_config.threads = master.engine.config().threads;
-  spice::md::EnsembleEngine ensemble(master.engine, seeds, ensemble_config);
-
-  spice::smd::SmdParams params;
-  params.spring_pn_per_angstrom = kappa_pn;
-  params.velocity_angstrom_per_ns = velocity_ns;
-  params.direction = kPullDirection;
-  params.smd_atoms = {kHeadBead};
-
-  static obs::Counter& pull_counter = obs::metrics().counter("campaign.pulls");
-  std::vector<std::shared_ptr<spice::smd::ConstantVelocityPull>> pulls;
-  pulls.reserve(seeds.size());
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    auto pull = std::make_shared<spice::smd::ConstantVelocityPull>(params);
-    pull->attach(ensemble.replica(r));
-    ensemble.add_contribution(r, pull);
-    pulls.push_back(std::move(pull));
-    pull_counter.add(1);
-  }
-  return spice::smd::run_ensemble_pull(ensemble, pulls, config.pull_distance,
-                                       config.sample_every);
+  spice::md::EnsembleEngine ensemble(master.engine, seeds,
+                                     {.threads = master.engine.config().threads});
+  static obs::Counter& pulls = obs::metrics().counter("campaign.pulls");
+  pulls.add(seeds.size());
+  return spice::smd::run_pulls(ensemble, head_spring(kappa_pn, velocity_ns, kPullDirection),
+                               config.pull_distance, config.sample_every);
 }
 
-}  // namespace
+std::vector<spice::smd::PullResult> run_reverse_pulls(
+    const spice::pore::TranslocationSystem& master, const SweepConfig& config,
+    double kappa_pn, double velocity_ns, std::span<const std::uint64_t> seeds) {
+  spice::md::EnsembleEngine ensemble(master.engine, seeds,
+                                     {.threads = master.engine.config().threads});
 
-spice::smd::PullResult run_reverse_pull(const spice::pore::TranslocationSystem& master,
-                                        const SweepConfig& config, double kappa_pn,
-                                        double velocity_ns, std::uint64_t replica_seed) {
-  spice::md::Engine engine = master.engine.clone(replica_seed);
-
-  // Drag-and-equilibrate to the forward end point with a stiff restraint
-  // along the same coordinate (measured from this clone's current COM).
-  const Vec3 com0 = spice::md::center_of_mass(engine.positions(), engine.topology(),
+  // Drag-and-equilibrate every replica to the forward end point with a
+  // stiff restraint along the same coordinate, measured from the master's
+  // COM (each replica starts from the master's state).
+  const Vec3 com0 = spice::md::center_of_mass(master.engine.positions(),
+                                              master.engine.topology(),
                                               std::vector<std::uint32_t>{kHeadBead});
-  auto hold = std::make_shared<spice::smd::StaticRestraint>(
-      std::vector<std::uint32_t>{kHeadBead}, kPullDirection,
-      spice::units::spring_pn_per_angstrom(kappa_pn), config.pull_distance);
-  hold->attach_reference(com0);
-  engine.add_contribution(hold);
-  engine.step(4000);
-  engine.remove_contribution(hold.get());
+  std::vector<std::shared_ptr<spice::smd::StaticRestraint>> holds;
+  for (std::size_t r = 0; r < ensemble.size(); ++r) {
+    auto hold = std::make_shared<spice::smd::StaticRestraint>(
+        std::vector<std::uint32_t>{kHeadBead}, kPullDirection,
+        spice::units::spring_pn_per_angstrom(kappa_pn), config.pull_distance);
+    hold->attach_reference(com0);
+    ensemble.add_contribution(r, hold);
+    holds.push_back(std::move(hold));
+  }
+  ensemble.step_all(4000);
+  for (std::size_t r = 0; r < ensemble.size(); ++r) {
+    ensemble.remove_contribution(r, holds[r].get());
+  }
 
-  // Reverse protocol: pull back along −direction for the same distance.
-  spice::smd::SmdParams params;
-  params.spring_pn_per_angstrom = kappa_pn;
-  params.velocity_angstrom_per_ns = velocity_ns;
-  params.direction = -kPullDirection;
-  params.smd_atoms = {kHeadBead};
-  params.hold_ps = 2.0;  // settle with the moving spring attached
-  auto pull = std::make_shared<spice::smd::ConstantVelocityPull>(params);
-  pull->attach(engine);
-  engine.add_contribution(pull);
-  return spice::smd::run_pull(engine, *pull, config.pull_distance, config.sample_every);
+  // Reverse protocol: pull back along −direction for the same distance,
+  // settling with the moving spring attached first.
+  spice::smd::SmdParams params = head_spring(kappa_pn, velocity_ns, -kPullDirection);
+  params.hold_ps = 2.0;
+  return spice::smd::run_pulls(ensemble, params, config.pull_distance, config.sample_every);
 }
 
 ComboResult run_combo(const spice::pore::TranslocationSystem& master, const SweepConfig& config,
@@ -134,10 +105,10 @@ ComboResult run_combo(const spice::pore::TranslocationSystem& master, const Swee
   ComboResult result;
   result.kappa_pn = kappa_pn;
   result.velocity_ns = velocity_ns;
-  result.samples = config.samples_for(velocity_ns);
+  const std::size_t budget = config.samples_for(velocity_ns);
 
   std::vector<spice::smd::PullResult> pulls;
-  pulls.reserve(result.samples);
+  pulls.reserve(budget);
   // Mix every seed component through SplitMix64 before combining. XOR of
   // truncated casts is NOT injective: κ values closer than the cast
   // granularity (0.125 pN/Å) mapped to the same shifted integer and gave
@@ -165,42 +136,34 @@ ComboResult run_combo(const spice::pore::TranslocationSystem& master, const Swee
     return spice::SplitMix64(combo_seed ^ static_cast<std::uint64_t>(r)).next();
   };
 
-  if (conv_config.target_error_kcal <= 0.0) {
-    // Early stop disarmed: every replica runs to completion, so batch them
-    // through the ensemble engine in waves. Trajectories (and therefore
-    // works, PMFs, sample counts) are bit-identical to the serial loop —
-    // only the execution schedule changes. The wave cap bounds the arena
-    // slab and per-replica engine memory for million-sample campaigns.
-    constexpr std::size_t kMaxWave = 64;
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t base = 0; base < result.samples; base += kMaxWave) {
-      const std::size_t count = std::min(kMaxWave, result.samples - base);
-      seeds.clear();
-      for (std::size_t r = base; r < base + count; ++r) seeds.push_back(replica_seed_for(r));
-      std::vector<spice::smd::PullResult> wave =
-          run_pull_wave(master, config, kappa_pn, velocity_ns, seeds);
-      const std::vector<double> works =
-          spice::fe::endpoint_works(wave, config.pull_distance, config.work_source);
-      for (std::size_t w = 0; w < wave.size(); ++w) {
-        result.md_steps += wave[w].steps;
-        const spice::fe::ConvergenceState& state = tracker.add_work(works[w]);
-        error_gauge.set(state.jackknife_error);
-        ess_gauge.set(state.ess);
-        pulls.push_back(std::move(wave[w]));
-      }
-    }
-  } else {
-    // Early stop armed: the stop decision depends on each pull's work, so
-    // replicas must complete one at a time — keep the serial loop exactly.
-    for (std::size_t r = 0; r < result.samples; ++r) {
-      pulls.push_back(
-          run_single_pull(master, config, kappa_pn, velocity_ns, replica_seed_for(r)));
-      result.md_steps += pulls.back().steps;
-      const spice::fe::ConvergenceState& state = tracker.add_work(spice::fe::endpoint_work(
-          pulls.back(), config.pull_distance, config.work_source));
+  // One wave loop for both gate states; the gate is checked per pull, in
+  // seed order. Disarmed, waves hold up to kMaxWave replicas (the cap
+  // bounds the arena slab and per-replica engine memory). Armed, the first
+  // wave fills up to the gate's floor, below which it cannot fire, and
+  // every later wave holds one replica, so no pull runs past the stop
+  // point. Ensemble replicas are bit-identical to standalone clones, so
+  // the partition changes the execution schedule, never the numbers.
+  constexpr std::size_t kMaxWave = 64;
+  const bool armed = conv_config.target_error_kcal > 0.0;
+  std::vector<std::uint64_t> seeds;
+  while (pulls.size() < budget && !result.early_stopped) {
+    const std::size_t base = pulls.size();
+    std::size_t count = kMaxWave;
+    if (armed) count = base < conv_config.min_samples ? conv_config.min_samples - base : 1;
+    count = std::min({count, kMaxWave, budget - base});
+    seeds.clear();
+    for (std::size_t r = base; r < base + count; ++r) seeds.push_back(replica_seed_for(r));
+    std::vector<spice::smd::PullResult> wave =
+        run_forward_pulls(master, config, kappa_pn, velocity_ns, seeds);
+    const std::vector<double> works =
+        spice::fe::endpoint_works(wave, config.pull_distance, config.work_source);
+    for (std::size_t w = 0; w < wave.size(); ++w) {
+      result.md_steps += wave[w].steps;
+      const spice::fe::ConvergenceState& state = tracker.add_work(works[w]);
       error_gauge.set(state.jackknife_error);
       ess_gauge.set(state.ess);
-      if (state.converged && pulls.size() < result.samples) {
+      pulls.push_back(std::move(wave[w]));
+      if (state.converged && pulls.size() < budget) {
         result.early_stopped = true;
         early_stops.add(1);
         break;

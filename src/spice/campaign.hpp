@@ -13,11 +13,12 @@
 // bootstrap σ_stat values are directly comparable across cells.
 //
 // All replicas of a sweep start from ONE equilibrated configuration
-// (Engine::clone with per-replica stochastic seeds), mirroring the paper's
-// common initial structure and giving every trajectory the same reaction-
-// coordinate origin.
+// (EnsembleEngine replicas with per-replica stochastic seeds), mirroring
+// the paper's common initial structure and giving every trajectory the
+// same reaction-coordinate origin.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fe/convergence.hpp"
@@ -88,24 +89,26 @@ struct SweepResult {
   double temperature_k = 300.0;
 };
 
-/// Run one SMD pull: clone the equilibrated master with `replica_seed`,
-/// attach a (κ, v) spring to the strand's head bead, pull along −z.
-[[nodiscard]] spice::smd::PullResult run_single_pull(
+/// Run one forward SMD pull per seed as one EnsembleEngine wave: replica r
+/// starts from the equilibrated master reseeded with seeds[r] and pulls
+/// a (κ, v) spring on the strand's head bead along −z.
+[[nodiscard]] std::vector<spice::smd::PullResult> run_forward_pulls(
     const spice::pore::TranslocationSystem& master, const SweepConfig& config, double kappa_pn,
-    double velocity_ns, std::uint64_t replica_seed);
+    double velocity_ns, std::span<const std::uint64_t> seeds);
 
 /// Run one Fig. 4 cell against an equilibrated master system.
 [[nodiscard]] ComboResult run_combo(const spice::pore::TranslocationSystem& master,
                                     const SweepConfig& config, double kappa_pn,
                                     double velocity_ns);
 
-/// Run one REVERSE pull (the time-reversed protocol for Crooks/BAR): the
-/// replica is first equilibrated with a stiff restraint at the forward
-/// end point ξ = pull_distance, then pulled back toward ξ = 0 at (κ, v).
-/// The returned result's work is the reverse-protocol work W_R.
-[[nodiscard]] spice::smd::PullResult run_reverse_pull(
+/// Run one REVERSE pull per seed (the time-reversed protocol for
+/// Crooks/BAR) as one EnsembleEngine wave: every replica is first
+/// equilibrated with a stiff restraint at the forward end point
+/// ξ = pull_distance, then pulled back toward ξ = 0 at (κ, v). Each
+/// result's work is the reverse-protocol work W_R.
+[[nodiscard]] std::vector<spice::smd::PullResult> run_reverse_pulls(
     const spice::pore::TranslocationSystem& master, const SweepConfig& config, double kappa_pn,
-    double velocity_ns, std::uint64_t replica_seed);
+    double velocity_ns, std::span<const std::uint64_t> seeds);
 
 /// Equilibrium reference PMF over the same coordinate (umbrella + WHAM).
 [[nodiscard]] spice::fe::PmfEstimate compute_reference_pmf(

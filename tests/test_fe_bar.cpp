@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +17,7 @@
 #include "fe/bar.hpp"
 #include "fe/jarzynski.hpp"
 #include "md/engine.hpp"
+#include "md/observables.hpp"
 #include "smd/pulling.hpp"
 #include "smd/restraint.hpp"
 #include "spice/campaign.hpp"
@@ -176,17 +180,64 @@ TEST(BarLiveMd, HarmonicWellForwardReverseConsistency) {
   EXPECT_GE(bar.delta_f, -wr - 0.3);
 }
 
+/// Test-local oracle for one reverse pull: the serial clone, hold
+/// restraint and run_pull sequence the batched campaign driver replaces.
+spice::smd::PullResult serial_reverse_pull(const pore::TranslocationSystem& master,
+                                           const core::SweepConfig& config, double kappa_pn,
+                                           double velocity_ns, std::uint64_t seed) {
+  spice::md::Engine engine = master.engine.clone(seed);
+  const std::vector<std::uint32_t> head{0};
+  auto hold = std::make_shared<spice::smd::StaticRestraint>(
+      head, Vec3{0, 0, -1.0}, units::spring_pn_per_angstrom(kappa_pn), config.pull_distance);
+  hold->attach_reference(
+      spice::md::center_of_mass(engine.positions(), engine.topology(), head));
+  engine.add_contribution(hold);
+  engine.step(4000);
+  engine.remove_contribution(hold.get());
+
+  spice::smd::SmdParams params;
+  params.spring_pn_per_angstrom = kappa_pn;
+  params.velocity_angstrom_per_ns = velocity_ns;
+  params.direction = Vec3{0, 0, 1.0};
+  params.smd_atoms = head;
+  params.hold_ps = 2.0;
+  auto pull = std::make_shared<spice::smd::ConstantVelocityPull>(params);
+  pull->attach(engine);
+  engine.add_contribution(pull);
+  return spice::smd::run_pull(engine, *pull, config.pull_distance, config.sample_every);
+}
+
 TEST(BarLiveMd, ReversePullOnPoreSystemRuns) {
-  // Smoke coverage of the spice::core::run_reverse_pull path.
+  // spice::core::run_reverse_pulls batches the seeds on one ensemble; each
+  // result must equal the serial oracle bit for bit.
   core::SweepConfig config;
   config.pull_distance = 3.0;
   config.use_small_system();
   config.system.md.seed = 5;
   const pore::TranslocationSystem master =
       pore::build_translocation_system(config.system);
-  const auto result = core::run_reverse_pull(master, config, 100.0, 200.0, 77);
-  EXPECT_NEAR(result.pulled_distance, 3.0, 0.05);
-  EXPECT_GT(result.samples.size(), 2u);
+  const std::vector<std::uint64_t> seeds{77, 78};
+  const auto batched = core::run_reverse_pulls(master, config, 100.0, 200.0, seeds);
+  ASSERT_EQ(batched.size(), seeds.size());
+  for (std::size_t r = 0; r < seeds.size(); ++r) {
+    SCOPED_TRACE("seed " + std::to_string(seeds[r]));
+    EXPECT_NEAR(batched[r].pulled_distance, 3.0, 0.05);
+    EXPECT_GT(batched[r].samples.size(), 2u);
+    const spice::smd::PullResult oracle =
+        serial_reverse_pull(master, config, 100.0, 200.0, seeds[r]);
+    EXPECT_EQ(batched[r].steps, oracle.steps);
+    ASSERT_EQ(batched[r].samples.size(), oracle.samples.size());
+    for (std::size_t i = 0; i < oracle.samples.size(); ++i) {
+      const auto& a = batched[r].samples[i];
+      const auto& b = oracle.samples[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time), std::bit_cast<std::uint64_t>(b.time));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.lambda), std::bit_cast<std::uint64_t>(b.lambda));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.xi), std::bit_cast<std::uint64_t>(b.xi));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.force), std::bit_cast<std::uint64_t>(b.force));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.work), std::bit_cast<std::uint64_t>(b.work));
+    }
+  }
+  EXPECT_NE(batched[0].samples.back().work, batched[1].samples.back().work);
 }
 
 }  // namespace

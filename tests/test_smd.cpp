@@ -1,18 +1,25 @@
 // SMD pulling protocol and restraints: anchor kinematics, work accounting,
-// unit conversions, constant-force distribution and the run_pull driver.
+// unit conversions, constant-force distribution and the run_pull /
+// run_pulls drivers.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
 #include "common/units.hpp"
 #include "md/engine.hpp"
+#include "md/ensemble_engine.hpp"
 #include "smd/position_restraint.hpp"
 #include "smd/pulling.hpp"
 #include "smd/restraint.hpp"
+#include "testkit/systems.hpp"
 
 namespace {
 
@@ -146,6 +153,66 @@ TEST(RunPull, ReachesRequestedDistanceAndSamples) {
   }
   EXPECT_NEAR(result.samples.back().lambda, 3.0, 0.01);
   EXPECT_DOUBLE_EQ(result.samples.front().work, 0.0);
+}
+
+/// Bit patterns of every field of every sample, so equality is bitwise.
+std::vector<std::uint64_t> sample_bits(const PullResult& result) {
+  std::vector<std::uint64_t> out;
+  for (const PullSample& s : result.samples) {
+    for (const double v : {s.time, s.lambda, s.xi, s.force, s.work}) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  return out;
+}
+
+TEST(RunPulls, EqualPerSeedClonesBitwise) {
+  // The batched driver against master.clone(seed) + run_pull per seed. The
+  // clones step at the master's thread count, the ensemble replicas at 1;
+  // the hold phase and the partial final sample interval exercise every
+  // branch of the shared schedule.
+  const std::vector<std::uint64_t> seeds{11, 12, 13, 14};
+  SmdParams params = default_params(100.0, 500.0);
+  params.hold_ps = 0.35;
+  constexpr double kDistance = 1.3;
+  constexpr std::size_t kEvery = 7;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("master threads = " + std::to_string(threads));
+    const Engine master = testkit::make_bead_chain({.seed = 3, .threads = threads});
+    std::vector<PullResult> clones;
+    for (const std::uint64_t seed : seeds) {
+      Engine engine = master.clone(seed);
+      auto pull = std::make_shared<ConstantVelocityPull>(params);
+      pull->attach(engine);
+      engine.add_contribution(pull);
+      clones.push_back(run_pull(engine, *pull, kDistance, kEvery));
+    }
+    ASSERT_NE(clones[0].steps % kEvery, 0u);
+    EXPECT_NE(sample_bits(clones[0]), sample_bits(clones[1]));
+
+    EnsembleEngine ensemble(master, seeds, {.threads = 2});
+    const std::vector<PullResult> batched = run_pulls(ensemble, params, kDistance, kEvery);
+    ASSERT_EQ(batched.size(), seeds.size());
+    for (std::size_t r = 0; r < seeds.size(); ++r) {
+      EXPECT_EQ(batched[r].steps, clones[r].steps);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[r].pulled_distance),
+                std::bit_cast<std::uint64_t>(clones[r].pulled_distance));
+      EXPECT_EQ(sample_bits(batched[r]), sample_bits(clones[r])) << "replica " << r;
+    }
+  }
+}
+
+TEST(RunEnsemblePull, RejectsNullOrDetachedPulls) {
+  const Engine master = make_free_particle();
+  const std::vector<std::uint64_t> seeds{1, 2};
+  EnsembleEngine ensemble(master, seeds);
+  auto attached = std::make_shared<ConstantVelocityPull>(default_params());
+  attached->attach(ensemble.replica(1));
+  ensemble.add_contribution(1, attached);
+  std::vector<std::shared_ptr<ConstantVelocityPull>> pulls{nullptr, attached};
+  EXPECT_THROW((void)run_ensemble_pull(ensemble, pulls, 1.0), PreconditionError);
+  pulls[0] = std::make_shared<ConstantVelocityPull>(default_params());  // never attached
+  EXPECT_THROW((void)run_ensemble_pull(ensemble, pulls, 1.0), PreconditionError);
 }
 
 TEST(ConstantForcePull, DistributesByMass) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "spice/campaign.hpp"
@@ -141,6 +144,62 @@ TEST(Sweep, DeterministicForFixedSeed) {
   const SweepResult a = run_parameter_sweep(config, false);
   const SweepResult b = run_parameter_sweep(config, false);
   EXPECT_EQ(a.combos[0].pmf.phi, b.combos[0].pmf.phi);
+}
+
+/// Bit patterns of a series, so equality means bitwise equality.
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(Sweep, EarlyStoppedCellEqualsFixedCellOfItsSize) {
+  // Replica seeds depend only on (seed, κ, v, r), so where the armed gate
+  // stops decides how many pulls run, never what any of them yields: a
+  // cell stopped at n pulls carries the numbers of a disarmed cell whose
+  // budget is n.
+  SweepConfig armed;
+  armed.kappas_pn = {10.0};
+  armed.velocities_ns = {200.0};
+  armed.samples_at_slowest = 12;
+  armed.pull_distance = 1.5;
+  armed.grid_points = 4;
+  armed.bootstrap_resamples = 8;
+  armed.early_stop_error_kcal = 0.025;
+  armed.early_stop_min_samples = 3;
+  armed.use_small_system();
+  pore::TranslocationConfig system_config = armed.system;
+  system_config.md.seed = armed.seed;
+  const pore::TranslocationSystem master = pore::build_translocation_system(system_config);
+
+  const ComboResult stopped = run_combo(master, armed, 10.0, 200.0);
+  ASSERT_TRUE(stopped.early_stopped);
+  ASSERT_LT(stopped.samples, armed.samples_for(200.0));
+  // Past the gate's floor, so the armed one-replica waves ran too.
+  EXPECT_GT(stopped.samples, armed.early_stop_min_samples);
+
+  SweepConfig fixed = armed;
+  fixed.early_stop_error_kcal = 0.0;
+  fixed.samples_at_slowest = stopped.samples;
+  const ComboResult full = run_combo(master, fixed, 10.0, 200.0);
+  EXPECT_FALSE(full.early_stopped);
+  EXPECT_EQ(full.samples, stopped.samples);
+  EXPECT_EQ(full.md_steps, stopped.md_steps);
+  EXPECT_EQ(bits(full.pmf.lambda), bits(stopped.pmf.lambda));
+  EXPECT_EQ(bits(full.pmf.phi), bits(stopped.pmf.phi));
+  EXPECT_EQ(bits(full.sigma_stat), bits(stopped.sigma_stat));
+
+  // Every streaming diagnostic matches; only the verdict differs, since a
+  // disarmed tracker never declares convergence.
+  const fe::ConvergenceState& a = stopped.convergence;
+  const fe::ConvergenceState& b = full.convergence;
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(bits({a.delta_f, a.delta_f_ewma, a.jackknife_error, a.ess, a.mean_work,
+                  a.dissipated_work}),
+            bits({b.delta_f, b.delta_f_ewma, b.jackknife_error, b.ess, b.mean_work,
+                  b.dissipated_work}));
+  EXPECT_TRUE(a.converged);
+  EXPECT_FALSE(b.converged);
 }
 
 // --- optimizer (E3) --------------------------------------------------------------------
