@@ -24,7 +24,6 @@
 // checks bitwise equality only.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -34,8 +33,8 @@
 #include "md/engine.hpp"
 #include "md/ensemble_engine.hpp"
 #include "md/simd.hpp"
-#include "md/topology.hpp"
 #include "obs/metrics.hpp"
+#include "testkit/systems.hpp"
 
 using namespace spice;
 using namespace spice::claims;
@@ -45,45 +44,11 @@ namespace {
 
 constexpr std::uint64_t kSeed = 2005;
 
-/// A compact ionic cluster: a bonded chain snaking over a cubic lattice
-/// with alternating charges (NaCl-like order, so the Debye–Hückel
-/// cohesion holds the cluster together at 300 K). Nearly every neighbour
-/// pair sits inside the cutoff, which makes the load nonbonded-dominated
-/// — like the production pore systems, and unlike an extended coil where
-/// most candidate pairs are dead.
+/// testkit's ionic cluster with ±1 charges on one compute thread: nearly
+/// every neighbour pair is live, so the load is nonbonded-dominated.
 Engine make_master(std::size_t beads, simd::Request request) {
-  constexpr double kSpacing = 3.6;  ///< Å; outside the WCA shell (2^{1/6}·3)
-  Topology topo;
-  for (std::size_t i = 0; i < beads; ++i) {
-    topo.add_particle({.mass = 100.0,
-                       .charge = (i % 2 == 0) ? -1.0 : 1.0,
-                       .radius = 1.5,
-                       .name = "B"});
-  }
-  for (std::uint32_t i = 0; i + 1 < beads; ++i) {
-    topo.add_bond({i, i + 1, 10.0, kSpacing});
-  }
-  MdConfig cfg;
-  cfg.dt = 0.005;
-  cfg.seed = kSeed;
-  cfg.threads = 1;
-  cfg.simd = request;
-  Engine engine(std::move(topo), NonbondedParams{}, cfg);
-  std::vector<Vec3> xs(beads);
-  const auto side = static_cast<std::size_t>(std::ceil(std::cbrt(static_cast<double>(beads))));
-  for (std::size_t i = 0; i < beads; ++i) {
-    const std::size_t iz = i / (side * side);
-    const std::size_t rem = i % (side * side);
-    std::size_t iy = rem / side;
-    std::size_t ix = rem % side;
-    if (iz % 2 == 1) iy = side - 1 - iy;  // serpentine: consecutive beads
-    if (iy % 2 == 1) ix = side - 1 - ix;  // stay lattice-adjacent
-    xs[i] = {kSpacing * static_cast<double>(ix), kSpacing * static_cast<double>(iy),
-             kSpacing * static_cast<double>(iz)};
-  }
-  engine.set_positions(xs);
-  engine.initialize_velocities(300.0);
-  return engine;
+  return testkit::make_ionic_cluster({.seed = kSeed, .threads = 1, .simd = request}, beads,
+                                     -1.0, 1.0);
 }
 
 std::vector<std::uint64_t> replica_seeds(std::size_t n) {

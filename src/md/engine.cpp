@@ -52,6 +52,9 @@ Engine::Engine(Topology topology, NonbondedParams nonbonded, MdConfig config,
   SPICE_REQUIRE(config_.dt > 0.0, "timestep must be positive");
   SPICE_REQUIRE(config_.temperature >= 0.0, "temperature must be non-negative");
   SPICE_REQUIRE(config_.friction > 0.0, "Langevin friction must be positive");
+  SPICE_REQUIRE(nonbonded_.debye_length > 0.0, "Debye length must be positive");
+  SPICE_REQUIRE(nonbonded_.dielectric > 0.0, "dielectric constant must be positive");
+  SPICE_REQUIRE(nonbonded_.epsilon_wca >= 0.0, "WCA well depth must be non-negative");
   const std::size_t n = topology_.particle_count();
   SPICE_REQUIRE(n > 0, "engine needs at least one particle");
   simd_level_ = simd::resolve(config_.simd);

@@ -59,7 +59,8 @@ struct MdConfig {
   double neighbor_skin = 2.0;  ///< Verlet skin, Å
   /// SIMD dispatch request, resolved once at engine construction: Auto
   /// follows the process-wide level (SPICE_SIMD env override, else CPU
-  /// detection); pinning Scalar selects the historical bit-exact loops.
+  /// detection); pinning Scalar selects the all-double scalar entry of the
+  /// batch-kernel table, whose bits are host-independent (the goldens').
   simd::Request simd = simd::Request::Auto;
 };
 

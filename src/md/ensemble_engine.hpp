@@ -16,7 +16,8 @@
 // replicas are data-disjoint and each one is stepped by exactly one worker
 // with the engine-internal slice pipeline at threads = 1. The SIMD level
 // is inherited from the master's config and resolved once; pinning
-// Request::Scalar reproduces the historical loops bit-exactly.
+// Request::Scalar runs the scalar batch kernels, whose trajectories are
+// host-independent (the golden records' level).
 
 #include <cstddef>
 #include <cstdint>

@@ -106,7 +106,6 @@ double ForceWorkspace::reduced_external(std::size_t contribution) const {
 // --- bonded kernels ------------------------------------------------------
 
 void BondKernel::begin_evaluation(const KernelContext& ctx) {
-  if (ctx.simd == simd::Level::Scalar) return;
   // The bond table is immutable after Topology::finalize, so the packed
   // SoA streams and per-slice windows only rebuild when the slice count
   // changes (or on first use).
@@ -145,28 +144,15 @@ void BondKernel::begin_evaluation(const KernelContext& ctx) {
 
 double BondKernel::evaluate_slice(const KernelContext& ctx, std::size_t slice,
                                   std::size_t slice_count, ForceAccumulator& acc) {
-  const auto& bonds = ctx.topology->bonds();
-  const auto [lo, hi] = share_of(bonds.size(), slice, slice_count);
-  if (ctx.simd != simd::Level::Scalar) {
-    if (lo >= hi) return 0.0;
-    acc.note_range(packed_.lo[slice], packed_.hi[slice]);
-    const simd::BondBatch batch{
-        ctx.state->x().data(), ctx.state->y().data(), ctx.state->z().data(),
-        packed_.i.data() + lo,  packed_.j.data() + lo,
-        packed_.k.data() + lo,  packed_.r0.data() + lo,
-        hi - lo};
-    return simd::bond_kernel(ctx.simd)(batch, acc.span().data());
-  }
-  const auto xs = ctx.state->positions();
-  double energy = 0.0;
-  for (std::size_t b = lo; b < hi; ++b) {
-    const Bond& bond = bonds[b];
-    const EnergyForce ef = harmonic_bond(xs[bond.i], xs[bond.j], bond.k, bond.r0);
-    energy += ef.energy;
-    acc.add(bond.i, ef.force_on_i);
-    acc.add(bond.j, -ef.force_on_i);
-  }
-  return energy;
+  const auto [lo, hi] = share_of(packed_.i.size(), slice, slice_count);
+  if (lo >= hi) return 0.0;
+  acc.note_range(packed_.lo[slice], packed_.hi[slice]);
+  const simd::BondBatch batch{
+      ctx.state->x().data(), ctx.state->y().data(), ctx.state->z().data(),
+      packed_.i.data() + lo,  packed_.j.data() + lo,
+      packed_.k.data() + lo,  packed_.r0.data() + lo,
+      hi - lo};
+  return simd::bond_kernel(ctx.simd)(batch, acc.span().data());
 }
 
 double AngleKernel::evaluate_slice(const KernelContext& ctx, std::size_t slice,
@@ -221,28 +207,24 @@ void NonbondedKernel::begin_evaluation(const KernelContext& ctx) {
   if (segments_.size() != ctx.slice_count) {
     segments_.assign(ctx.slice_count, SliceSegment{});
   }
-  if (ctx.simd != simd::Level::Scalar) {
-    // Refresh the packed (x,y,z,0) mirror the vector kernels load pair
-    // displacements from. Serial: every slice reads the same array.
-    const auto x = ctx.state->x();
-    const auto y = ctx.state->y();
-    const auto z = ctx.state->z();
-    const std::size_t n = x.size();
-    xyzw_.resize(4 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      xyzw_[4 * i + 0] = x[i];
-      xyzw_[4 * i + 1] = y[i];
-      xyzw_[4 * i + 2] = z[i];
-      xyzw_[4 * i + 3] = 0.0;
-    }
+  // Refresh the packed (x,y,z,0) mirror the AVX2 kernel loads pair
+  // displacements from. Serial: every slice reads the same array.
+  const auto x = ctx.state->x();
+  const auto y = ctx.state->y();
+  const auto z = ctx.state->z();
+  const std::size_t n = x.size();
+  xyzw_.resize(4 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xyzw_[4 * i + 0] = x[i];
+    xyzw_[4 * i + 1] = y[i];
+    xyzw_[4 * i + 2] = z[i];
+    xyzw_[4 * i + 3] = 0.0;
   }
 }
 
 void NonbondedKernel::refresh_segment(const KernelContext& ctx, std::size_t slice,
                                       std::size_t slice_count) {
-  (void)slice_count;
   SliceSegment& seg = segments_[slice];
-  seg.pairs.clear();
   seg.pi.clear();
   seg.pj.clear();
   seg.sigma.clear();
@@ -259,42 +241,33 @@ void NonbondedKernel::refresh_segment(const KernelContext& ctx, std::size_t slic
   const auto xs = list.reference_positions();
   const double reach = list.cutoff() + list.skin();
   const double reach2 = reach * reach;
+  const auto q = ctx.state->charge();
+  const auto radius = ctx.state->sigma();
+  const double coulomb_pref = units::kCoulomb / ctx.nonbonded->dielectric;
   std::size_t lo = ctx.state->size();
   std::size_t hi = 0;
   list.for_each_candidate_pair(slice, slice_count, [&](std::uint32_t a, std::uint32_t b) {
     if (distance2(xs[a], xs[b]) > reach2) return;
     if (ctx.topology->excluded(a, b)) return;
-    seg.pairs.push_back({a, b});
+    // Per-pair streams: indices plus σᵢ+σⱼ and the full Coulomb prefactor
+    // (0 for neutral pairs, which is exactly the kernels' DH mask). The
+    // prefactor is coulomb_pref·(qᵢ·qⱼ), charge product first: for charges
+    // other than ±1/0 the other association rounds differently, and
+    // KernelPipeline.ScalarKernelsMatchReferenceLoopsBitwise pins this one.
+    const double sigma = radius[a] + radius[b];
+    const double pref = coulomb_pref * (q[a] * q[b]);
+    seg.pi.push_back(a);
+    seg.pj.push_back(b);
+    seg.sigma.push_back(sigma);
+    seg.pref.push_back(pref);
+    seg.sig2f.push_back(static_cast<float>(sigma * sigma));
+    seg.pref_f.push_back(static_cast<float>(pref));
     lo = std::min<std::size_t>(lo, std::min(a, b));
     hi = std::max<std::size_t>(hi, std::max(a, b) + 1);
   });
   seg.lo = lo;
   seg.hi = hi;
   seg.epoch = list.epoch();
-  if (ctx.simd != simd::Level::Scalar) {
-    // Pack the per-pair streams the vector kernels consume: indices plus
-    // sigma_i+sigma_j and the full Coulomb prefactor (0 for neutral pairs,
-    // which is exactly the vector kernels' DH mask condition).
-    const auto q = ctx.state->charge();
-    const auto radius = ctx.state->sigma();
-    const double coulomb_pref = units::kCoulomb / ctx.nonbonded->dielectric;
-    seg.pi.reserve(seg.pairs.size());
-    seg.pj.reserve(seg.pairs.size());
-    seg.sigma.reserve(seg.pairs.size());
-    seg.pref.reserve(seg.pairs.size());
-    seg.sig2f.reserve(seg.pairs.size());
-    seg.pref_f.reserve(seg.pairs.size());
-    for (const auto [a, b] : seg.pairs) {
-      const double sigma = radius[a] + radius[b];
-      const double pref = coulomb_pref * q[a] * q[b];
-      seg.pi.push_back(a);
-      seg.pj.push_back(b);
-      seg.sigma.push_back(sigma);
-      seg.pref.push_back(pref);
-      seg.sig2f.push_back(static_cast<float>(sigma * sigma));
-      seg.pref_f.push_back(static_cast<float>(pref));
-    }
-  }
 }
 
 double NonbondedKernel::evaluate_slice(const KernelContext& ctx, std::size_t slice,
@@ -304,66 +277,24 @@ double NonbondedKernel::evaluate_slice(const KernelContext& ctx, std::size_t sli
     refresh_segment(ctx, slice, slice_count);
   }
   const SliceSegment& seg = segments_[slice];
-  if (seg.pairs.empty()) return 0.0;
+  if (seg.pi.empty()) return 0.0;
   acc.note_range(seg.lo, seg.hi);
 
+  // Per-evaluation constants, hoisted out of the pair loop: the DH cutoff
+  // shift (a second exp) and the WCA 2^(1/3) factor.
   const NonbondedParams& params = *ctx.nonbonded;
-
-  // Hoisted constants: the seed inner loop re-derived the DH cutoff shift
-  // (a second exp!) and the WCA 2^(1/3) factor for every pair.
-  const double cutoff2 = params.cutoff * params.cutoff;
-  const double epsilon = params.epsilon_wca;
   const double inv_lambda = 1.0 / params.debye_length;
-  const double coulomb_pref = units::kCoulomb / params.dielectric;
-  const double shift_per_pref = std::exp(-params.cutoff * inv_lambda) / params.cutoff;
-  const double wca_lift = std::cbrt(2.0);  // (2^{1/6} σ)² = 2^{1/3} σ²
-
-  if (ctx.simd != simd::Level::Scalar) {
-    const simd::PairBatch batch{
-        ctx.state->x().data(), ctx.state->y().data(), ctx.state->z().data(),
-        xyzw_.data(),
-        seg.pi.data(),         seg.pj.data(),
-        seg.sigma.data(),      seg.pref.data(),
-        seg.sig2f.data(),      seg.pref_f.data(),
-        seg.pairs.size()};
-    const simd::NonbondedConsts consts{cutoff2, epsilon, inv_lambda, shift_per_pref,
-                                       wca_lift};
-    return simd::nonbonded_kernel(ctx.simd)(batch, consts, acc.span().data());
-  }
-
-  const auto xs = ctx.state->positions();
-  const auto q = ctx.state->charge();
-  const auto radius = ctx.state->sigma();
-
-  double energy = 0.0;
-  for (const auto [i, j] : seg.pairs) {
-    const Vec3 dr = xs[i] - xs[j];
-    const double r2 = dr.norm2();
-    // The segment keeps pairs out to cutoff + skin; beyond the cutoff both
-    // terms vanish, so skip before any sqrt/exp.
-    if (r2 >= cutoff2 || r2 <= 0.0) continue;
-    Vec3 f;
-    const double sigma = radius[i] + radius[j];
-    const double wca_rc2 = sigma * sigma * wca_lift;
-    if (r2 < wca_rc2) {
-      const double s2 = sigma * sigma / r2;
-      const double s6 = s2 * s2 * s2;
-      const double s12 = s6 * s6;
-      energy += 4.0 * epsilon * (s12 - s6) + epsilon;
-      f += dr * (24.0 * epsilon * (2.0 * s12 - s6) / r2);
-    }
-    const double qq = q[i] * q[j];
-    if (qq != 0.0) {
-      const double r = std::sqrt(r2);
-      const double pref = coulomb_pref * qq;
-      const double u_r = pref * std::exp(-r * inv_lambda) / r;
-      energy += u_r - pref * shift_per_pref;
-      f += dr * (u_r * (1.0 / r + inv_lambda) / r);
-    }
-    acc[i] += f;
-    acc[j] -= f;
-  }
-  return energy;
+  const simd::NonbondedConsts consts{
+      params.cutoff * params.cutoff, params.epsilon_wca, inv_lambda,
+      std::exp(-params.cutoff * inv_lambda) / params.cutoff, std::cbrt(2.0)};
+  const simd::PairBatch batch{
+      ctx.state->x().data(), ctx.state->y().data(), ctx.state->z().data(),
+      xyzw_.data(),
+      seg.pi.data(),         seg.pj.data(),
+      seg.sigma.data(),      seg.pref.data(),
+      seg.sig2f.data(),      seg.pref_f.data(),
+      seg.pi.size()};
+  return simd::nonbonded_kernel(ctx.simd)(batch, consts, acc.span().data());
 }
 
 }  // namespace spice::md

@@ -59,9 +59,9 @@ struct KernelContext {
   const NeighborList* neighbors = nullptr;
   double time = 0.0;
   std::size_t slice_count = 1;  ///< slices this evaluation will be split into
-  /// SIMD level the engine resolved at construction. Level::Scalar runs the
-  /// historical loops verbatim (the bit-exact golden path); vector levels
-  /// run the packed batch kernels from md/simd.hpp.
+  /// SIMD level the engine resolved at construction: which entry of the
+  /// md/simd.hpp dispatch table the bond and nonbonded kernels call. Every
+  /// level, Scalar included, runs the same packed batch streams.
   simd::Level simd = simd::Level::Scalar;
 };
 
@@ -74,16 +74,15 @@ class ForceAccumulator {
     lo_ = std::min(lo_, i);
     hi_ = std::max(hi_, i + 1);
   }
-  /// Raw indexed access for callers that declare their window via
-  /// note_range() instead (the nonbonded inner loop).
-  Vec3& operator[](std::size_t i) { return forces_[i]; }
-  /// Declare [lo, hi) as touched without writing.
+  /// Declare [lo, hi) as touched without writing (the batch kernels write
+  /// through span() and declare their window here).
   void note_range(std::size_t lo, std::size_t hi) {
     if (lo >= hi) return;
     lo_ = std::min(lo_, lo);
     hi_ = std::max(hi_, hi);
   }
-  /// Full-length view (absolute particle indexing) for ForceContributions.
+  /// Full-length view (absolute particle indexing) for ForceContributions
+  /// and the batch kernels.
   [[nodiscard]] std::span<Vec3> span() { return forces_; }
   [[nodiscard]] std::size_t window_lo() const { return lo_; }
   [[nodiscard]] std::size_t window_hi() const { return hi_; }
@@ -156,10 +155,9 @@ class ForceKernel {
 
 // --- built-in kernels ----------------------------------------------------
 
-/// Harmonic bonds, sliced over the bond array. Under a vector SIMD level
-/// the (immutable) bond table is packed once into SoA index/parameter
-/// streams with per-slice touched-particle windows; the scalar level keeps
-/// the original AoS loop untouched.
+/// Harmonic bonds, sliced over the bond array. The (immutable) bond table
+/// is packed once into SoA index/parameter streams with per-slice
+/// touched-particle windows, which simd::bond_kernel(ctx.simd) consumes.
 class BondKernel final : public ForceKernel {
  public:
   [[nodiscard]] std::string_view name() const override { return "bond"; }
@@ -201,10 +199,10 @@ class DihedralKernel final : public ForceKernel {
 /// iterate-pairs-by-cell path directly: at each rebuild epoch every slice
 /// refreshes its private exclusion- and reach-filtered pair segment (in
 /// parallel, inside its own evaluate_slice call); between rebuilds the
-/// per-step cost is a dense walk of those segments with the cutoff test
-/// hoisted ahead of the expensive exp. The segment table itself is sized
-/// in the serial begin_evaluation phase so the parallel slices only ever
-/// touch their own element.
+/// per-step cost is one simd::nonbonded_kernel(ctx.simd) call over that
+/// segment, which tests the cutoff ahead of the expensive exp. The segment
+/// table itself is sized in the serial begin_evaluation phase so the
+/// parallel slices only ever touch their own element.
 class NonbondedKernel final : public ForceKernel {
  public:
   [[nodiscard]] std::string_view name() const override { return "nonbonded"; }
@@ -215,9 +213,7 @@ class NonbondedKernel final : public ForceKernel {
 
  private:
   struct SliceSegment {
-    std::vector<NeighborPair> pairs;
-    // Packed per-pair streams for the vector kernels (filled only when the
-    // engine dispatches a non-scalar level): pair indices plus the derived
+    // Packed per-pair streams: pair indices plus the derived
     // sigma_i+sigma_j and Coulomb prefactor, so the hot loop never chases
     // the per-particle parameter columns twice per pair.
     std::vector<std::uint32_t> pi, pj;
@@ -230,8 +226,8 @@ class NonbondedKernel final : public ForceKernel {
   void refresh_segment(const KernelContext& ctx, std::size_t slice, std::size_t slice_count);
 
   std::vector<SliceSegment> segments_;
-  /// (x,y,z,0)-packed position mirror for the vector kernels, refreshed
-  /// every evaluation in begin_evaluation (serial). Empty under Scalar.
+  /// (x,y,z,0)-packed position mirror for the AVX2 kernel, refreshed
+  /// every evaluation in begin_evaluation (serial).
   std::vector<double> xyzw_;
 };
 

@@ -29,11 +29,6 @@ namespace spice::md {
 
 class Topology;
 
-struct NeighborPair {
-  std::uint32_t i;
-  std::uint32_t j;
-};
-
 class NeighborList {
  public:
   /// cutoff: interaction cutoff (Å); skin: extra shell (Å), > 0.

@@ -111,10 +111,11 @@ BondFn bond_kernel(Level level) {
 
 namespace detail {
 
-// The scalar bodies repeat the historical kernel loops operation for
-// operation (md/force_kernel.cpp, pre-SIMD): same guards, same order of
-// adds into the running energy, same force composition. Bit-exactness of
-// Level::Scalar against those loops is what the golden registry pins.
+// The scalar bodies are the Level::Scalar path and the vector kernels'
+// remainder lanes. Their guards, the order of adds into the running energy
+// and the force composition match the reference AoS loops of
+// KernelPipeline.ScalarKernelsMatchReferenceLoopsBitwise operation for
+// operation; that test and the golden registry pin the bits.
 
 double nonbonded_scalar_range(const PairBatch& batch, const NonbondedConsts& c, Vec3* acc,
                               std::size_t begin, std::size_t end) {
@@ -172,20 +173,6 @@ double bond_scalar_range(const BondBatch& batch, Vec3* acc, std::size_t begin,
 
 double bond_scalar(const BondBatch& batch, Vec3* acc) {
   return bond_scalar_range(batch, acc, 0, batch.count);
-}
-
-void exp_lanes(Level level, const double* in, double* out, std::size_t count) {
-  switch (level) {
-    case Level::AVX2:
-      exp_lanes_avx2(in, out, count);
-      return;
-    case Level::NEON:
-      exp_lanes_neon(in, out, count);
-      return;
-    case Level::Scalar:
-      break;
-  }
-  for (std::size_t k = 0; k < count; ++k) out[k] = std::exp(in[k]);
 }
 
 }  // namespace detail

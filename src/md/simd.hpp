@@ -1,13 +1,24 @@
 #pragma once
-// Runtime-dispatched SIMD kernels for the MD hot loops.
+// Runtime-dispatched batch kernels for the MD hot loops.
 //
 // The nonbonded (WCA + Debye–Hückel) and bond inner loops account for
 // nearly all of a force evaluation on the production pore system. This
-// module provides batched implementations of both — an AVX2 path (4-wide
-// doubles, FMA, vectorized exp) on x86-64, a NEON path (2-wide) on
-// aarch64, and a scalar fallback whose floating-point operation sequence
-// is IDENTICAL to the pre-SIMD loops, so forcing Level::Scalar reproduces
-// historical trajectories bit-for-bit.
+// table is the only place either term is computed: md/force_kernel.cpp
+// packs each slice's share into dense streams (PairBatch, BondBatch) and
+// calls the entry for the engine's level, at every level:
+//   Scalar — plain double loops, available on every CPU; bit-identical to
+//            the reference AoS loops in tests/test_md_kernels.cpp, and the
+//            level every committed golden record is made at;
+//   AVX2   — x86-64 with FMA: mixed-precision nonbonded (8-wide fp32 pair
+//            math, fp32 vectorized exp), 4-wide double bonds;
+//   NEON   — aarch64: 2-wide double lanes.
+// A new tier is one more Level and one more entry in the two tables.
+//
+// Prefactor rule: the packer stores a pair's Coulomb prefactor as
+// coulomb_pref·(qᵢ·qⱼ), the charge product first. For ±1/0 charges both
+// associations give the same bits; for mixed charges (the ionic_cluster
+// golden's −0.3/+0.7) only this one reproduces the committed checkpoint
+// hash and the reference loops of test_md_kernels.
 //
 // Dispatch policy: the level is chosen ONCE per process (active()), from
 // CPU feature detection, overridable with SPICE_SIMD=scalar|avx2|neon|
@@ -18,8 +29,9 @@
 // Determinism: every kernel's iteration order, lane assignment and
 // reduction order are pure functions of the batch — never of thread count
 // — so SIMD trajectories are still bit-identical across thread counts;
-// they differ from scalar trajectories only in last-bit rounding (the
-// vectorized exp and the 4-lane energy accumulator round differently).
+// they differ from scalar trajectories only in rounding (the fp32 pair
+// math, the vectorized exp and the lane-wise energy accumulators round
+// differently).
 // The testkit tolerance ladder pins scalar↔SIMD agreement to norm bounds.
 
 #include <cstddef>
@@ -70,12 +82,13 @@ struct PairBatch {
   /// Positions packed (x,y,z,0) with stride 4, refreshed once per
   /// evaluation in the serial phase. The AVX2 kernel reads a pair's
   /// displacement with two 32-byte loads and a subtract instead of six
-  /// gathers; x/y/z above serve the scalar tail and the NEON path.
+  /// gathers; x/y/z above serve the scalar kernel, the vector tails and
+  /// the NEON path.
   const double* xyzw = nullptr;
   const std::uint32_t* i = nullptr;  ///< pair first endpoints
   const std::uint32_t* j = nullptr;  ///< pair second endpoints
   const double* sigma = nullptr;     ///< per-pair WCA diameter σᵢ+σⱼ
-  const double* pref = nullptr;      ///< per-pair (k_C/ε_r)·qᵢ·qⱼ
+  const double* pref = nullptr;      ///< per-pair (k_C/ε_r)·(qᵢ·qⱼ)
   /// Single-precision mirrors for the mixed-precision x86 kernel: (σᵢ+σⱼ)²
   /// and the Coulomb prefactor, packed once at neighbour-list rebuild.
   const float* sig2f = nullptr;
@@ -83,8 +96,7 @@ struct PairBatch {
   std::size_t count = 0;
 };
 
-/// Hoisted per-evaluation constants of the WCA + Debye–Hückel pair term
-/// (same values the scalar kernel hoists).
+/// Hoisted per-evaluation constants of the WCA + Debye–Hückel pair term.
 struct NonbondedConsts {
   double cutoff2 = 0.0;         ///< r_c²
   double epsilon = 0.0;         ///< WCA ε
@@ -128,11 +140,6 @@ double nonbonded_avx2(const PairBatch& batch, const NonbondedConsts& c, Vec3* ac
 double bond_avx2(const BondBatch& batch, Vec3* acc);
 double nonbonded_neon(const PairBatch& batch, const NonbondedConsts& c, Vec3* acc);
 double bond_neon(const BondBatch& batch, Vec3* acc);
-/// Vectorized exp(x) test hook: out[k] = exp_level(in[k]). For the
-/// accuracy regression in tests; Scalar maps to std::exp.
-void exp_lanes(Level level, const double* in, double* out, std::size_t count);
-void exp_lanes_avx2(const double* in, double* out, std::size_t count);
-void exp_lanes_neon(const double* in, double* out, std::size_t count);
 }  // namespace detail
 
 }  // namespace spice::md::simd

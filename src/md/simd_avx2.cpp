@@ -27,43 +27,9 @@
 
 #include <immintrin.h>
 
-#include <cmath>
-
 namespace spice::md::simd::detail {
 
 namespace {
-
-/// exp(x) over 4 lanes, Cephes expd scheme: x = n·ln2 + r with |r| ≤
-/// ln2/2, e^r from a (3,4) rational minimax in r², scale by 2^n through
-/// exponent-field arithmetic. Accurate to ~1 ulp over the DH domain
-/// (arguments here are −r/λ_D ∈ [−6, 0]); valid for |x| ≲ 700.
-inline __m256d exp_pd(__m256d x) {
-  const __m256d log2e = _mm256_set1_pd(1.4426950408889634073599);
-  const __m256d ln2_hi = _mm256_set1_pd(6.93145751953125e-1);
-  const __m256d ln2_lo = _mm256_set1_pd(1.42860682030941723212e-6);
-  const __m256d n =
-      _mm256_round_pd(_mm256_mul_pd(x, log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256d r = _mm256_fnmadd_pd(n, ln2_hi, x);
-  r = _mm256_fnmadd_pd(n, ln2_lo, r);
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d p = _mm256_set1_pd(1.26177193074810590878e-4);
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(3.02994407707441961300e-2));
-  p = _mm256_fmadd_pd(p, r2, _mm256_set1_pd(9.99999999999999999910e-1));
-  p = _mm256_mul_pd(p, r);
-  __m256d q = _mm256_set1_pd(3.00198505138664455042e-6);
-  q = _mm256_fmadd_pd(q, r2, _mm256_set1_pd(2.52448340349684104192e-3));
-  q = _mm256_fmadd_pd(q, r2, _mm256_set1_pd(2.27265548208155028766e-1));
-  q = _mm256_fmadd_pd(q, r2, _mm256_set1_pd(2.00000000000000000005e0));
-  const __m256d er = _mm256_add_pd(
-      _mm256_set1_pd(1.0),
-      _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_div_pd(p, _mm256_sub_pd(q, p))));
-  // 2^n via the exponent field: (n + 1023) << 52 as a double.
-  const __m128i n32 = _mm256_cvtpd_epi32(n);
-  const __m256i n64 = _mm256_cvtepi32_epi64(n32);
-  const __m256i pow2 =
-      _mm256_slli_epi64(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52);
-  return _mm256_mul_pd(er, _mm256_castsi256_pd(pow2));
-}
 
 inline double hsum(__m256d v) {
   const __m128d lo = _mm256_castpd256_pd128(v);
@@ -294,14 +260,6 @@ double bond_avx2(const BondBatch& batch, Vec3* acc) {
   return total;
 }
 
-void exp_lanes_avx2(const double* in, double* out, std::size_t count) {
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    _mm256_storeu_pd(out + k, exp_pd(_mm256_loadu_pd(in + k)));
-  }
-  for (; k < count; ++k) out[k] = std::exp(in[k]);
-}
-
 }  // namespace spice::md::simd::detail
 
 #else  // non-x86: aborting stubs; supported(Level::AVX2) is false here.
@@ -318,10 +276,6 @@ double nonbonded_avx2(const PairBatch&, const NonbondedConsts&, Vec3*) {
 double bond_avx2(const BondBatch&, Vec3*) {
   SPICE_REQUIRE(false, "AVX2 kernel called on a non-x86 build");
   return 0.0;
-}
-
-void exp_lanes_avx2(const double*, double*, std::size_t) {
-  SPICE_REQUIRE(false, "AVX2 kernel called on a non-x86 build");
 }
 
 }  // namespace spice::md::simd::detail

@@ -151,10 +151,6 @@ double bond_neon(const BondBatch& batch, Vec3* acc) {
   return total;
 }
 
-void exp_lanes_neon(const double* in, double* out, std::size_t count) {
-  for (std::size_t k = 0; k < count; ++k) out[k] = std::exp(in[k]);
-}
-
 }  // namespace spice::md::simd::detail
 
 #else  // non-aarch64: aborting stubs; supported(Level::NEON) is false here.
@@ -171,10 +167,6 @@ double nonbonded_neon(const PairBatch&, const NonbondedConsts&, Vec3*) {
 double bond_neon(const BondBatch&, Vec3*) {
   SPICE_REQUIRE(false, "NEON kernel called on a non-aarch64 build");
   return 0.0;
-}
-
-void exp_lanes_neon(const double*, double*, std::size_t) {
-  SPICE_REQUIRE(false, "NEON kernel called on a non-aarch64 build");
 }
 
 }  // namespace spice::md::simd::detail

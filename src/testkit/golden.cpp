@@ -102,6 +102,26 @@ GoldenRecord golden_pore_chain(const MdRunConfig& run) {
   return record;
 }
 
+/// E19's ionic cluster at 64 beads (two force slices) with mixed
+/// −0.3/+0.7 charges: most pairs are live Debye–Hückel pairs and a few sit
+/// between the cutoff and cutoff + skin. The only record whose nonbonded
+/// term is non-zero, and the one whose hash shows the Coulomb prefactor's
+/// association.
+GoldenRecord golden_ionic_cluster(const MdRunConfig& run) {
+  MdRunConfig fixed = run;
+  fixed.seed = 2005;
+  fixed.simd = md::simd::Request::Scalar;
+  fixed.integrator = md::IntegratorKind::Langevin;
+  md::Engine engine = make_ionic_cluster(fixed, 64, -0.3, 0.7);
+  engine.step(400);
+  GoldenRecord record;
+  record.system = "ionic_cluster";
+  record.config = "64-bead -0.3/+0.7 serpentine lattice, seed 2005, dt 0.005, 400 steps";
+  fingerprint_checkpoint(engine, record);
+  append_engine_observables(engine, record);
+  return record;
+}
+
 }  // namespace
 
 std::string format_golden(const GoldenRecord& record) {
@@ -240,7 +260,7 @@ GoldenDrift compare_golden(const GoldenRecord& current, const GoldenRecord& refe
 }
 
 std::vector<std::string> golden_system_names() {
-  return {"chain24", "harmonic_pull", "nve_chain24", "pore_chain"};
+  return {"chain24", "harmonic_pull", "ionic_cluster", "nve_chain24", "pore_chain"};
 }
 
 GoldenRecord run_golden(const std::string& system, const MdRunConfig& run) {
@@ -248,6 +268,7 @@ GoldenRecord run_golden(const std::string& system, const MdRunConfig& run) {
   if (system == "nve_chain24") return golden_chain24(run, md::IntegratorKind::VelocityVerlet);
   if (system == "harmonic_pull") return golden_harmonic_pull(run);
   if (system == "pore_chain") return golden_pore_chain(run);
+  if (system == "ionic_cluster") return golden_ionic_cluster(run);
   SPICE_REQUIRE(false, "unknown golden system: " + system);
   return {};
 }

@@ -46,6 +46,39 @@ md::Engine make_bead_chain(const MdRunConfig& run, double dt) {
   return engine;
 }
 
+md::Engine make_ionic_cluster(const MdRunConfig& run, std::size_t beads, double q_even,
+                              double q_odd) {
+  constexpr double kSpacing = 3.6;  ///< Å; outside the WCA shell (2^{1/6}·3)
+  Topology topo;
+  for (std::size_t i = 0; i < beads; ++i) {
+    topo.add_particle(
+        {.mass = 100.0, .charge = (i % 2 == 0) ? q_even : q_odd, .radius = 1.5, .name = "B"});
+  }
+  for (ParticleIndex i = 0; i + 1 < beads; ++i) topo.add_bond({i, i + 1, 10.0, kSpacing});
+  MdConfig cfg;
+  cfg.dt = 0.005;
+  cfg.threads = run.threads;
+  cfg.seed = run.seed;
+  cfg.integrator = run.integrator;
+  cfg.simd = run.simd;
+  Engine engine(std::move(topo), NonbondedParams{}, cfg);
+  std::vector<Vec3> xs(beads);
+  const auto side = static_cast<std::size_t>(std::ceil(std::cbrt(static_cast<double>(beads))));
+  for (std::size_t i = 0; i < beads; ++i) {
+    const std::size_t iz = i / (side * side);
+    const std::size_t rem = i % (side * side);
+    std::size_t iy = rem / side;
+    std::size_t ix = rem % side;
+    if (iz % 2 == 1) iy = side - 1 - iy;  // serpentine: consecutive beads
+    if (iy % 2 == 1) ix = side - 1 - ix;  // stay lattice-adjacent
+    xs[i] = {kSpacing * static_cast<double>(ix), kSpacing * static_cast<double>(iy),
+             kSpacing * static_cast<double>(iz)};
+  }
+  engine.set_positions(xs);
+  engine.initialize_velocities(300.0);
+  return engine;
+}
+
 md::Engine make_nve_chain(const MdRunConfig& run, double dt) {
   constexpr int kBeads = 8;
   constexpr double kBondLength = 4.0;

@@ -42,6 +42,15 @@ struct MdRunConfig {
 /// forces. The caller picks dt; ωdt ≈ 0.018 at dt = 0.002.
 [[nodiscard]] md::Engine make_nve_chain(const MdRunConfig& run, double dt = 0.002);
 
+/// A compact ionic cluster (claim E19's system and the ionic_cluster
+/// golden): a bonded chain snaking over a cubic lattice of 3.6 Å pitch,
+/// just outside the WCA shell, with charges alternating q_even / q_odd
+/// (NaCl-like order, so the Debye–Hückel cohesion holds it together at
+/// 300 K). Nearly every neighbour pair sits inside the cutoff, so the load
+/// is nonbonded-dominated, like the production pore systems. dt 0.005 ps.
+[[nodiscard]] md::Engine make_ionic_cluster(const MdRunConfig& run, std::size_t beads,
+                                            double q_even, double q_odd);
+
 /// An array of independent particles, each in its own isotropic harmonic
 /// well, spaced farther apart than the nonbonded cutoff. Because the wells
 /// are non-interacting, positional variance, velocity distribution and

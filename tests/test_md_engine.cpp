@@ -380,6 +380,27 @@ TEST(Engine, RestoreRejectsGarbage) {
   EXPECT_THROW(engine.restore(bogus), Error);
 }
 
+TEST(Engine, RejectsNonPhysicalParameters) {
+  auto build = [](NonbondedParams nonbonded, MdConfig cfg = {}) {
+    Topology topo;
+    topo.add_particle({.mass = 1.0, .charge = -1.0, .radius = 1.0});
+    topo.add_particle({.mass = 1.0, .charge = 1.0, .radius = 1.0});
+    return Engine(std::move(topo), nonbonded, cfg);
+  };
+  EXPECT_THROW(build({}, {.dt = 0.0}), PreconditionError);
+  EXPECT_THROW(build({}, {.friction = 0.0}), PreconditionError);
+  // A zero Debye length used to build an engine whose forces were NaN; a
+  // negative one gave an anti-screened potential.
+  EXPECT_THROW(build({.debye_length = 0.0}), PreconditionError);
+  EXPECT_THROW(build({.debye_length = -7.8}), PreconditionError);
+  EXPECT_THROW(build({.dielectric = 0.0}), PreconditionError);
+  EXPECT_THROW(build({.dielectric = -80.0}), PreconditionError);
+  EXPECT_THROW(build({.epsilon_wca = -0.5}), PreconditionError);
+  EXPECT_THROW(build({.debye_length = std::nan("")}), PreconditionError);
+  // Purely Coulombic beads (no WCA core) are a valid model.
+  EXPECT_NO_THROW(build({.epsilon_wca = 0.0}));
+}
+
 TEST(Engine, CloneWithSameSeedContinuesIdentically) {
   Engine engine = make_trimer(IntegratorKind::Langevin, 1, 77);
   engine.step(150);

@@ -3,20 +3,25 @@
 // deterministic reduction), not just through the free functions — so a bug
 // in slicing, accumulation windows or reduction order cannot hide behind
 // correct per-term math. Also pins the pipeline against an independent
-// all-pairs reference and checks the per-contribution external energy
-// breakdown.
+// all-pairs reference, holds the scalar batch kernels to plain AoS
+// reference loops bit for bit, and checks the per-contribution external
+// energy breakdown.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/units.hpp"
 #include "md/engine.hpp"
 #include "md/forcefield.hpp"
+#include "md/neighbor_list.hpp"
 #include "md/topology.hpp"
 #include "pore/pore_potential.hpp"
 #include "smd/position_restraint.hpp"
@@ -284,6 +289,184 @@ TEST(KernelPipeline, ExternalEnergyBreakdownPerContribution) {
   // The COM restraint is displaced from its center, so its share must be
   // strictly positive (ensures the breakdown carries real values).
   EXPECT_GT(e.external_terms[1].energy, 0.0);
+}
+
+// --- scalar kernels against reference loops, bit for bit ---------------
+
+/// 32 beads (one force slice) on an 8×2×2 lattice of 3.2 Å pitch with a
+/// deterministic jitter, consecutive beads lattice-adjacent along a
+/// serpentine: lattice neighbours sit inside the WCA shell and pairs six
+/// pitches apart between the cutoff and cutoff + skin. `bonded` links the
+/// serpentine with harmonic bonds (which also exclude those pairs);
+/// otherwise the same pairs are excluded explicitly and no bonded force
+/// dilutes the nonbonded bits.
+Engine make_lattice(bool bonded, bool charged, double radius) {
+  constexpr std::size_t kBeads = 32;
+  constexpr double kPitch = 3.2;
+  Topology topo;
+  for (std::size_t i = 0; i < kBeads; ++i) {
+    const double q = charged ? ((i % 2 == 0) ? -0.3 : 0.7) : 0.0;
+    topo.add_particle({.mass = 100.0, .charge = q, .radius = radius, .name = "B"});
+  }
+  for (ParticleIndex i = 0; i + 1 < kBeads; ++i) {
+    if (bonded) {
+      topo.add_bond({i, i + 1, 5.0 + 0.25 * i, kPitch + 0.01 * (i % 5)});
+    } else {
+      topo.add_exclusion(i, i + 1);
+    }
+  }
+  MdConfig cfg;
+  cfg.dt = 0.005;
+  cfg.seed = 11;
+  cfg.simd = simd::Request::Scalar;
+  Engine engine(std::move(topo), NonbondedParams{}, cfg);
+  std::vector<Vec3> xs(kBeads);
+  for (std::size_t i = 0; i < kBeads; ++i) {
+    const std::size_t ix = i / 4;
+    std::size_t iy = (i / 2) % 2;
+    const std::size_t iz = i % 2;
+    if (ix % 2 == 1) iy = 1 - iy;  // serpentine: consecutive beads stay adjacent
+    const double t = static_cast<double>(i);
+    xs[i] = {kPitch * static_cast<double>(ix) + 0.3 * std::sin(1.7 * t),
+             kPitch * static_cast<double>(iy) + 0.2 * std::cos(2.3 * t),
+             kPitch * static_cast<double>(iz) + 0.25 * std::sin(0.9 * t + 1.0)};
+  }
+  engine.set_positions(xs);
+  engine.initialize_velocities(300.0);
+  return engine;
+}
+
+struct SliceReference {
+  double bond = 0.0;
+  double nonbonded = 0.0;
+  std::vector<Vec3> forces;
+};
+
+/// The one-slice force pipeline as plain AoS loops: harmonic_bond over the
+/// bond table, then the WCA + Debye–Hückel pair loop over the neighbour
+/// list's candidates filtered by reach² (against the list's reference
+/// positions) and the exclusions, with the Coulomb prefactor formed as
+/// coulomb_pref·(qᵢ·qⱼ).
+SliceReference reference_slice(const Engine& engine, const NonbondedParams& params) {
+  const Topology& topo = engine.topology();
+  const NeighborList& list = engine.neighbor_list();
+  const auto xs = engine.positions();
+  const auto q = engine.state().charge();
+  const auto radius = engine.state().sigma();
+  SliceReference ref;
+  ref.forces.assign(xs.size(), Vec3{});
+  auto& acc = ref.forces;
+
+  for (const Bond& bond : topo.bonds()) {
+    const EnergyForce ef = harmonic_bond(xs[bond.i], xs[bond.j], bond.k, bond.r0);
+    ref.bond += ef.energy;
+    acc[bond.i] += ef.force_on_i;
+    acc[bond.j] += -ef.force_on_i;
+  }
+
+  const auto ref_xs = list.reference_positions();
+  const double reach = list.cutoff() + list.skin();
+  const double reach2 = reach * reach;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  list.for_each_candidate_pair(0, 1, [&](std::uint32_t a, std::uint32_t b) {
+    if (distance2(ref_xs[a], ref_xs[b]) > reach2) return;
+    if (topo.excluded(a, b)) return;
+    pairs.emplace_back(a, b);
+  });
+
+  const double cutoff2 = params.cutoff * params.cutoff;
+  const double epsilon = params.epsilon_wca;
+  const double inv_lambda = 1.0 / params.debye_length;
+  const double coulomb_pref = units::kCoulomb / params.dielectric;
+  const double shift_per_pref = std::exp(-params.cutoff * inv_lambda) / params.cutoff;
+  const double wca_lift = std::cbrt(2.0);
+  for (const auto& [i, j] : pairs) {
+    const Vec3 dr = xs[i] - xs[j];
+    const double r2 = dr.norm2();
+    if (r2 >= cutoff2 || r2 <= 0.0) continue;
+    Vec3 f;
+    const double sigma = radius[i] + radius[j];
+    const double wca_rc2 = sigma * sigma * wca_lift;
+    if (r2 < wca_rc2) {
+      const double s2 = sigma * sigma / r2;
+      const double s6 = s2 * s2 * s2;
+      const double s12 = s6 * s6;
+      ref.nonbonded += 4.0 * epsilon * (s12 - s6) + epsilon;
+      f += dr * (24.0 * epsilon * (2.0 * s12 - s6) / r2);
+    }
+    const double qq = q[i] * q[j];
+    if (qq != 0.0) {
+      const double r = std::sqrt(r2);
+      const double pref = coulomb_pref * qq;
+      const double u_r = pref * std::exp(-r * inv_lambda) / r;
+      ref.nonbonded += u_r - pref * shift_per_pref;
+      f += dr * (u_r * (1.0 / r + inv_lambda) / r);
+    }
+    acc[i] += f;
+    acc[j] -= f;
+  }
+  return ref;
+}
+
+/// Compare the engine's energies and forces against reference_slice at
+/// the current configuration, bit for bit.
+void expect_matches_reference_bitwise(Engine& engine) {
+  const EnergyBreakdown e = engine.compute_energies();
+  const SliceReference ref = reference_slice(engine, NonbondedParams{});
+  EXPECT_EQ(e.bond, ref.bond);
+  EXPECT_EQ(e.nonbonded, ref.nonbonded);
+  const auto forces = engine.forces();
+  ASSERT_EQ(forces.size(), ref.forces.size());
+  for (std::size_t i = 0; i < forces.size(); ++i) {
+    EXPECT_EQ(forces[i].x, ref.forces[i].x) << "particle " << i;
+    EXPECT_EQ(forces[i].y, ref.forces[i].y) << "particle " << i;
+    EXPECT_EQ(forces[i].z, ref.forces[i].z) << "particle " << i;
+  }
+}
+
+TEST(KernelPipeline, ScalarKernelsMatchReferenceLoopsBitwise) {
+  {
+    SCOPED_TRACE("nonbonded: mixed -0.3/+0.7 charges, explicit exclusions");
+    Engine engine = make_lattice(/*bonded=*/false, /*charged=*/true, /*radius=*/1.5);
+    ASSERT_EQ(engine.simd_level(), simd::Level::Scalar);
+    engine.compute_energies();
+    const NeighborList& list = engine.neighbor_list();
+    const auto xs = list.reference_positions();
+    const double cutoff2 = list.cutoff() * list.cutoff();
+    const double reach2 = (list.cutoff() + list.skin()) * (list.cutoff() + list.skin());
+    std::size_t live = 0;
+    std::size_t in_skin = 0;
+    list.for_each_candidate_pair(0, 1, [&](std::uint32_t a, std::uint32_t b) {
+      if (engine.topology().excluded(a, b)) return;
+      const double r2 = distance2(xs[a], xs[b]);
+      live += r2 < cutoff2 ? 1 : 0;
+      in_skin += (r2 >= cutoff2 && r2 <= reach2) ? 1 : 0;
+    });
+    EXPECT_GT(live, 100u);
+    EXPECT_GT(in_skin, 0u) << "no pair between the cutoff and cutoff + skin";
+    // Ten configurations along a trajectory that stays inside the skin, so
+    // the pair filter reads the list's reference positions while the
+    // forces use the current ones.
+    const std::size_t rebuilds = list.rebuild_count();
+    for (int round = 0; round < 10; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      engine.step(2);
+      expect_matches_reference_bitwise(engine);
+    }
+    EXPECT_EQ(list.rebuild_count(), rebuilds);
+    EXPECT_NE(engine.compute_energies().nonbonded, 0.0);
+  }
+  {
+    SCOPED_TRACE("bonds: neutral beads outside every WCA shell");
+    Engine engine = make_lattice(/*bonded=*/true, /*charged=*/false, /*radius=*/0.5);
+    for (int round = 0; round < 10; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      engine.step(5);
+      expect_matches_reference_bitwise(engine);
+    }
+    EXPECT_EQ(engine.compute_energies().nonbonded, 0.0);
+    EXPECT_NE(engine.compute_energies().bond, 0.0);
+  }
 }
 
 TEST(KernelPipeline, SystemStateRoundTripsAoSViews) {
