@@ -34,8 +34,8 @@ void spice::claims::batch_campaign(Claim& claim) {
   auto add = [&table](double scenario, const ProductionExecution& e) {
     table.add_row({scenario, e.makespan_days, static_cast<double>(e.campaign.completed),
                    static_cast<double>(e.campaign.failed), e.campaign.total_cpu_hours,
-                   e.campaign.mean_wait_hours,
-                   static_cast<double>(e.campaign.jobs_per_site.size())});
+                   e.campaign.wait_stats.mean_hours,
+                   static_cast<double>(e.campaign.site_shares.size())});
   };
 
   // Scenario 1: the federated US-UK grid (the paper's run).
@@ -43,8 +43,8 @@ void spice::claims::batch_campaign(Claim& claim) {
   const ProductionExecution fed = execute_on_federation(plan, federated);
   add(1, fed);
   std::printf("\nscenario 1 = federated US-UK grid;  per-site placement:");
-  for (const auto& [site, n] : fed.campaign.jobs_per_site) {
-    std::printf("  %s:%d", site.c_str(), n);
+  for (const auto& share : fed.campaign.site_shares) {
+    std::printf("  %s:%zu", share.site.c_str(), share.jobs);
   }
   std::printf("\n");
 
@@ -84,7 +84,7 @@ void spice::claims::batch_campaign(Claim& claim) {
   std::printf("scenario 6 = federation with 3-week Manchester outage (security breach)\n");
   add(6, breached);
   std::printf("  jobs requeued onto other sites after the breach: %zu\n",
-              breached.jobs_requeued);
+              breached.campaign.cpu.restarted_jobs);
 
   std::printf("\n");
   table.write_pretty(std::cout, 2);

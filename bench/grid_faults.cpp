@@ -60,9 +60,10 @@ void spice::claims::grid_faults(Claim& claim) {
                     "credited_cpuh", "wasted_cpuh", "held", "ckpt_restarts"});
   auto add = [&table](double mode, const ProductionExecution& e) {
     table.add_row({mode, e.makespan_days, static_cast<double>(e.campaign.completed),
-                   e.campaign.total_cpu_hours, e.credited_cpu_hours, e.wasted_cpu_hours,
-                   static_cast<double>(e.held_dispatches),
-                   static_cast<double>(e.checkpoint_restarts)});
+                   e.campaign.total_cpu_hours, e.campaign.credited_cpu_hours,
+                   e.campaign.wasted_cpu_hours,
+                   static_cast<double>(e.campaign.held_dispatches),
+                   static_cast<double>(e.campaign.checkpoint_restarts)});
   };
   std::printf("\nmode 1 = restart-from-scratch, mode 2 = checkpoint-credited (1 h cadence)\n\n");
   add(1, full);
@@ -76,10 +77,10 @@ void spice::claims::grid_faults(Claim& claim) {
     claim.set_group(mode, {{"makespan_hours", e.makespan_hours},
                            {"completed", e.campaign.completed},
                            {"consumed_cpu_hours", e.campaign.total_cpu_hours},
-                           {"credited_cpu_hours", e.credited_cpu_hours},
-                           {"wasted_cpu_hours", e.wasted_cpu_hours},
-                           {"held_dispatches", e.held_dispatches},
-                           {"checkpoint_restarts", e.checkpoint_restarts}});
+                           {"credited_cpu_hours", e.campaign.credited_cpu_hours},
+                           {"wasted_cpu_hours", e.campaign.wasted_cpu_hours},
+                           {"held_dispatches", e.campaign.held_dispatches},
+                           {"checkpoint_restarts", e.campaign.checkpoint_restarts}});
   };
   set_mode("restart_from_scratch", full);
   set_mode("checkpoint_credited", ckpt);
@@ -89,18 +90,18 @@ void spice::claims::grid_faults(Claim& claim) {
                   ckpt.campaign.failed == 0,
               "every job eventually completes despite the all-sites window "
               "(no job lost to 'no usable site')");
-  claim.check(ckpt.wasted_cpu_hours < full.wasted_cpu_hours,
+  claim.check(ckpt.campaign.wasted_cpu_hours < full.campaign.wasted_cpu_hours,
               fmt("checkpoint credit wastes strictly fewer CPU-hours (%.0f vs %.0f)",
-                  ckpt.wasted_cpu_hours, full.wasted_cpu_hours));
+                  ckpt.campaign.wasted_cpu_hours, full.campaign.wasted_cpu_hours));
   claim.check(ckpt.campaign.total_cpu_hours < full.campaign.total_cpu_hours,
               fmt("checkpoint credit burns strictly fewer total CPU-hours (%.0f vs %.0f)",
                   ckpt.campaign.total_cpu_hours, full.campaign.total_cpu_hours));
   claim.check(ckpt.makespan_hours == rerun.makespan_hours &&
                   ckpt.campaign.total_cpu_hours == rerun.campaign.total_cpu_hours &&
-                  ckpt.wasted_cpu_hours == rerun.wasted_cpu_hours,
+                  ckpt.campaign.wasted_cpu_hours == rerun.campaign.wasted_cpu_hours,
               "fixed fault seed replays the campaign bit-identically");
-  claim.check(ckpt.held_dispatches > 0 && ckpt.checkpoint_restarts > 0,
+  claim.check(ckpt.campaign.held_dispatches > 0 && ckpt.campaign.checkpoint_restarts > 0,
               fmt("the all-sites window exercised held-queue parking AND "
                   "checkpoint-credited restarts (%zu held, %zu resumed)",
-                  ckpt.held_dispatches, ckpt.checkpoint_restarts));
+                  ckpt.campaign.held_dispatches, ckpt.campaign.checkpoint_restarts));
 }

@@ -129,11 +129,12 @@ void hash_campaign(Fnv1a& fnv, const CampaignResult& r) {
   }
 }
 
-// --- new arm -----------------------------------------------------------------
+// --- arms --------------------------------------------------------------------
 
-/// Run `waves` × `jobs_per_wave` jobs through the refactored stack, one
-/// Broker per wave so rows and names recycle across the campaign.
-ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
+/// Run `waves` × `jobs_per_wave` jobs through the calendar queue,
+/// JobTable and streaming metrics, one Broker per wave so rows and names
+/// recycle across the campaign.
+ArmResult run_arm(std::size_t waves, std::size_t jobs_per_wave) {
   EventQueue events;
   Federation federation(events);
   build_synthetic_federation(federation, kSites, kSeed);
@@ -149,7 +150,6 @@ ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
     config.job_factory = [wave](std::size_t i) { return synthetic_job(kSeed, wave, i); };
     config.job_count = jobs_per_wave;
     config.policy = BrokerPolicy::LeastBacklog;
-    config.keep_finished_jobs = false;
     config.max_requeues = 10;
     config.retry.max_holds = 200;
     Broker broker(federation, config);
@@ -175,13 +175,13 @@ ArmResult run_new_arm(std::size_t waves, std::size_t jobs_per_wave) {
 /// the first under `name`; returns it and sets `replay`.
 ArmResult run_replayed(Claim& claim, const std::string& name, std::size_t waves,
                        std::size_t jobs_per_wave, bool& replay) {
-  const ArmResult arm = run_new_arm(waves, jobs_per_wave);
+  const ArmResult arm = run_arm(waves, jobs_per_wave);
   const std::string row_bytes = waves > 1 ? fmt(" (%zu B/row)", JobTable::bytes_per_row()) : "";
   std::printf("  %.2f s, %" PRIu64 " events (%.0f ev/s), %zu completed / %zu failed, "
               "peak rows %zu%s, digest %016" PRIx64 "\n",
               arm.wall_s, arm.events, arm.events_per_sec(), arm.completed, arm.failed,
               arm.peak_rows, row_bytes.c_str(), arm.digest);
-  const std::uint64_t rerun = run_new_arm(waves, jobs_per_wave).digest;
+  const std::uint64_t rerun = run_arm(waves, jobs_per_wave).digest;
   replay = arm.digest == rerun;
   std::printf("  rerun digest %016" PRIx64 " -> %s\n", rerun,
               replay ? "bit-identical" : "DIVERGED");

@@ -179,15 +179,15 @@ int main() {
               production.plan.expected_cpu_hours);
   std::printf("execution: %.2f days makespan, %zu completed, %zu requeued\n",
               production.execution.makespan_days, production.execution.campaign.completed,
-              production.execution.jobs_requeued);
+              production.execution.campaign.cpu.restarted_jobs);
   // Queue-wait tail from the broker's streaming accumulators — available
   // even for campaigns that retain no per-job records.
   const auto& waits = production.execution.campaign.wait_stats;
   std::printf("queue waits: mean %.2f h, median %.2f h, p95 %.2f h, max %.2f h\n",
               waits.mean_hours, waits.median_hours, waits.p95_hours, waits.max_hours);
   std::printf("placement:");
-  for (const auto& [site, n] : production.execution.campaign.jobs_per_site) {
-    std::printf("  %s:%d", site.c_str(), n);
+  for (const auto& share : production.execution.campaign.site_shares) {
+    std::printf("  %s:%zu", share.site.c_str(), share.jobs);
   }
   std::printf("\ncost: %.0fx cheaper than vanilla 10 us MD\n",
               production.cost.reduction_vs_vanilla);

@@ -110,13 +110,4 @@ double average_error(const std::vector<double>& per_point) {
   return s.mean();
 }
 
-const ParameterScore& best_score(const std::vector<ParameterScore>& scores) {
-  SPICE_REQUIRE(!scores.empty(), "no parameter scores");
-  const auto it = std::min_element(scores.begin(), scores.end(),
-                                   [](const ParameterScore& a, const ParameterScore& b) {
-                                     return a.combined() < b.combined();
-                                   });
-  return *it;
-}
-
 }  // namespace spice::fe

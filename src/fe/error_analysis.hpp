@@ -70,14 +70,4 @@ struct ConfidenceBand {
                                                        std::uint64_t seed,
                                                        double alpha = 0.1);
 
-/// Pick the winning parameter set: smallest combined error, with ties
-/// (within `tie_tolerance`, kcal/mol) broken toward the cheaper protocol —
-/// the paper's rationale for preferring v = 12.5 over 25 at κ = 100 is
-/// that equal-error protocols should favour the one giving more samples
-/// per unit compute (lower v ⇒ costlier per sample ⇒ prefer *higher* v on
-/// a pure-cost tie; the paper instead fixes total cost and picks the
-/// *lower* v for its smaller systematic bias — see spice::ParameterOptimizer
-/// for the full, documented rule).
-[[nodiscard]] const ParameterScore& best_score(const std::vector<ParameterScore>& scores);
-
 }  // namespace spice::fe

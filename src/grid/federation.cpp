@@ -19,13 +19,6 @@ Site& Federation::add_site(const SiteSpec& spec) {
   sites_.push_back(std::make_unique<Site>(spec, events_, table_));
   Site& site = *sites_.back();
   site.set_row_completion_handler([this](JobRow row) {
-    // Materialize the compatibility view only when someone wants it, and
-    // before row listeners run — a broker may move the row out of its
-    // terminal state (requeue), which must not leak into the Job records.
-    if (!listeners_.empty()) {
-      const Job job = table_.materialize(row);
-      for (const auto& listener : listeners_) listener(job);
-    }
     for (const auto& [id, listener] : row_listeners_) listener(row);
   });
   site.set_recovery_handler([this, &site] {
@@ -317,9 +310,6 @@ void Broker::fail_permanently(JobRow row, bool release_row) {
   }
   if (traced()) trace(obs::RecordKind::Instant, "grid.broker.gave_up", row, 0.0);
   result_.failed += 1;
-  // Everything a permanently failed job burned is wasted: its checkpoints
-  // are never resumed.
-  result_.wasted_cpu_hours += table.consumed_cpu_hours(row);
   stream_.on_failed(table.consumed_cpu_hours(row));
   result_.makespan_hours =
       std::max(result_.makespan_hours, table.end_time(row) - result_.submit_time);
@@ -337,13 +327,7 @@ void Broker::on_row_done(JobRow row) {
     --outstanding_;
     result_.completed += 1;
     result_.total_cpu_hours += table.consumed_cpu_hours(row);
-    result_.credited_cpu_hours +=
-        table.consumed_cpu_hours(row) - table.wasted_cpu_hours(row);
-    result_.wasted_cpu_hours += table.wasted_cpu_hours(row);
     if (config_.keep_finished_jobs) result_.finished_jobs.push_back(table.materialize(row));
-    const double wait = table.start_time(row) - table.submit_time(row);
-    result_.mean_wait_hours += wait;  // finalized in result()
-    result_.max_wait_hours = std::max(result_.max_wait_hours, wait);
     result_.makespan_hours =
         std::max(result_.makespan_hours, table.end_time(row) - result_.submit_time);
     stream_.on_completed(table.processors(row), table.submit_time(row),
@@ -382,13 +366,11 @@ void Broker::on_row_done(JobRow row) {
 CampaignResult Broker::result() const {
   SPICE_REQUIRE(done(), "campaign still in flight");
   CampaignResult finalized = result_;
-  if (result_.completed > 0) {
-    finalized.mean_wait_hours = result_.mean_wait_hours / static_cast<double>(result_.completed);
-  }
   finalized.wait_stats = stream_.wait_statistics();
   finalized.site_shares = stream_.site_shares(federation_.jobs());
-  finalized.jobs_per_site = stream_.jobs_per_site(federation_.jobs());
   finalized.cpu = stream_.cpu_accounting();
+  finalized.credited_cpu_hours = finalized.cpu.credited_cpu_hours;
+  finalized.wasted_cpu_hours = finalized.cpu.wasted_cpu_hours;
   return finalized;
 }
 

@@ -2,21 +2,22 @@
 // Federation of grids and the campaign broker.
 //
 // A Federation owns Sites (each belonging to a named grid — "TeraGrid",
-// "NGS"), the shared flyweight JobTable, and fans job-completion callbacks
-// out to listeners. The Broker dispatches a campaign of jobs across the
-// federation (the paper's 72-simulation production set), re-queueing jobs
-// that fail (e.g. in a site outage) onto other sites — exactly the
-// redundancy argument of §V-C.4.
+// "NGS"), the shared flyweight JobTable, and fans every site's completed
+// rows out to row listeners. The Broker dispatches a campaign of jobs
+// across the federation (the paper's 72-simulation production set),
+// re-queueing jobs that fail (e.g. in a site outage) onto other sites —
+// exactly the redundancy argument of §V-C.4. Broker::choose_site is the
+// one placement scan.
 //
 // Scale model: campaign state lives in JobTable rows; held jobs are the
 // table's Held list (no broker-side vector), backoff timers are
 // cancellable DES events (a site recovery releases a held job AND removes
-// its timer), and campaign metrics stream into O(1) accumulators at each
-// completion, so a million-job campaign never retains per-job records
-// unless CampaignConfig::keep_finished_jobs asks for them.
+// its timer), and the campaign metrics are the broker's
+// StreamingCampaignMetrics, O(1) accumulators fed at each completion. A
+// campaign keeps no per-job records unless
+// CampaignConfig::keep_finished_jobs asks for them (default off).
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,7 +31,6 @@ namespace spice::grid {
 
 class Federation {
  public:
-  using Listener = std::function<void(const Job&)>;
   using RowListener = std::function<void(JobRow)>;
   using RecoveryListener = std::function<void(Site&)>;
   using ListenerId = std::size_t;
@@ -47,14 +47,10 @@ class Federation {
   [[nodiscard]] const JobTable& jobs() const { return table_; }
   [[nodiscard]] int total_processors() const;
 
-  /// Register a completion listener (receives every finished job from
-  /// every site, campaign and background alike). The Job view is only
-  /// materialized when at least one such listener is registered.
-  void add_listener(Listener listener) { listeners_.push_back(std::move(listener)); }
-
-  /// Flyweight completion listener: receives the row (state still
-  /// terminal) of every finished job. Remove before the listener's
-  /// captures dangle — e.g. a Broker deregisters on destruction.
+  /// Completion listener: receives the row (state still terminal) of
+  /// every finished job from every site, campaign and background alike.
+  /// Remove before the listener's captures dangle — e.g. a Broker
+  /// deregisters on destruction.
   ListenerId add_row_listener(RowListener listener);
   void remove_row_listener(ListenerId id);
 
@@ -67,7 +63,6 @@ class Federation {
   EventQueue& events_;
   JobTable table_;
   std::vector<std::unique_ptr<Site>> sites_;
-  std::vector<Listener> listeners_;
   std::vector<std::pair<ListenerId, RowListener>> row_listeners_;
   std::vector<std::pair<ListenerId, RecoveryListener>> recovery_listeners_;
   ListenerId next_listener_id_ = 0;
@@ -125,9 +120,9 @@ struct CampaignConfig {
   /// fraction of the requested replicas completed (1.0 = all required).
   double completion_floor = 1.0;
   /// Retain a materialized Job record per finished job (CampaignResult::
-  /// finished_jobs). Default on for API compatibility; scale campaigns
-  /// turn it off and read the streaming accumulators instead.
-  bool keep_finished_jobs = true;
+  /// finished_jobs), for tests that inspect individual jobs. The campaign
+  /// metrics never need them.
+  bool keep_finished_jobs = false;
   /// grid/mc seam (not owned, may be null): routes the broker's
   /// nondeterministic choices — backoff jitter and the RoundRobin start
   /// offset — through the explorer so every branch is enumerable. Must
@@ -139,26 +134,20 @@ struct CampaignResult {
   double submit_time = 0.0;
   double makespan_hours = 0.0;   ///< last completion OR permanent failure − submit
   double total_cpu_hours = 0.0;  ///< Σ procs × wall over ALL attempts of completed jobs
-  double credited_cpu_hours = 0.0;  ///< CPU-hours that produced kept work
-  /// CPU-hours lost past the last credited checkpoint of completed jobs,
-  /// plus everything permanently failed jobs burned.
-  double wasted_cpu_hours = 0.0;
+  double credited_cpu_hours = 0.0;  ///< cpu.credited_cpu_hours
+  double wasted_cpu_hours = 0.0;    ///< cpu.wasted_cpu_hours
   std::size_t completed = 0;
   std::size_t failed = 0;  ///< jobs that exhausted their requeue/hold budget
   std::size_t requested = 0;         ///< campaign size as submitted
   std::size_t held_dispatches = 0;   ///< times a job entered the held queue
   std::size_t checkpoint_restarts = 0;  ///< dispatches resuming banked progress
-  double mean_wait_hours = 0.0;
-  double max_wait_hours = 0.0;
-  std::map<std::string, int> jobs_per_site;
-  /// Per-job records; empty when CampaignConfig::keep_finished_jobs is off.
+  /// Per-job records; empty unless CampaignConfig::keep_finished_jobs.
   std::vector<Job> finished_jobs;
 
-  // Streaming-accumulator snapshots: available regardless of
-  // keep_finished_jobs, identical (up to the documented p95 estimator
-  // tolerance) to the batch functions over finished_jobs.
+  // The campaign metrics: snapshots of the broker's streaming
+  // accumulators, filled whether or not records are kept.
   WaitStatistics wait_stats;
-  std::vector<SiteShare> site_shares;
+  std::vector<SiteShare> site_shares;  ///< sorted by site name; the per-site job counts
   CpuAccounting cpu;
 
   double completion_floor = 1.0;  ///< copied from the campaign config

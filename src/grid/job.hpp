@@ -1,11 +1,12 @@
 #pragma once
 // Batch jobs as the grid substrate sees them.
 //
-// Job is the *materialized view* of a campaign job: hot scheduler paths
-// store job state in flyweight column arrays (grid/job_table.hpp) and
-// construct a Job on demand for completion listeners, finished-job
-// records and tests. Code that holds a Job holds a snapshot, not live
-// scheduler state.
+// Job is how a caller describes a job to the grid (Site::submit,
+// CampaignConfig). Scheduler state lives in flyweight column arrays
+// (grid/job_table.hpp); a row is materialized back into a Job only for
+// opt-in finished-job records (CampaignConfig::keep_finished_jobs) and
+// tests. Code that holds a Job holds a snapshot, not live scheduler
+// state.
 
 #include <cstdint>
 #include <string>

@@ -7,9 +7,11 @@
 // and sites O(1) state transitions and ordered iteration over e.g. the
 // held set without scanning.
 //
-// The original `Job` struct (grid/job.hpp) remains the public API: it is
-// materialized from a row on demand for completion listeners, finished-job
-// records and tests. Hot paths never touch it.
+// Rows are the only way a job's completion reaches code: sites hand the
+// finished row to their row completion handler, the federation to its
+// row listeners. The `Job` struct (grid/job.hpp) is what callers insert;
+// a row is materialized back into a Job only for opt-in finished-job
+// records (CampaignConfig::keep_finished_jobs) and tests.
 
 #include <cstdint>
 #include <string>
@@ -110,8 +112,8 @@ class JobTable {
   /// Job name for display/traces ("job<id>" for unnamed rows).
   [[nodiscard]] std::string display_name(JobRow row) const;
 
-  /// Materialize the compatibility view of a row. The name carries the
-  /// last failure reason as a " [reason]" suffix when one is recorded.
+  /// Materialize a row as a Job snapshot. The name carries the last
+  /// failure reason as a " [reason]" suffix when one is recorded.
   [[nodiscard]] Job materialize(JobRow row) const;
 
   /// Deterministic digest of the live rows for grid/mc's stateful-hash

@@ -114,8 +114,8 @@ class CpuConservation final : public ListenerChecker {
                     std::to_string(cpu.wasted_cpu_hours) + ") != consumed(" +
                     std::to_string(cpu.consumed_cpu_hours) + ")");
     }
-    // Same identity through the result_ accumulators: credited is defined
-    // as completed-consumed minus completed-wasted.
+    // Same identity against the broker's completed-consumed total:
+    // credited is completed-consumed minus completed-wasted.
     if (std::abs(r.credited_cpu_hours + completed_wasted_ - r.total_cpu_hours) >
         kCpuTol * std::max(1.0, r.total_cpu_hours)) {
       out.push_back("result credited(" + std::to_string(r.credited_cpu_hours) +

@@ -1,120 +1,10 @@
 #include "grid/metrics.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "common/error.hpp"
 #include "common/statistics.hpp"
 
 namespace spice::grid {
-
-namespace {
-std::vector<const Job*> completed_of(const std::vector<Job>& jobs) {
-  std::vector<const Job*> out;
-  for (const auto& j : jobs) {
-    if (j.state == JobState::Completed) out.push_back(&j);
-  }
-  return out;
-}
-}  // namespace
-
-WaitStatistics wait_statistics(const std::vector<Job>& jobs) {
-  const auto completed = completed_of(jobs);
-  WaitStatistics stats;
-  stats.jobs = completed.size();
-  if (completed.empty()) return stats;
-  std::vector<double> waits;
-  waits.reserve(completed.size());
-  for (const auto* j : completed) waits.push_back(j->wait_hours());
-  RunningStats rs;
-  for (const double w : waits) rs.add(w);
-  stats.mean_hours = rs.mean();
-  stats.max_hours = rs.max();
-  stats.median_hours = percentile(waits, 50.0);
-  stats.p95_hours = percentile(waits, 95.0);
-  return stats;
-}
-
-std::vector<SiteShare> site_shares(const std::vector<Job>& jobs) {
-  std::map<std::string, SiteShare> by_site;
-  for (const auto& j : jobs) {
-    if (j.state != JobState::Completed) continue;
-    SiteShare& share = by_site[j.site];
-    share.site = j.site;
-    share.jobs += 1;
-    share.cpu_hours += j.processors * (j.end_time - j.start_time);
-    share.mean_wait_hours += j.wait_hours();  // finalized below
-  }
-  std::vector<SiteShare> out;
-  out.reserve(by_site.size());
-  for (auto& [site, share] : by_site) {
-    share.mean_wait_hours /= static_cast<double>(share.jobs);
-    out.push_back(share);
-  }
-  return out;
-}
-
-int processors_in_use(const std::vector<Job>& jobs, double t) {
-  int total = 0;
-  for (const auto& j : jobs) {
-    if (j.state == JobState::Completed && j.start_time <= t && t < j.end_time) {
-      total += j.processors;
-    }
-  }
-  return total;
-}
-
-std::vector<TimelinePoint> concurrency_timeline(const std::vector<Job>& jobs,
-                                                std::size_t samples) {
-  SPICE_REQUIRE(samples >= 2, "timeline needs at least two samples");
-  const auto completed = completed_of(jobs);
-  if (completed.empty()) return {};
-  double t0 = std::numeric_limits<double>::infinity();
-  double t1 = -t0;
-  for (const auto* j : completed) {
-    t0 = std::min(t0, j->submit_time);
-    t1 = std::max(t1, j->end_time);
-  }
-  std::vector<TimelinePoint> out;
-  out.reserve(samples);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const double t =
-        t0 + (t1 - t0) * static_cast<double>(s) / static_cast<double>(samples - 1);
-    out.push_back({t, processors_in_use(jobs, t)});
-  }
-  return out;
-}
-
-CpuAccounting cpu_accounting(const std::vector<Job>& jobs) {
-  CpuAccounting acc;
-  for (const auto& j : jobs) {
-    acc.consumed_cpu_hours += j.consumed_cpu_hours;
-    if (j.state == JobState::Completed) {
-      acc.credited_cpu_hours += j.consumed_cpu_hours - j.wasted_cpu_hours;
-      acc.wasted_cpu_hours += j.wasted_cpu_hours;
-      if (j.requeues > 0) {
-        acc.restarted_jobs += 1;
-        // Credit banked by earlier attempts = consumed − wasted − final run.
-        const double final_run = j.processors * (j.end_time - j.start_time);
-        if (j.consumed_cpu_hours - j.wasted_cpu_hours - final_run > 1e-9) {
-          acc.checkpointed_restarts += 1;
-        }
-      }
-    } else {
-      // A job that never completed delivered nothing.
-      acc.wasted_cpu_hours += j.consumed_cpu_hours;
-    }
-  }
-  return acc;
-}
-
-int peak_processors(const std::vector<Job>& jobs, std::size_t samples) {
-  int peak = 0;
-  for (const auto& p : concurrency_timeline(jobs, samples)) {
-    peak = std::max(peak, p.processors);
-  }
-  return peak;
-}
 
 StreamingTailStats::StreamingTailStats(std::size_t exact_limit)
     : exact_limit_(std::max<std::size_t>(exact_limit, 1)) {}
@@ -211,16 +101,6 @@ std::vector<SiteShare> StreamingCampaignMetrics::site_shares(const JobTable& tab
   }
   std::sort(out.begin(), out.end(),
             [](const SiteShare& a, const SiteShare& b) { return a.site < b.site; });
-  return out;
-}
-
-std::map<std::string, int> StreamingCampaignMetrics::jobs_per_site(
-    const JobTable& table) const {
-  std::map<std::string, int> out;
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    if (sites_[i].jobs == 0) continue;
-    out[table.site_name(static_cast<SiteId>(i))] = static_cast<int>(sites_[i].jobs);
-  }
   return out;
 }
 

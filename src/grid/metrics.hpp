@@ -1,21 +1,17 @@
 #pragma once
-// Campaign/site analytics in two forms:
-//   * batch — computed from finished-job record vectors (the original
-//     API, used by the batch-campaign bench and small scenarios);
-//   * streaming — O(1)-memory accumulators updated at each completion
-//     event, so a million-job campaign never retains per-job records.
-// The streaming accumulators reproduce the batch numbers exactly for
-// means/sums/max (same values added in the same order); quantiles are
-// exact up to a configurable sample count, then switch to the P²
-// estimator (common/statistics.hpp) with a small documented tolerance.
+// Campaign analytics: O(1)-memory accumulators updated at each completion
+// event. StreamingCampaignMetrics is the broker's one record of a
+// campaign's waits, per-site shares and CPU accounting, so a
+// million-job campaign never retains per-job records. Means, sums and
+// max are exact; quantiles are exact up to a configurable sample count,
+// then switch to the P² estimator (common/statistics.hpp) with a small
+// documented tolerance.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/statistics.hpp"
-#include "grid/job.hpp"
 #include "grid/job_table.hpp"
 
 namespace spice::grid {
@@ -28,9 +24,6 @@ struct WaitStatistics {
   double max_hours = 0.0;
 };
 
-/// Queue-wait statistics over completed jobs (Failed jobs are skipped).
-[[nodiscard]] WaitStatistics wait_statistics(const std::vector<Job>& jobs);
-
 /// Per-site share of the campaign: job count, CPU-hours and mean wait.
 struct SiteShare {
   std::string site;
@@ -39,25 +32,8 @@ struct SiteShare {
   double mean_wait_hours = 0.0;
 };
 
-[[nodiscard]] std::vector<SiteShare> site_shares(const std::vector<Job>& jobs);
-
-/// Number of campaign processors busy at time t (from the job records).
-[[nodiscard]] int processors_in_use(const std::vector<Job>& jobs, double t);
-
-/// Sampled concurrency timeline between the first submit and last end.
-struct TimelinePoint {
-  double time_hours = 0.0;
-  int processors = 0;
-};
-
-[[nodiscard]] std::vector<TimelinePoint> concurrency_timeline(const std::vector<Job>& jobs,
-                                                              std::size_t samples = 50);
-
-/// Peak concurrent campaign processors (resolution: the sampled timeline).
-[[nodiscard]] int peak_processors(const std::vector<Job>& jobs, std::size_t samples = 200);
-
 /// Wasted-vs-credited CPU-hour accounting under failures and checkpoint-
-/// credited restarts, aggregated from finished-job records.
+/// credited restarts.
 struct CpuAccounting {
   double consumed_cpu_hours = 0.0;  ///< procs × wall over every attempt of every job
   double credited_cpu_hours = 0.0;  ///< consumed hours that produced kept work
@@ -70,13 +46,10 @@ struct CpuAccounting {
   }
 };
 
-[[nodiscard]] CpuAccounting cpu_accounting(const std::vector<Job>& jobs);
-
 /// Streaming distribution summary: exact mean/max always (Welford), and
 /// exact median/p95 while at most `exact_limit` samples were seen — the
-/// raw values are buffered and fed through the same percentile() as the
-/// batch path. Past the limit the buffer spills into P² marker estimators
-/// and memory stays O(1).
+/// raw values are buffered and fed through percentile(). Past the limit
+/// the buffer spills into P² marker estimators and memory stays O(1).
 class StreamingTailStats {
  public:
   explicit StreamingTailStats(std::size_t exact_limit = 1024);
@@ -100,9 +73,8 @@ class StreamingTailStats {
   P2Quantile p95_{0.95};
 };
 
-/// Campaign metrics accumulated at completion/failure events — the
-/// streaming equivalent of wait_statistics + site_shares + cpu_accounting
-/// over the finished-job records, without keeping any.
+/// Campaign metrics accumulated at completion/failure events, without
+/// keeping any per-job record.
 class StreamingCampaignMetrics {
  public:
   explicit StreamingCampaignMetrics(std::size_t exact_limit = 1024);
@@ -113,10 +85,9 @@ class StreamingCampaignMetrics {
   void on_failed(double consumed_cpu_hours);
 
   [[nodiscard]] WaitStatistics wait_statistics() const;
-  /// Per-site shares sorted by site name (matching the batch output);
-  /// the table supplies the interned names.
+  /// Per-site shares sorted by site name; the table supplies the
+  /// interned names.
   [[nodiscard]] std::vector<SiteShare> site_shares(const JobTable& table) const;
-  [[nodiscard]] std::map<std::string, int> jobs_per_site(const JobTable& table) const;
   [[nodiscard]] CpuAccounting cpu_accounting() const { return cpu_; }
 
  private:

@@ -423,7 +423,6 @@ void Site::fail_row(JobRow row, const char* reason) {
 }
 
 void Site::complete_row(JobRow row) {
-  if (on_done_) on_done_(table_->materialize(row));
   if (on_done_row_) on_done_row_(row);
   // A handler that re-queues the job claims the row by moving it out of
   // its terminal state; otherwise its record is dead and the row recycles.

@@ -12,10 +12,10 @@
 //
 // Jobs live as JobTable rows; the queue and running set hold row indices.
 // Finish events are cancellable: an outage cancels the pending finish of
-// every killed job outright (no stale fired-and-ignored events), and the
-// legacy run-token machinery is gone. The Job-struct entry points
-// (submit(Job), CompletionHandler) remain for callers that predate the
-// table and for tests.
+// every killed job outright (no stale fired-and-ignored events). A job's
+// completion reaches code one way: the row completion handler, called
+// with the row still in its terminal state. submit(Job) inserts a row
+// for callers that hold a Job (background load, tests).
 
 #include <array>
 #include <cstdint>
@@ -135,8 +135,7 @@ class BackfillQueue {
 
 class Site {
  public:
-  using CompletionHandler = std::function<void(const Job&)>;
-  /// Flyweight completion path: receives the row while it still holds the
+  /// Completion path: receives the row while it still holds the
   /// terminal state. A handler that re-queues the job must move the row
   /// out of Completed/Failed (e.g. to Backoff) to keep it alive; rows
   /// left terminal are released when the handler returns.
@@ -157,7 +156,6 @@ class Site {
   [[nodiscard]] SiteId site_id() const { return id_; }
 
   /// Called whenever a job reaches Completed or Failed.
-  void set_completion_handler(CompletionHandler handler) { on_done_ = std::move(handler); }
   void set_row_completion_handler(RowCompletionHandler handler) {
     on_done_row_ = std::move(handler);
   }
@@ -243,7 +241,6 @@ class Site {
   std::unique_ptr<JobTable> owned_table_;  ///< standalone-constructor storage
   JobTable* table_;
   SiteId id_;
-  CompletionHandler on_done_;
   RowCompletionHandler on_done_row_;
   RecoveryHandler on_recovered_;
   int free_procs_;

@@ -133,18 +133,6 @@ ProductionExecution execute_on_federation(const ProductionPlan& plan,
   exec.campaign = broker.result();
   exec.makespan_hours = exec.campaign.makespan_hours;
   exec.makespan_days = exec.makespan_hours / 24.0;
-  for (const auto& job : exec.campaign.finished_jobs) {
-    if (job.requeues > 0 && job.state == spice::grid::JobState::Completed) {
-      ++exec.jobs_requeued;
-    }
-  }
-  exec.checkpoint_restarts = exec.campaign.checkpoint_restarts;
-  exec.held_dispatches = exec.campaign.held_dispatches;
-  exec.credited_cpu_hours = exec.campaign.credited_cpu_hours;
-  exec.wasted_cpu_hours = exec.campaign.wasted_cpu_hours;
-  exec.shortfall = exec.campaign.shortfall();
-  exec.degraded = exec.campaign.degraded();
-  exec.meets_floor = exec.campaign.meets_floor();
   return exec;
 }
 

@@ -96,18 +96,12 @@ struct ExecutionOptions {
   double progress_interval_hours = 0.0;
 };
 
+/// The campaign's metrics live in `campaign` (e.g. campaign.cpu.
+/// restarted_jobs = jobs that survived a failure, campaign.shortfall()).
 struct ProductionExecution {
   spice::grid::CampaignResult campaign;
   double makespan_hours = 0.0;
   double makespan_days = 0.0;
-  std::size_t jobs_requeued = 0;  ///< jobs that survived a failure
-  std::size_t checkpoint_restarts = 0;  ///< restarts that resumed banked work
-  std::size_t held_dispatches = 0;      ///< dispatch attempts with no usable site
-  double credited_cpu_hours = 0.0;
-  double wasted_cpu_hours = 0.0;
-  std::size_t shortfall = 0;   ///< replicas lost permanently
-  bool degraded = false;       ///< completed under the floor, above zero loss
-  bool meets_floor = true;
 };
 
 /// Run a plan on the paper's federation (build_spice_federation) under the

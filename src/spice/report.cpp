@@ -64,29 +64,27 @@ std::string render_markdown_report(const PipelineReport& report) {
   os << "- jobs: " << production.plan.jobs.size() << " (expected "
      << production.plan.expected_cpu_hours << " CPU-hours)\n";
   os << "- makespan: " << production.execution.makespan_days << " days\n";
-  os << "- completed: " << production.execution.campaign.completed << ", requeued after "
-     << "failures: " << production.execution.jobs_requeued << "\n";
-  const auto& exec = production.execution;
-  os << "- cpu-hours: " << exec.campaign.total_cpu_hours << " consumed, "
-     << exec.credited_cpu_hours << " credited, " << exec.wasted_cpu_hours << " wasted";
-  if (exec.campaign.total_cpu_hours > 0.0) {
-    os << " (efficiency " << 100.0 * exec.credited_cpu_hours / exec.campaign.total_cpu_hours
+  const auto& campaign = production.execution.campaign;
+  os << "- completed: " << campaign.completed << ", requeued after "
+     << "failures: " << campaign.cpu.restarted_jobs << "\n";
+  os << "- cpu-hours: " << campaign.total_cpu_hours << " consumed, "
+     << campaign.credited_cpu_hours << " credited, " << campaign.wasted_cpu_hours << " wasted";
+  if (campaign.total_cpu_hours > 0.0) {
+    os << " (efficiency " << 100.0 * campaign.credited_cpu_hours / campaign.total_cpu_hours
        << "%)";
   }
   os << "\n";
-  if (exec.held_dispatches > 0 || exec.checkpoint_restarts > 0) {
-    os << "- resilience: " << exec.held_dispatches << " held dispatches, "
-       << exec.checkpoint_restarts << " checkpoint-credited restarts\n";
+  if (campaign.held_dispatches > 0 || campaign.checkpoint_restarts > 0) {
+    os << "- resilience: " << campaign.held_dispatches << " held dispatches, "
+       << campaign.checkpoint_restarts << " checkpoint-credited restarts\n";
   }
-  if (exec.shortfall > 0) {
-    os << "- shortfall: " << exec.shortfall << " replicas lost ("
-       << (exec.meets_floor ? "within" : "BELOW") << " the configured completion floor"
-       << (exec.degraded ? ", degraded campaign" : "") << ")\n";
+  if (campaign.shortfall() > 0) {
+    os << "- shortfall: " << campaign.shortfall() << " replicas lost ("
+       << (campaign.meets_floor() ? "within" : "BELOW") << " the configured completion floor"
+       << (campaign.degraded() ? ", degraded campaign" : "") << ")\n";
   }
   os << "- placement:";
-  for (const auto& [site, n] : production.execution.campaign.jobs_per_site) {
-    os << " " << site << ":" << n;
-  }
+  for (const auto& share : campaign.site_shares) os << " " << share.site << ":" << share.jobs;
   os << "\n- cost vs vanilla 10 us MD: " << production.cost.reduction_vs_vanilla
      << "x cheaper\n";
 

@@ -302,10 +302,7 @@ TEST(ErrorAnalysis, CombinedScoreAndBest) {
   spice::fe::ParameterScore b{.kappa_pn = 100, .velocity_ns = 12.5, .samples = 4,
                               .sigma_stat = 1.0, .sigma_sys = 1.0};
   EXPECT_DOUBLE_EQ(a.combined(), 5.0);
-  // Copy: best_score returns a reference into its argument, and the
-  // braced-init temporary vector dies at the end of the statement.
-  const spice::fe::ParameterScore best = best_score({a, b});
-  EXPECT_DOUBLE_EQ(best.kappa_pn, 100);
+  EXPECT_DOUBLE_EQ(b.combined(), std::sqrt(2.0));
 }
 
 // --- PMF utilities -----------------------------------------------------------------------

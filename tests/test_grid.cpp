@@ -27,8 +27,8 @@
 #include "grid/federation.hpp"
 #include "grid/metrics.hpp"
 #include "grid/site.hpp"
-#include "grid/workflow.hpp"
 #include "grid/workload.hpp"
+#include "grid_batch_metrics.hpp"
 
 namespace {
 
@@ -382,7 +382,8 @@ struct SiteFixture {
   std::vector<Job> done;
   explicit SiteFixture(SiteSpec spec = {.name = "S", .grid = "G", .processors = 128})
       : site(std::move(spec), events) {
-    site.set_completion_handler([this](const Job& j) { done.push_back(j); });
+    site.set_row_completion_handler(
+        [this](JobRow row) { done.push_back(site.jobs().materialize(row)); });
   }
 };
 
@@ -939,6 +940,7 @@ TEST(Site, DeepQueueCampaignDigestIsPinned) {
   };
   config.checkpoint_interval_hours = 1.0;
   config.max_requeues = 10;
+  config.keep_finished_jobs = true;
   Broker broker(federation, config);
   broker.submit_all();
   while (!broker.done() && events.step()) {
@@ -1015,6 +1017,7 @@ CampaignConfig small_campaign(std::size_t n_jobs, BrokerPolicy policy,
   for (JobId i = 0; i < n_jobs; ++i) c.jobs.push_back(make_job(i + 1, 128, 8.0));
   c.policy = policy;
   c.single_site = single;
+  c.keep_finished_jobs = true;
   return c;
 }
 
@@ -1029,7 +1032,7 @@ TEST(Broker, CompletesCampaignAcrossFederation) {
   const CampaignResult r = broker.result();
   EXPECT_EQ(r.completed, 24u);
   EXPECT_EQ(r.failed, 0u);
-  EXPECT_GT(r.jobs_per_site.size(), 1u);  // actually spread out
+  EXPECT_GT(r.site_shares.size(), 1u);  // actually spread out
   EXPECT_GT(r.total_cpu_hours, 0.0);
 }
 
@@ -1042,8 +1045,8 @@ TEST(Broker, SingleSitePolicyUsesOneSite) {
   events.run();
   const CampaignResult r = broker.result();
   EXPECT_EQ(r.completed, 8u);
-  ASSERT_EQ(r.jobs_per_site.size(), 1u);
-  EXPECT_EQ(r.jobs_per_site.begin()->first, "SDSC");
+  ASSERT_EQ(r.site_shares.size(), 1u);
+  EXPECT_EQ(r.site_shares.front().site, "SDSC");
   // SDSC has 512 procs → 4 concurrent 128-proc jobs → two waves of 8 h.
   EXPECT_DOUBLE_EQ(r.makespan_hours, 16.0);
 }
@@ -1151,6 +1154,7 @@ TEST(Broker, CheckpointCreditRerunsOnlyTheLostTail) {
   CampaignConfig config;
   config.jobs.push_back(make_job(1, 128, 10.0));
   config.checkpoint_interval_hours = 1.0;
+  config.keep_finished_jobs = true;
   Broker broker(fed, config);
   broker.submit_all();
   events.at(4.5, [&] { fed.find("Solo")->fail_until(6.5); });
@@ -1158,6 +1162,7 @@ TEST(Broker, CheckpointCreditRerunsOnlyTheLostTail) {
   ASSERT_TRUE(broker.done());
   const CampaignResult r = broker.result();
   ASSERT_EQ(r.completed, 1u);
+  ASSERT_EQ(r.finished_jobs.size(), 1u);
   const Job& j = r.finished_jobs.front();
   EXPECT_EQ(j.requeues, 1);
   // First attempt burned 4.5 h, the checkpoint at 4 h is credited; the
@@ -1437,100 +1442,6 @@ TEST(Coordination, AutomatedScalesWhereManualDoesNot) {
   EXPECT_DOUBLE_EQ(automated.mean_emails, 0.0);
 }
 
-// --- DAG workflows -----------------------------------------------------------------------
-
-TEST(Workflow, LinearChainRunsInOrder) {
-  EventQueue events;
-  Federation fed(events);
-  build_spice_federation(fed);
-  WorkflowEngine workflow(fed);
-  const auto a = workflow.add_node(make_job(1, 128, 2.0));
-  const auto b = workflow.add_node(make_job(2, 128, 2.0), {a});
-  const auto c = workflow.add_node(make_job(3, 128, 2.0), {b});
-  workflow.start();
-  events.run();
-  ASSERT_TRUE(workflow.done());
-  const WorkflowResult r = workflow.result();
-  EXPECT_EQ(r.completed, 3u);
-  EXPECT_EQ(r.failed, 0u);
-  EXPECT_EQ(r.critical_path_nodes, 3u);
-  // A strict chain cannot finish faster than the sum of runtimes (speed ≤ 1.1).
-  EXPECT_GE(r.makespan_hours, 3 * 2.0 / 1.1 - 1e-9);
-  EXPECT_EQ(r.states.at(c), NodeState::Completed);
-}
-
-TEST(Workflow, DiamondRunsFanOutInParallel) {
-  EventQueue events;
-  Federation fed(events);
-  build_spice_federation(fed);
-  WorkflowEngine workflow(fed);
-  const auto src = workflow.add_node(make_job(1, 128, 1.0));
-  const auto left = workflow.add_node(make_job(2, 128, 4.0), {src});
-  const auto right = workflow.add_node(make_job(3, 128, 4.0), {src});
-  workflow.add_node(make_job(4, 128, 1.0), {left, right});
-  workflow.start();
-  events.run();
-  const WorkflowResult r = workflow.result();
-  EXPECT_EQ(r.completed, 4u);
-  EXPECT_EQ(r.critical_path_nodes, 3u);
-  // Parallel middle layer: makespan well below the serial sum of 10 h.
-  EXPECT_LT(r.makespan_hours, 9.0);
-}
-
-TEST(Workflow, FailurePropagatesToDependents) {
-  EventQueue events;
-  Federation fed(events);
-  build_spice_federation(fed);
-  WorkflowEngine workflow(fed);
-  const auto ok = workflow.add_node(make_job(1, 128, 1.0));
-  // An impossible job: bigger than every machine → fails after retries.
-  const auto bad = workflow.add_node(make_job(2, 1 << 20, 1.0));
-  const auto doomed = workflow.add_node(make_job(3, 128, 1.0), {bad});
-  const auto fine = workflow.add_node(make_job(4, 128, 1.0), {ok});
-  workflow.start();
-  events.run();
-  const WorkflowResult r = workflow.result();
-  EXPECT_EQ(r.states.at(ok), NodeState::Completed);
-  EXPECT_EQ(r.states.at(bad), NodeState::Failed);
-  EXPECT_EQ(r.states.at(doomed), NodeState::Failed);
-  EXPECT_EQ(r.states.at(fine), NodeState::Completed);
-  EXPECT_EQ(r.completed, 2u);
-  EXPECT_EQ(r.failed, 2u);
-}
-
-TEST(Workflow, RejectsBadConstruction) {
-  EventQueue events;
-  Federation fed(events);
-  build_spice_federation(fed);
-  WorkflowEngine workflow(fed);
-  EXPECT_THROW(workflow.add_node(make_job(1, 128, 1.0), {5}), PreconditionError);
-  EXPECT_THROW(workflow.start(), PreconditionError);  // empty
-}
-
-TEST(Workflow, SpicePhaseChain) {
-  // The pipeline's shape: preprocessing fan-out → production fan-out →
-  // one analysis job.
-  EventQueue events;
-  Federation fed(events);
-  build_spice_federation(fed);
-  WorkflowEngine workflow(fed);
-  std::vector<NodeId> preprocessing;
-  JobId next = 1;
-  for (int i = 0; i < 4; ++i) {
-    preprocessing.push_back(workflow.add_node(make_job(next++, 128, 2.0)));
-  }
-  std::vector<NodeId> production;
-  for (int i = 0; i < 12; ++i) {
-    production.push_back(workflow.add_node(make_job(next++, 128, 6.0), preprocessing));
-  }
-  workflow.add_node(make_job(next++, 32, 1.0), production);
-  workflow.start();
-  events.run();
-  const WorkflowResult r = workflow.result();
-  EXPECT_EQ(r.completed, 17u);
-  EXPECT_EQ(r.critical_path_nodes, 3u);
-}
-
 // --- campaign metrics --------------------------------------------------------------------
 
 std::vector<Job> metric_jobs() {
@@ -1555,7 +1466,7 @@ std::vector<Job> metric_jobs() {
 }
 
 TEST(Metrics, WaitStatistics) {
-  const auto stats = wait_statistics(metric_jobs());
+  const auto stats = batch::wait_statistics(metric_jobs());
   EXPECT_EQ(stats.jobs, 3u);
   EXPECT_DOUBLE_EQ(stats.mean_hours, 2.0);
   EXPECT_DOUBLE_EQ(stats.median_hours, 2.0);
@@ -1563,31 +1474,18 @@ TEST(Metrics, WaitStatistics) {
 }
 
 TEST(Metrics, WaitStatisticsEmpty) {
-  const auto stats = wait_statistics({});
+  const auto stats = batch::wait_statistics({});
   EXPECT_EQ(stats.jobs, 0u);
   EXPECT_DOUBLE_EQ(stats.mean_hours, 0.0);
 }
 
 TEST(Metrics, SiteShares) {
-  const auto shares = site_shares(metric_jobs());
+  const auto shares = batch::site_shares(metric_jobs());
   ASSERT_EQ(shares.size(), 2u);  // NCSA + SDSC (failed job excluded)
   const auto& ncsa = shares[0].site == "NCSA" ? shares[0] : shares[1];
   EXPECT_EQ(ncsa.jobs, 2u);
   EXPECT_DOUBLE_EQ(ncsa.cpu_hours, 128 * 4.0 + 128 * 4.0);
   EXPECT_DOUBLE_EQ(ncsa.mean_wait_hours, 2.0);
-}
-
-TEST(Metrics, ConcurrencyAndPeak) {
-  const auto jobs = metric_jobs();
-  EXPECT_EQ(processors_in_use(jobs, 0.5), 0);
-  EXPECT_EQ(processors_in_use(jobs, 2.5), 128 + 256);  // jobs 1 and 3
-  EXPECT_EQ(processors_in_use(jobs, 3.5), 128 + 128 + 256);
-  EXPECT_EQ(processors_in_use(jobs, 6.0), 128);
-  EXPECT_EQ(peak_processors(jobs, 500), 512);
-  const auto timeline = concurrency_timeline(jobs, 10);
-  ASSERT_EQ(timeline.size(), 10u);
-  EXPECT_DOUBLE_EQ(timeline.front().time_hours, 0.0);
-  EXPECT_DOUBLE_EQ(timeline.back().time_hours, 7.0);
 }
 
 TEST(Metrics, CpuAccountingSeparatesCreditFromWaste) {
@@ -1617,7 +1515,7 @@ TEST(Metrics, CpuAccountingSeparatesCreditFromWaste) {
   dead.consumed_cpu_hours = 50.0;
   jobs.push_back(dead);
 
-  const CpuAccounting acc = cpu_accounting(jobs);
+  const CpuAccounting acc = batch::cpu_accounting(jobs);
   EXPECT_DOUBLE_EQ(acc.consumed_cpu_hours, 128 * 10.5 + 64 * 2.0 + 50.0);
   EXPECT_DOUBLE_EQ(acc.credited_cpu_hours, 128 * 10.0 + 64 * 2.0);
   EXPECT_DOUBLE_EQ(acc.wasted_cpu_hours, 128 * 0.5 + 50.0);
@@ -1635,10 +1533,9 @@ TEST(Metrics, RealCampaignProducesSensibleMetrics) {
   broker.submit_all();
   events.run();
   const CampaignResult r = broker.result();
-  const auto stats = wait_statistics(r.finished_jobs);
+  const auto stats = batch::wait_statistics(r.finished_jobs);
   EXPECT_EQ(stats.jobs, 20u);
   EXPECT_GE(stats.p95_hours, stats.median_hours);
-  EXPECT_GT(peak_processors(r.finished_jobs), 128);
 }
 
 TEST(Coordination, ManualEmailsGrowWithSites) {

@@ -17,6 +17,7 @@
 #include "grid/job_table.hpp"
 #include "grid/metrics.hpp"
 #include "grid/site.hpp"
+#include "grid_batch_metrics.hpp"
 
 namespace {
 
@@ -192,6 +193,7 @@ CampaignResult run_faulted_campaign(bool lazy_faults, std::size_t n_jobs) {
   }
   config.policy = BrokerPolicy::LeastBacklog;
   config.retry.max_holds = 200;
+  config.keep_finished_jobs = true;
   Broker broker(federation, config);
 
   FaultConfig faults;
@@ -220,9 +222,9 @@ TEST(StreamingMetrics, MatchesBatchReductionsOnFaultedCampaign) {
   ASSERT_GT(result.cpu.restarted_jobs, 0u);
   ASSERT_GT(result.held_dispatches, 0u);
 
-  const WaitStatistics batch_wait = wait_statistics(result.finished_jobs);
-  const std::vector<SiteShare> batch_shares = site_shares(result.finished_jobs);
-  const CpuAccounting batch_cpu = cpu_accounting(result.finished_jobs);
+  const WaitStatistics batch_wait = batch::wait_statistics(result.finished_jobs);
+  const std::vector<SiteShare> batch_shares = batch::site_shares(result.finished_jobs);
+  const CpuAccounting batch_cpu = batch::cpu_accounting(result.finished_jobs);
 
   // Means, sums, max and counts are added in the same event order on both
   // paths — exact equality, not tolerance.
@@ -263,7 +265,11 @@ TEST(StreamingMetrics, LazyFaultArmingReplaysTheEagerSchedule) {
   EXPECT_EQ(lazy.wasted_cpu_hours, eager.wasted_cpu_hours);
   EXPECT_EQ(lazy.held_dispatches, eager.held_dispatches);
   EXPECT_EQ(lazy.checkpoint_restarts, eager.checkpoint_restarts);
-  EXPECT_EQ(lazy.jobs_per_site, eager.jobs_per_site);
+  ASSERT_EQ(lazy.site_shares.size(), eager.site_shares.size());
+  for (std::size_t i = 0; i < eager.site_shares.size(); ++i) {
+    EXPECT_EQ(lazy.site_shares[i].site, eager.site_shares[i].site);
+    EXPECT_EQ(lazy.site_shares[i].jobs, eager.site_shares[i].jobs);
+  }
 }
 
 // --- Campaign waves and O(active) memory -------------------------------------
@@ -280,7 +286,9 @@ TEST(Broker, WavesRecycleRowsAcrossBrokers) {
       return make_job(static_cast<JobId>(wave) * 1000 + i, 8, 2.0 + 0.01 * (i % 7));
     };
     config.job_count = 400;
-    config.keep_finished_jobs = false;
+    // Even waves opt out explicitly; odd waves keep the default, which
+    // must keep no records either.
+    if (wave % 2 == 0) config.keep_finished_jobs = false;
     Broker broker(federation, config);
     broker.submit_all();
     while (!broker.done() && events.step()) {
@@ -288,8 +296,13 @@ TEST(Broker, WavesRecycleRowsAcrossBrokers) {
     const CampaignResult result = broker.result();
     EXPECT_EQ(result.completed, 400u);
     EXPECT_TRUE(result.finished_jobs.empty());
-    // Streaming snapshots survive without per-job records.
+    // The campaign metrics stream without per-job records.
     EXPECT_EQ(result.wait_stats.jobs, 400u);
+    std::size_t placed = 0;
+    for (const SiteShare& share : result.site_shares) placed += share.jobs;
+    EXPECT_EQ(placed, 400u);
+    EXPECT_GT(result.cpu.consumed_cpu_hours, 0.0);
+    EXPECT_DOUBLE_EQ(result.cpu.credited_cpu_hours, result.cpu.consumed_cpu_hours);
     completed += result.completed;
   }
   EXPECT_EQ(completed, 2000u);

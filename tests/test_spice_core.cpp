@@ -393,4 +393,18 @@ TEST(ProductionExecution, SurvivesSecurityBreachOutage) {
   EXPECT_EQ(exec.campaign.completed, 72u);
 }
 
+TEST(ProductionExecution, BreachRequeueCountComesFromStreamingMetrics) {
+  // E6 scenario 6: Manchester down for three weeks from hour 30. The jobs
+  // it kills complete elsewhere; the broker's streaming CPU accounting
+  // counts them with no per-job records kept.
+  const ProductionPlan plan = plan_production_jobs(SweepConfig{}, MdCostModel{}, 6);
+  ExecutionOptions options;
+  options.outage = SiteOutage{.site = "Manchester", .start_hours = 30.0,
+                              .duration_hours = 21.0 * 24.0};
+  const ProductionExecution exec = execute_on_federation(plan, options);
+  EXPECT_EQ(exec.campaign.completed, 72u);
+  EXPECT_TRUE(exec.campaign.finished_jobs.empty());
+  EXPECT_EQ(exec.campaign.cpu.restarted_jobs, 3u);
+}
+
 }  // namespace
