@@ -97,15 +97,13 @@ void Engine::set_velocities(std::span<const Vec3> vs) {
 void Engine::initialize_velocities(double temperature_k) {
   SPICE_REQUIRE(temperature_k >= 0.0, "temperature must be non-negative");
   const auto mass = state_.mass();
-  auto vx = state_.vx();
-  auto vy = state_.vy();
-  auto vz = state_.vz();
+  auto v = state_.velocities();
   for (std::size_t i = 0; i < state_.size(); ++i) {
     Rng rng = Rng::stream(config_.seed, 0x76656c /*"vel"*/, i);
     const double sigma = std::sqrt(units::kB * temperature_k / (mass[i] * kMv2ToKcalMol));
-    vx[i] = rng.gaussian(0.0, sigma);
-    vy[i] = rng.gaussian(0.0, sigma);
-    vz[i] = rng.gaussian(0.0, sigma);
+    v[i].x = rng.gaussian(0.0, sigma);
+    v[i].y = rng.gaussian(0.0, sigma);
+    v[i].z = rng.gaussian(0.0, sigma);
   }
 }
 
@@ -143,10 +141,9 @@ void Engine::evaluate_forces() {
     phase_start_us = now;
   };
 
-  // Serial phase: sync the AoS position view once (kernels and
-  // contributions read it concurrently afterwards), refresh the neighbour
-  // list, run per-kernel and per-contribution serial hooks.
-  const auto xs = state_.positions();
+  // Serial phase: refresh the neighbour list, run per-kernel and
+  // per-contribution serial hooks.
+  const auto xs = std::as_const(state_).positions();
   neighbor_list_->maybe_rebuild(xs, topology_);
 
   const KernelContext ctx{&state_, &topology_,   &nonbonded_, neighbor_list_.get(),
@@ -209,7 +206,7 @@ void Engine::evaluate_forces() {
   end_phase("md.force_eval.parallel");
 
   // Deterministic reduction: ascending slice order per particle / term.
-  workspace_.reduce_forces(state_.fx(), state_.fy(), state_.fz(), pool_.get());
+  workspace_.reduce_forces(state_.forces(), pool_.get());
   end_phase("md.force_eval.reduce");
 
   energies_.bond = workspace_.reduced_energy(EnergyTerm::Bond);
@@ -237,13 +234,9 @@ const EnergyBreakdown& Engine::compute_energies() {
 
 double Engine::kinetic_energy() const {
   const auto mass = state_.mass();
-  const auto vx = state_.vx();
-  const auto vy = state_.vy();
-  const auto vz = state_.vz();
+  const auto v = state_.velocities();
   double mv2 = 0.0;
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    mv2 += mass[i] * (vx[i] * vx[i] + vy[i] * vy[i] + vz[i] * vz[i]);
-  }
+  for (std::size_t i = 0; i < state_.size(); ++i) mv2 += mass[i] * v[i].norm2();
   return 0.5 * mv2 * kMv2ToKcalMol;
 }
 
@@ -275,43 +268,21 @@ void Engine::step_velocity_verlet() {
   const double dt = config_.dt;
   const std::size_t n = state_.size();
   const auto inv_mass = state_.inv_mass();
-  {
-    auto x = state_.x();
-    auto y = state_.y();
-    auto z = state_.z();
-    auto vx = state_.vx();
-    auto vy = state_.vy();
-    auto vz = state_.vz();
-    const auto fx = std::as_const(state_).fx();
-    const auto fy = std::as_const(state_).fy();
-    const auto fz = std::as_const(state_).fz();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
-      vx[i] += fx[i] * kick;
-      vy[i] += fy[i] * kick;
-      vz[i] += fz[i] * kick;
-      x[i] += vx[i] * dt;
-      y[i] += vy[i] * dt;
-      z[i] += vz[i] * dt;
-    }
+  const auto x = state_.positions();
+  const auto v = state_.velocities();
+  const auto f = std::as_const(state_).forces();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
+    v[i] += f[i] * kick;
+    x[i] += v[i] * dt;
   }
   // Forces for the closing half-kick belong to time t + dt (this matters
   // for time-dependent potentials such as the moving SMD anchor).
   time_ = static_cast<double>(step_count_ + 1) * dt;
   evaluate_forces();
-  {
-    auto vx = state_.vx();
-    auto vy = state_.vy();
-    auto vz = state_.vz();
-    const auto fx = std::as_const(state_).fx();
-    const auto fy = std::as_const(state_).fy();
-    const auto fz = std::as_const(state_).fz();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
-      vx[i] += fx[i] * kick;
-      vy[i] += fy[i] * kick;
-      vz[i] += fz[i] * kick;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
+    v[i] += f[i] * kick;
   }
 }
 
@@ -329,49 +300,22 @@ void Engine::step_langevin() {
   // coordinates are mixed once here rather than once per particle.
   const Rng::StreamFamily noise_streams(config_.seed, 0x6c616e /*"lan"*/, step_count_);
 
-  {
-    auto x = state_.x();
-    auto y = state_.y();
-    auto z = state_.z();
-    auto vx = state_.vx();
-    auto vy = state_.vy();
-    auto vz = state_.vz();
-    const auto fx = std::as_const(state_).fx();
-    const auto fy = std::as_const(state_).fy();
-    const auto fz = std::as_const(state_).fz();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
-      vx[i] += fx[i] * kick;
-      vy[i] += fy[i] * kick;
-      vz[i] += fz[i] * kick;
-      x[i] += vx[i] * (0.5 * dt);
-      y[i] += vy[i] * (0.5 * dt);
-      z[i] += vz[i] * (0.5 * dt);
-      const double sigma = std::sqrt((1.0 - c1 * c1) * kbt / (mass[i] * kMv2ToKcalMol));
-      const Vec3 noise = langevin_noise(noise_streams, i);
-      vx[i] = vx[i] * c1 + noise.x * sigma;
-      vy[i] = vy[i] * c1 + noise.y * sigma;
-      vz[i] = vz[i] * c1 + noise.z * sigma;
-      x[i] += vx[i] * (0.5 * dt);
-      y[i] += vy[i] * (0.5 * dt);
-      z[i] += vz[i] * (0.5 * dt);
-    }
+  const auto x = state_.positions();
+  const auto v = state_.velocities();
+  const auto f = std::as_const(state_).forces();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
+    v[i] += f[i] * kick;
+    x[i] += v[i] * (0.5 * dt);
+    const double sigma = std::sqrt((1.0 - c1 * c1) * kbt / (mass[i] * kMv2ToKcalMol));
+    v[i] = v[i] * c1 + langevin_noise(noise_streams, i) * sigma;
+    x[i] += v[i] * (0.5 * dt);
   }
   time_ = static_cast<double>(step_count_ + 1) * dt;
   evaluate_forces();
-  {
-    auto vx = state_.vx();
-    auto vy = state_.vy();
-    auto vz = state_.vz();
-    const auto fx = std::as_const(state_).fx();
-    const auto fy = std::as_const(state_).fy();
-    const auto fz = std::as_const(state_).fz();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
-      vx[i] += fx[i] * kick;
-      vy[i] += fy[i] * kick;
-      vz[i] += fz[i] * kick;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double kick = 0.5 * dt * inv_mass[i] * kForceOverMassToAcc;
+    v[i] += f[i] * kick;
   }
 }
 

@@ -8,7 +8,7 @@
 // IMD steering) and checkpoint/restore/clone — the RealityGrid features
 // the paper relies on for verification-and-validation runs.
 //
-// Dynamic state lives in a SystemState (structure-of-arrays; see
+// Dynamic state lives in a SystemState (Vec3 rows in a StateArena; see
 // system_state.hpp) and forces are produced by ForceKernels running in the
 // staged slice pipeline of force_kernel.hpp. ForceContributions (the
 // external layer: pore potential, SMD springs, steering) ride the same
@@ -132,7 +132,7 @@ class Engine {
   [[nodiscard]] std::span<const Vec3> positions() const { return state_.positions(); }
   [[nodiscard]] std::span<const Vec3> velocities() const { return state_.velocities(); }
   [[nodiscard]] std::span<const Vec3> forces() const { return state_.forces(); }
-  /// Direct access to the SoA state (kernels, benchmarks, tests).
+  /// Direct access to the SystemState (kernels, benchmarks, tests).
   [[nodiscard]] const SystemState& state() const { return state_; }
   [[nodiscard]] double time() const { return time_; }
   [[nodiscard]] std::uint64_t step_count() const { return step_count_; }

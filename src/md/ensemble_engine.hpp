@@ -7,13 +7,16 @@
 // Engine abstraction per replica — own neighbour list (so each replica's
 // rebuild decision tracks its OWN displacement since build), own force
 // workspace, own contributions, own RNG seed — but binds all dynamic state
-// into one shared replica-major StateArena slab (state_arena.hpp) and
-// steps the replicas from a single thread pool.
+// (the position, velocity and force Vec3 rows) into one shared
+// replica-major StateArena slab (state_arena.hpp) and steps the replicas
+// from a single thread pool.
 //
 // Determinism contract: replica r of an EnsembleEngine produces the
 // bit-identical trajectory (and checkpoint bytes) of a standalone Engine
 // constructed by master.clone(seeds[r]), for any ensemble thread count —
-// replicas are data-disjoint and each one is stepped by exactly one worker
+// replicas are data-disjoint (no kernel reads past its own replica's rows:
+// the AVX2 row load of the last particle stays inside the row's pad) and
+// each one is stepped by exactly one worker
 // with the engine-internal slice pipeline at threads = 1. The SIMD level
 // is inherited from the master's config and resolved once; pinning
 // Request::Scalar runs the scalar batch kernels, whose trajectories are

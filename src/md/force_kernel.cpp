@@ -54,29 +54,20 @@ ForceAccumulator& ForceWorkspace::acquire_slice(std::size_t s) {
   return acc;
 }
 
-void ForceWorkspace::reduce_forces(std::span<double> fx, std::span<double> fy,
-                                   std::span<double> fz, ThreadPool* pool) const {
-  auto reduce_range = [this, &fx, &fy, &fz](std::size_t begin, std::size_t end) {
+void ForceWorkspace::reduce_forces(std::span<Vec3> forces, ThreadPool* pool) const {
+  auto reduce_range = [this, &forces](std::size_t begin, std::size_t end) {
     // Slice-major over the range: zero, then add each slice's touched
     // window clipped to [begin, end). Per particle this still sums the
     // slices in ascending order — the same rounding as the historical
     // particle-major loop and independent of how particles are chunked
     // across threads — but the inner loops are dense and branch-free
     // instead of testing every slice window per particle.
-    std::fill(fx.begin() + static_cast<std::ptrdiff_t>(begin),
-              fx.begin() + static_cast<std::ptrdiff_t>(end), 0.0);
-    std::fill(fy.begin() + static_cast<std::ptrdiff_t>(begin),
-              fy.begin() + static_cast<std::ptrdiff_t>(end), 0.0);
-    std::fill(fz.begin() + static_cast<std::ptrdiff_t>(begin),
-              fz.begin() + static_cast<std::ptrdiff_t>(end), 0.0);
+    std::fill(forces.begin() + static_cast<std::ptrdiff_t>(begin),
+              forces.begin() + static_cast<std::ptrdiff_t>(end), Vec3{});
     for (const auto& s : slices_) {
       const std::size_t lo = std::max(begin, s.lo_);
       const std::size_t hi = std::min(end, s.hi_);
-      for (std::size_t i = lo; i < hi; ++i) {
-        fx[i] += s.forces_[i].x;
-        fy[i] += s.forces_[i].y;
-        fz[i] += s.forces_[i].z;
-      }
+      for (std::size_t i = lo; i < hi; ++i) forces[i] += s.forces_[i];
     }
   };
   if (pool != nullptr) {
@@ -107,8 +98,8 @@ double ForceWorkspace::reduced_external(std::size_t contribution) const {
 
 void BondKernel::begin_evaluation(const KernelContext& ctx) {
   // The bond table is immutable after Topology::finalize, so the packed
-  // SoA streams and per-slice windows only rebuild when the slice count
-  // changes (or on first use).
+  // index/parameter streams and per-slice windows only rebuild when the
+  // slice count changes (or on first use).
   if (packed_.built && packed_.slice_count == ctx.slice_count) return;
   const auto& bonds = ctx.topology->bonds();
   packed_.i.clear();
@@ -147,11 +138,12 @@ double BondKernel::evaluate_slice(const KernelContext& ctx, std::size_t slice,
   const auto [lo, hi] = share_of(packed_.i.size(), slice, slice_count);
   if (lo >= hi) return 0.0;
   acc.note_range(packed_.lo[slice], packed_.hi[slice]);
-  const simd::BondBatch batch{
-      ctx.state->x().data(), ctx.state->y().data(), ctx.state->z().data(),
-      packed_.i.data() + lo,  packed_.j.data() + lo,
-      packed_.k.data() + lo,  packed_.r0.data() + lo,
-      hi - lo};
+  const simd::BondBatch batch{ctx.state->positions().data(),
+                              packed_.i.data() + lo,
+                              packed_.j.data() + lo,
+                              packed_.k.data() + lo,
+                              packed_.r0.data() + lo,
+                              hi - lo};
   return simd::bond_kernel(ctx.simd)(batch, acc.span().data());
 }
 
@@ -206,19 +198,6 @@ void NonbondedKernel::begin_evaluation(const KernelContext& ctx) {
   // slice-count change also invalidates every cached epoch.
   if (segments_.size() != ctx.slice_count) {
     segments_.assign(ctx.slice_count, SliceSegment{});
-  }
-  // Refresh the packed (x,y,z,0) mirror the AVX2 kernel loads pair
-  // displacements from. Serial: every slice reads the same array.
-  const auto x = ctx.state->x();
-  const auto y = ctx.state->y();
-  const auto z = ctx.state->z();
-  const std::size_t n = x.size();
-  xyzw_.resize(4 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xyzw_[4 * i + 0] = x[i];
-    xyzw_[4 * i + 1] = y[i];
-    xyzw_[4 * i + 2] = z[i];
-    xyzw_[4 * i + 3] = 0.0;
   }
 }
 
@@ -287,13 +266,14 @@ double NonbondedKernel::evaluate_slice(const KernelContext& ctx, std::size_t sli
   const simd::NonbondedConsts consts{
       params.cutoff * params.cutoff, params.epsilon_wca, inv_lambda,
       std::exp(-params.cutoff * inv_lambda) / params.cutoff, std::cbrt(2.0)};
-  const simd::PairBatch batch{
-      ctx.state->x().data(), ctx.state->y().data(), ctx.state->z().data(),
-      xyzw_.data(),
-      seg.pi.data(),         seg.pj.data(),
-      seg.sigma.data(),      seg.pref.data(),
-      seg.sig2f.data(),      seg.pref_f.data(),
-      seg.pi.size()};
+  const simd::PairBatch batch{ctx.state->positions().data(),
+                              seg.pi.data(),
+                              seg.pj.data(),
+                              seg.sigma.data(),
+                              seg.pref.data(),
+                              seg.sig2f.data(),
+                              seg.pref_f.data(),
+                              seg.pi.size()};
   return simd::nonbonded_kernel(ctx.simd)(batch, consts, acc.span().data());
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// Staged force-kernel pipeline over SoA state.
+// Staged force-kernel pipeline over the SystemState's Vec3 rows.
 //
 // One force evaluation runs in three phases:
 //
@@ -13,7 +13,7 @@
 //      potential, SMD springs, steering forces) ride the same slices via
 //      the particle ranges [n·s/S, n·(s+1)/S).
 //   3. reduce (deterministic)     — per-slice buffers are summed in slice
-//      order into the SystemState force arrays, and per-slice energies in
+//      order into the SystemState force row, and per-slice energies in
 //      slice order into the EnergyBreakdown.
 //
 // Because the slice partition, the per-slice iteration order and the
@@ -51,7 +51,6 @@ class Topology;
 enum class EnergyTerm : std::size_t { Bond = 0, Angle, Dihedral, Nonbonded, kCount };
 
 /// Everything a kernel may read during one evaluation (immutable view).
-/// state->positions() is synced by the engine before the parallel phase.
 struct KernelContext {
   const SystemState* state = nullptr;
   const Topology* topology = nullptr;
@@ -118,10 +117,9 @@ class ForceWorkspace {
   }
 
   /// Deterministic reduction: per particle, slice contributions are summed
-  /// in ascending slice order (thread-count independent), written into the
-  /// SoA force arrays. `pool` (may be null) parallelizes over particles.
-  void reduce_forces(std::span<double> fx, std::span<double> fy, std::span<double> fz,
-                     ThreadPool* pool) const;
+  /// in ascending slice order (thread-count independent), written into
+  /// `forces`. `pool` (may be null) parallelizes over particles.
+  void reduce_forces(std::span<Vec3> forces, ThreadPool* pool) const;
 
   /// Per-term / per-contribution energies summed in slice order.
   [[nodiscard]] double reduced_energy(EnergyTerm term) const;
@@ -156,7 +154,7 @@ class ForceKernel {
 // --- built-in kernels ----------------------------------------------------
 
 /// Harmonic bonds, sliced over the bond array. The (immutable) bond table
-/// is packed once into SoA index/parameter streams with per-slice
+/// is packed once into dense index/parameter streams with per-slice
 /// touched-particle windows, which simd::bond_kernel(ctx.simd) consumes.
 class BondKernel final : public ForceKernel {
  public:
@@ -226,9 +224,6 @@ class NonbondedKernel final : public ForceKernel {
   void refresh_segment(const KernelContext& ctx, std::size_t slice, std::size_t slice_count);
 
   std::vector<SliceSegment> segments_;
-  /// (x,y,z,0)-packed position mirror for the AVX2 kernel, refreshed
-  /// every evaluation in begin_evaluation (serial).
-  std::vector<double> xyzw_;
 };
 
 }  // namespace spice::md

@@ -113,7 +113,7 @@ namespace detail {
 
 // The scalar bodies are the Level::Scalar path and the vector kernels'
 // remainder lanes. Their guards, the order of adds into the running energy
-// and the force composition match the reference AoS loops of
+// and the force composition match the reference loops of
 // KernelPipeline.ScalarKernelsMatchReferenceLoopsBitwise operation for
 // operation; that test and the golden registry pin the bits.
 
@@ -123,7 +123,7 @@ double nonbonded_scalar_range(const PairBatch& batch, const NonbondedConsts& c, 
   for (std::size_t p = begin; p < end; ++p) {
     const std::uint32_t i = batch.i[p];
     const std::uint32_t j = batch.j[p];
-    const Vec3 dr{batch.x[i] - batch.x[j], batch.y[i] - batch.y[j], batch.z[i] - batch.z[j]};
+    const Vec3 dr = batch.pos[i] - batch.pos[j];
     const double r2 = dr.norm2();
     if (r2 >= c.cutoff2 || r2 <= 0.0) continue;
     Vec3 f;
@@ -159,7 +159,7 @@ double bond_scalar_range(const BondBatch& batch, Vec3* acc, std::size_t begin,
   for (std::size_t b = begin; b < end; ++b) {
     const std::uint32_t i = batch.i[b];
     const std::uint32_t j = batch.j[b];
-    const Vec3 dr{batch.x[i] - batch.x[j], batch.y[i] - batch.y[j], batch.z[i] - batch.z[j]};
+    const Vec3 dr = batch.pos[i] - batch.pos[j];
     const double r = dr.norm();
     if (r <= 0.0) continue;  // coincident sites: no well-defined force
     const double x = r - batch.r0[b];

@@ -7,7 +7,7 @@
 // packs each slice's share into dense streams (PairBatch, BondBatch) and
 // calls the entry for the engine's level, at every level:
 //   Scalar — plain double loops, available on every CPU; bit-identical to
-//            the reference AoS loops in tests/test_md_kernels.cpp, and the
+//            the reference loops in tests/test_md_kernels.cpp, and the
 //            level every committed golden record is made at;
 //   AVX2   — x86-64 with FMA: mixed-precision nonbonded (8-wide fp32 pair
 //            math, fp32 vectorized exp), 4-wide double bonds;
@@ -69,22 +69,18 @@ enum class Request { Auto, Scalar, AVX2, NEON };
 [[nodiscard]] Level resolve(Request request);
 
 // --- batched kernels -----------------------------------------------------
-// Positions are SoA columns indexed by absolute particle id; per-pair /
-// per-bond parameters are packed dense so the inner loop streams them.
-// Forces accumulate into an absolute-indexed Vec3 buffer (a slice-private
-// ForceAccumulator span); the return value is the batch potential energy.
+// Positions are the SystemState's Vec3 row, indexed by absolute particle
+// id; per-pair / per-bond parameters are packed dense so the inner loop
+// streams them. Forces accumulate into an absolute-indexed Vec3 buffer (a
+// slice-private ForceAccumulator span); the return value is the batch
+// potential energy.
 
 /// One slice's nonbonded pair segment in packed form.
 struct PairBatch {
-  const double* x = nullptr;
-  const double* y = nullptr;
-  const double* z = nullptr;
-  /// Positions packed (x,y,z,0) with stride 4, refreshed once per
-  /// evaluation in the serial phase. The AVX2 kernel reads a pair's
-  /// displacement with two 32-byte loads and a subtract instead of six
-  /// gathers; x/y/z above serve the scalar kernel, the vector tails and
-  /// the NEON path.
-  const double* xyzw = nullptr;
+  /// Position row. The row is followed by at least one readable Vec3
+  /// (the StateArena pad), so the AVX2 kernel may load 32 bytes from
+  /// &pos[i].x for any particle i; the fourth lane is discarded.
+  const Vec3* pos = nullptr;
   const std::uint32_t* i = nullptr;  ///< pair first endpoints
   const std::uint32_t* j = nullptr;  ///< pair second endpoints
   const double* sigma = nullptr;     ///< per-pair WCA diameter σᵢ+σⱼ
@@ -107,9 +103,7 @@ struct NonbondedConsts {
 
 /// One slice's harmonic-bond share in packed form.
 struct BondBatch {
-  const double* x = nullptr;
-  const double* y = nullptr;
-  const double* z = nullptr;
+  const Vec3* pos = nullptr;  ///< position row
   const std::uint32_t* i = nullptr;
   const std::uint32_t* j = nullptr;
   const double* k = nullptr;   ///< spring constants

@@ -5,11 +5,11 @@
 // of the binary stays runnable on any x86-64.
 //
 // The nonbonded kernel is MIXED PRECISION, the standard coarse-grained MD
-// trade (cf. GROMACS): endpoint coordinates are loaded from an
-// (x,y,z,0)-packed mirror and differenced in double (no cancellation on
-// absolute positions), the per-pair WCA + Debye–Hückel math runs 8-wide
-// in fp32, and the force magnitude is widened back to double before the
-// deterministic scatter-add. Profiling
+// trade (cf. GROMACS): endpoint coordinates are loaded as 32-byte rows
+// straight from the Vec3 position row and differenced in double (no
+// cancellation on absolute positions), the per-pair WCA + Debye–Hückel
+// math runs 8-wide in fp32, and the force magnitude is widened back to
+// double before the deterministic scatter-add. Profiling
 // on the target hosts showed the double pipeline is gated by the
 // unpipelined vector divider (div+sqrt+exp ≈ 22 cycles per 4 lanes); in
 // fp32 a Newton-refined rsqrt and a polynomial expf make the whole pair
@@ -68,6 +68,13 @@ inline __m256 exp_ps8(__m256 x) {
 inline __m256d widen_lo(__m256 v) { return _mm256_cvtps_pd(_mm256_castps256_ps128(v)); }
 inline __m256d widen_hi(__m256 v) { return _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)); }
 
+static_assert(sizeof(Vec3) == 3 * sizeof(double), "Vec3 rows are read as stride-3 doubles");
+
+/// Position row of particle `i` as (x, y, z, ·): one 32-byte load whose
+/// fourth lane is the next row entry's x (the arena pad for the last
+/// particle). Callers discard that lane.
+inline __m256d load_row(const Vec3* pos, std::uint32_t i) { return _mm256_loadu_pd(&pos[i].x); }
+
 /// base[idx[lane]] for all 4 lanes. The all-ones mask loads every lane, so
 /// this equals _mm256_i32gather_pd, whose undefined pass-through source
 /// GCC reports as maybe-uninitialized.
@@ -95,24 +102,20 @@ double nonbonded_avx2(const PairBatch& batch, const NonbondedConsts& c, Vec3* ac
   const __m256 half = _mm256_set1_ps(0.5f);
   const __m256 three_half = _mm256_set1_ps(1.5f);
 
-  const double* P = batch.xyzw;
+  const Vec3* P = batch.pos;
   __m256d energy = _mm256_setzero_pd();
   std::size_t p = 0;
   for (; p + 8 <= batch.count; p += 8) {
-    // Displacements in double from the (x,y,z,0)-packed mirror: one
-    // 32-byte load per endpoint and a subtract give a pair's (dx,dy,dz,·)
-    // row; a 4x4 transpose turns four rows into lane form. Differencing in
-    // double first costs no bits (dx ≤ cutoff while the absolute
-    // coordinates are not) and replaces twelve gathers with sixteen plain
-    // loads per eight pairs.
-    __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 0]),
-                               _mm256_loadu_pd(P + 4 * batch.j[p + 0]));
-    __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 1]),
-                               _mm256_loadu_pd(P + 4 * batch.j[p + 1]));
-    __m256d d2 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 2]),
-                               _mm256_loadu_pd(P + 4 * batch.j[p + 2]));
-    __m256d d3 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 3]),
-                               _mm256_loadu_pd(P + 4 * batch.j[p + 3]));
+    // Displacements in double from the position row: one 32-byte load per
+    // endpoint and a subtract give a pair's (dx,dy,dz,·) row; a 4x4
+    // transpose turns four rows into lane form and drops the fourth lane.
+    // Differencing in double first costs no bits (dx ≤ cutoff while the
+    // absolute coordinates are not) and replaces twelve gathers with
+    // sixteen plain loads per eight pairs.
+    __m256d d0 = _mm256_sub_pd(load_row(P, batch.i[p + 0]), load_row(P, batch.j[p + 0]));
+    __m256d d1 = _mm256_sub_pd(load_row(P, batch.i[p + 1]), load_row(P, batch.j[p + 1]));
+    __m256d d2 = _mm256_sub_pd(load_row(P, batch.i[p + 2]), load_row(P, batch.j[p + 2]));
+    __m256d d3 = _mm256_sub_pd(load_row(P, batch.i[p + 3]), load_row(P, batch.j[p + 3]));
     __m256d t0 = _mm256_unpacklo_pd(d0, d1);  // x0 x1 z0 z1
     __m256d t1 = _mm256_unpackhi_pd(d0, d1);  // y0 y1 ·  ·
     __m256d t2 = _mm256_unpacklo_pd(d2, d3);
@@ -120,14 +123,10 @@ double nonbonded_avx2(const PairBatch& batch, const NonbondedConsts& c, Vec3* ac
     const __m256d dx_lo = _mm256_permute2f128_pd(t0, t2, 0x20);
     const __m256d dy_lo = _mm256_permute2f128_pd(t1, t3, 0x20);
     const __m256d dz_lo = _mm256_permute2f128_pd(t0, t2, 0x31);
-    d0 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 4]),
-                       _mm256_loadu_pd(P + 4 * batch.j[p + 4]));
-    d1 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 5]),
-                       _mm256_loadu_pd(P + 4 * batch.j[p + 5]));
-    d2 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 6]),
-                       _mm256_loadu_pd(P + 4 * batch.j[p + 6]));
-    d3 = _mm256_sub_pd(_mm256_loadu_pd(P + 4 * batch.i[p + 7]),
-                       _mm256_loadu_pd(P + 4 * batch.j[p + 7]));
+    d0 = _mm256_sub_pd(load_row(P, batch.i[p + 4]), load_row(P, batch.j[p + 4]));
+    d1 = _mm256_sub_pd(load_row(P, batch.i[p + 5]), load_row(P, batch.j[p + 5]));
+    d2 = _mm256_sub_pd(load_row(P, batch.i[p + 6]), load_row(P, batch.j[p + 6]));
+    d3 = _mm256_sub_pd(load_row(P, batch.i[p + 7]), load_row(P, batch.j[p + 7]));
     t0 = _mm256_unpacklo_pd(d0, d1);
     t1 = _mm256_unpackhi_pd(d0, d1);
     t2 = _mm256_unpacklo_pd(d2, d3);
@@ -217,18 +216,22 @@ double bond_avx2(const BondBatch& batch, Vec3* acc) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d tiny = _mm256_set1_pd(1e-300);
   const __m256d minus_two = _mm256_set1_pd(-2.0);
+  const double* base = &batch.pos[0].x;
 
   __m256d energy = zero;
   std::size_t b = 0;
   for (; b + 4 <= batch.count; b += 4) {
+    // Row offsets 3·i, 3·j into the stride-3 position doubles.
     const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(batch.i + b));
     const __m128i vj = _mm_loadu_si128(reinterpret_cast<const __m128i*>(batch.j + b));
-    const __m256d xi = gather_pd(batch.x, vi);
-    const __m256d yi = gather_pd(batch.y, vi);
-    const __m256d zi = gather_pd(batch.z, vi);
-    const __m256d xj = gather_pd(batch.x, vj);
-    const __m256d yj = gather_pd(batch.y, vj);
-    const __m256d zj = gather_pd(batch.z, vj);
+    const __m128i oi = _mm_add_epi32(vi, _mm_add_epi32(vi, vi));
+    const __m128i oj = _mm_add_epi32(vj, _mm_add_epi32(vj, vj));
+    const __m256d xi = gather_pd(base, oi);
+    const __m256d yi = gather_pd(base + 1, oi);
+    const __m256d zi = gather_pd(base + 2, oi);
+    const __m256d xj = gather_pd(base, oj);
+    const __m256d yj = gather_pd(base + 1, oj);
+    const __m256d zj = gather_pd(base + 2, oj);
     const __m256d dx = _mm256_sub_pd(xi, xj);
     const __m256d dy = _mm256_sub_pd(yi, yj);
     const __m256d dz = _mm256_sub_pd(zi, zj);

@@ -18,9 +18,11 @@ namespace spice::md::simd::detail {
 
 namespace {
 
+/// base[3a], base[3b]: one coordinate of two particles in the stride-3
+/// Vec3 position row (base = &pos[0].x, + 1 for y, + 2 for z).
 inline float64x2_t gather2(const double* base, std::uint32_t a, std::uint32_t b) {
-  const float64x2_t lo = vld1q_dup_f64(base + a);
-  return vsetq_lane_f64(base[b], lo, 1);
+  const float64x2_t lo = vld1q_dup_f64(base + 3 * std::size_t{a});
+  return vsetq_lane_f64(base[3 * std::size_t{b}], lo, 1);
 }
 
 inline float64x2_t exp2_lanes(float64x2_t x) {
@@ -49,6 +51,7 @@ double nonbonded_neon(const PairBatch& batch, const NonbondedConsts& c, Vec3* ac
   const float64x2_t shift = vdupq_n_f64(c.shift_per_pref);
   const float64x2_t wca_lift = vdupq_n_f64(c.wca_lift);
   const float64x2_t one = vdupq_n_f64(1.0);
+  const double* base = &batch.pos[0].x;
 
   float64x2_t energy = zero;
   std::size_t p = 0;
@@ -57,9 +60,9 @@ double nonbonded_neon(const PairBatch& batch, const NonbondedConsts& c, Vec3* ac
     const std::uint32_t i1 = batch.i[p + 1];
     const std::uint32_t j0 = batch.j[p];
     const std::uint32_t j1 = batch.j[p + 1];
-    const float64x2_t dx = vsubq_f64(gather2(batch.x, i0, i1), gather2(batch.x, j0, j1));
-    const float64x2_t dy = vsubq_f64(gather2(batch.y, i0, i1), gather2(batch.y, j0, j1));
-    const float64x2_t dz = vsubq_f64(gather2(batch.z, i0, i1), gather2(batch.z, j0, j1));
+    const float64x2_t dx = vsubq_f64(gather2(base, i0, i1), gather2(base, j0, j1));
+    const float64x2_t dy = vsubq_f64(gather2(base + 1, i0, i1), gather2(base + 1, j0, j1));
+    const float64x2_t dz = vsubq_f64(gather2(base + 2, i0, i1), gather2(base + 2, j0, j1));
     float64x2_t r2 = vmulq_f64(dx, dx);
     r2 = vfmaq_f64(r2, dy, dy);
     r2 = vfmaq_f64(r2, dz, dz);
@@ -113,6 +116,7 @@ double bond_neon(const BondBatch& batch, Vec3* acc) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   const float64x2_t tiny = vdupq_n_f64(1e-300);
   const float64x2_t minus_two = vdupq_n_f64(-2.0);
+  const double* base = &batch.pos[0].x;
 
   float64x2_t energy = zero;
   std::size_t b = 0;
@@ -121,9 +125,9 @@ double bond_neon(const BondBatch& batch, Vec3* acc) {
     const std::uint32_t i1 = batch.i[b + 1];
     const std::uint32_t j0 = batch.j[b];
     const std::uint32_t j1 = batch.j[b + 1];
-    const float64x2_t dx = vsubq_f64(gather2(batch.x, i0, i1), gather2(batch.x, j0, j1));
-    const float64x2_t dy = vsubq_f64(gather2(batch.y, i0, i1), gather2(batch.y, j0, j1));
-    const float64x2_t dz = vsubq_f64(gather2(batch.z, i0, i1), gather2(batch.z, j0, j1));
+    const float64x2_t dx = vsubq_f64(gather2(base, i0, i1), gather2(base, j0, j1));
+    const float64x2_t dy = vsubq_f64(gather2(base + 1, i0, i1), gather2(base + 1, j0, j1));
+    const float64x2_t dz = vsubq_f64(gather2(base + 2, i0, i1), gather2(base + 2, j0, j1));
     float64x2_t r2 = vmulq_f64(dx, dx);
     r2 = vfmaq_f64(r2, dy, dy);
     r2 = vfmaq_f64(r2, dz, dz);

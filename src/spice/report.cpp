@@ -67,11 +67,14 @@ std::string render_markdown_report(const PipelineReport& report) {
   const auto& campaign = production.execution.campaign;
   os << "- completed: " << campaign.completed << ", requeued after "
      << "failures: " << campaign.cpu.restarted_jobs << "\n";
-  os << "- cpu-hours: " << campaign.total_cpu_hours << " consumed, "
-     << campaign.credited_cpu_hours << " credited, " << campaign.wasted_cpu_hours << " wasted";
-  if (campaign.total_cpu_hours > 0.0) {
-    os << " (efficiency " << 100.0 * campaign.credited_cpu_hours / campaign.total_cpu_hours
-       << "%)";
+  // Consumed counts every attempt of every job, failed ones included, so
+  // consumed = credited + wasted and the efficiency is credited / consumed.
+  const auto& cpu = campaign.cpu;
+  os << "- cpu-hours: " << cpu.consumed_cpu_hours << " consumed, " << cpu.credited_cpu_hours
+     << " credited, " << cpu.wasted_cpu_hours << " wasted";
+  if (cpu.consumed_cpu_hours > 0.0) {
+    os << " (efficiency " << std::setprecision(1) << 100.0 * cpu.efficiency()
+       << std::setprecision(2) << "%)";
   }
   os << "\n";
   if (campaign.held_dispatches > 0 || campaign.checkpoint_restarts > 0) {

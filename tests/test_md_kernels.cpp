@@ -480,10 +480,11 @@ TEST(KernelPipeline, SystemStateRoundTripsAoSViews) {
     EXPECT_DOUBLE_EQ(view[i].y, xs[i].y);
     EXPECT_DOUBLE_EQ(view[i].z, xs[i].z);
   }
-  // SoA columns mirror the AoS view, and cached parameters match topology.
+  // The engine's view is the state's own row, not a copy, and the cached
+  // parameters match the topology.
   const auto& state = engine.state();
+  EXPECT_EQ(view.data(), state.positions().data());
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(state.x()[i], xs[i].x);
     EXPECT_DOUBLE_EQ(state.charge()[i], -1.0);
     EXPECT_DOUBLE_EQ(state.sigma()[i], 4.0);
     EXPECT_DOUBLE_EQ(state.inv_mass()[i], 1.0 / 300.0);

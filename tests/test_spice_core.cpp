@@ -8,9 +8,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "grid/des.hpp"
+#include "grid/faults.hpp"
+#include "grid/federation.hpp"
 #include "spice/campaign.hpp"
 #include "spice/cost_model.hpp"
 #include "spice/optimizer.hpp"
@@ -380,6 +385,48 @@ TEST(Report, FullMarkdownReportRenders) {
   EXPECT_NE(markdown.find("Phase 1"), std::string::npos);
   EXPECT_NE(markdown.find("Phase 4"), std::string::npos);
   EXPECT_NE(markdown.find("lightpath-transatlantic"), std::string::npos);
+}
+
+TEST(Report, CpuHoursLineChargesFailedJobs) {
+  // A 128-proc job killed at 4.5 h with no requeue budget, next to a clean
+  // 64-proc 2 h job: 576 CPU-h burned and lost, 128 credited, 704 consumed.
+  // The completed-jobs total (128) must not be printed as "consumed".
+  grid::EventQueue events;
+  grid::Federation federation(events);
+  federation.add_site({.name = "Big", .grid = "TeraGrid", .processors = 128});
+  federation.add_site({.name = "Small", .grid = "NGS", .processors = 64});
+  grid::FaultConfig fault_config;
+  fault_config.scheduled = {{.site = "Big", .start_hours = 4.5, .duration_hours = 24.0}};
+  grid::FaultInjector faults(federation, fault_config);
+  faults.arm();
+  grid::CampaignConfig config;
+  config.max_requeues = 0;
+  for (const auto& [id, procs, hours] : {std::tuple{1, 128, 10.0}, std::tuple{2, 64, 2.0}}) {
+    grid::Job job;
+    job.id = static_cast<grid::JobId>(id);
+    job.name = "job" + std::to_string(id);
+    job.kind = grid::JobKind::Campaign;
+    job.processors = procs;
+    job.runtime_hours = hours;
+    config.jobs.push_back(job);
+  }
+  grid::Broker broker(federation, config);
+  broker.submit_all();
+  while (!broker.done() && events.step()) {
+  }
+  ASSERT_TRUE(broker.done());
+
+  PipelineReport report;
+  report.production.execution.campaign = broker.result();
+  const auto& campaign = report.production.execution.campaign;
+  EXPECT_EQ(campaign.completed, 1u);
+  EXPECT_EQ(campaign.failed, 1u);
+  EXPECT_DOUBLE_EQ(campaign.cpu.consumed_cpu_hours, 704.0);
+  const std::string markdown = render_markdown_report(report);
+  EXPECT_NE(markdown.find("- cpu-hours: 704.00 consumed, 128.00 credited, 576.00 wasted "
+                          "(efficiency 18.2%)"),
+            std::string::npos)
+      << markdown;
 }
 
 TEST(ProductionExecution, SurvivesSecurityBreachOutage) {

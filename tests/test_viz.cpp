@@ -11,7 +11,6 @@
 #include "pore/dna.hpp"
 #include "pore/profile.hpp"
 #include "viz/ascii_render.hpp"
-#include "viz/ppm.hpp"
 #include "viz/series_writer.hpp"
 #include "viz/xyz_writer.hpp"
 
@@ -102,67 +101,6 @@ TEST(Table, RowSizeMismatchThrows) {
   Table table({"a", "b"});
   EXPECT_THROW(table.add_row({1.0}), PreconditionError);
   EXPECT_THROW((void)table.row(0), PreconditionError);
-}
-
-// --- PPM images ---------------------------------------------------------------
-
-TEST(Ppm, EncodeHasValidHeaderAndSize) {
-  Image image(4, 3, {10, 20, 30});
-  const auto bytes = image.encode_ppm();
-  const std::string header(bytes.begin(), bytes.begin() + 11);
-  EXPECT_EQ(header, "P6\n4 3\n255\n");
-  EXPECT_EQ(bytes.size(), 11u + 4u * 3u * 3u);
-  EXPECT_EQ(bytes[11], 10);  // first pixel r
-  EXPECT_EQ(bytes[13], 30);  // first pixel b
-}
-
-TEST(Ppm, SetAndGetPixels) {
-  Image image(2, 2);
-  image.set(1, 0, {255, 0, 0});
-  EXPECT_EQ(image.at(1, 0).r, 255);
-  EXPECT_EQ(image.at(0, 1).r, 0);
-  EXPECT_THROW((void)image.at(2, 0), PreconditionError);
-  EXPECT_THROW(image.set(0, 2, {}), PreconditionError);
-}
-
-TEST(Ppm, DivergingColormapEndpoints) {
-  const Rgb cold = diverging_colormap(0.0);
-  const Rgb mid = diverging_colormap(0.5);
-  const Rgb hot = diverging_colormap(1.0);
-  EXPECT_GT(cold.b, cold.r);  // blue end
-  EXPECT_EQ(mid.r, 255);      // white middle
-  EXPECT_EQ(mid.g, 255);
-  EXPECT_GT(hot.r, hot.b);    // red end
-  // Clamping.
-  EXPECT_EQ(diverging_colormap(-5.0).b, cold.b);
-  EXPECT_EQ(diverging_colormap(5.0).r, hot.r);
-}
-
-TEST(Ppm, HeatmapScalesToDataRange) {
-  const std::vector<std::vector<double>> field{{0.0, 1.0}, {0.5, 0.25}};
-  const Image image = heatmap(field, 4);
-  EXPECT_EQ(image.width(), 8u);
-  EXPECT_EQ(image.height(), 8u);
-  // Min cell is the blue end, max cell the red end.
-  EXPECT_GT(image.at(0, 0).b, image.at(0, 0).r);
-  EXPECT_GT(image.at(7, 0).r, image.at(7, 0).b);
-}
-
-TEST(Ppm, HeatmapRejectsRaggedField) {
-  const std::vector<std::vector<double>> ragged{{1.0, 2.0}, {3.0}};
-  EXPECT_THROW(heatmap(ragged), PreconditionError);
-}
-
-TEST(Ppm, SaveAndReloadFile) {
-  const std::string path = "/tmp/spice_test_image.ppm";
-  Image image(3, 3, {1, 2, 3});
-  image.save_ppm(path);
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content.substr(0, 3), "P6\n");
-  EXPECT_EQ(content.size(), 11u + 27u);
-  std::remove(path.c_str());
 }
 
 }  // namespace
