@@ -78,8 +78,8 @@ void spice::claims::batch_campaign(Claim& claim) {
 
   // Scenario 6: outage of the UK workhorse for three weeks (§V-C.4).
   ExecutionOptions outage = federated;
-  outage.outage = SiteOutage{.site = "Manchester", .start_hours = 30.0,
-                             .duration_hours = 21.0 * 24.0};
+  outage.faults.scheduled = {
+      {.site = "Manchester", .start_hours = 30.0, .duration_hours = 21.0 * 24.0}};
   const ProductionExecution breached = execute_on_federation(plan, outage);
   std::printf("scenario 6 = federation with 3-week Manchester outage (security breach)\n");
   add(6, breached);

@@ -13,9 +13,12 @@
 //                 sim thread sends full frames to every client and blocks
 //                 on each flow-control window (single-client IMD semantics
 //                 × N) — the regime the hub exists to escape.
-//   real_engine — a small session driving a live MD engine at 1 and 8
-//                 threads: session log and final checkpoint digests must
-//                 be bit-identical (thread-count-invariant steering).
+//   real_engine — a small session driving a live MD engine, run twice
+//                 with the same seed (md.threads 1 and 8): session log and
+//                 final checkpoint digests must be bit-identical. The
+//                 6-bead strand is one force slice, so both runs step on
+//                 the caller alone — a same-seed replay, not a thread-count
+//                 test.
 //
 // `--smoke` scales the main arm to 1k clients — the CI configuration.
 
@@ -196,10 +199,10 @@ void spice::claims::steering_hub(Claim& claim) {
               "(degradation %.0f%%, %" PRIu64 " timeouts)\n",
               naive.wall_s, naive.ideal_s, 100.0 * naive.degradation(), naive.frames_timed_out);
 
-  // --- real engine, thread invariance ----------------------------------------
+  // --- real engine, same-seed replay at one force slice ----------------------
   const auto [log1, state1] = run_real_arm(1);
   const auto [log8, state8] = run_real_arm(8);
-  const bool thread_invariant = log1 == log8 && state1 == state8;
+  const bool replay_identical = log1 == log8 && state1 == state8;
   std::printf("real engine 1 vs 8 threads: log %016" PRIx64 "/%016" PRIx64 " state %016" PRIx64
               "/%016" PRIx64 "\n",
               log1, log8, state1, state8);
@@ -257,7 +260,8 @@ void spice::claims::steering_hub(Claim& claim) {
   claim.check(m.peak_ring <= m.ring_capacity,
               fmt("peak ring %zu <= capacity %zu", m.peak_ring, m.ring_capacity));
   claim.check(deterministic, "same-seed repeat bit-identical");
-  claim.check(thread_invariant, "thread-count-invariant session");
+  claim.check(replay_identical,
+              "real-engine session same-seed replay bit-identical (one force slice)");
   claim.check(gate_naive, "naive fan-out demonstrably worse");
   claim.check(gate_postmortem, "stall dump parseable + causally linked");
 

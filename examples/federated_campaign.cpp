@@ -231,13 +231,14 @@ int main() {
   {
     namespace tk = spice::testkit;
 
-    // Determinism: the canonical 24-bead system must be bit-identical
+    // Determinism: the 64-bead ionic cluster (two force slices, so 8
+    // threads really run the slices in parallel) must be bit-identical
     // across thread counts, observables and checkpoint hash alike.
-    const tk::GoldenRecord serial = tk::run_golden("chain24", {.threads = 1});
-    const tk::GoldenRecord parallel = tk::run_golden("chain24", {.threads = 8});
+    const tk::GoldenRecord serial = tk::run_golden("ionic_cluster", {.threads = 1});
+    const tk::GoldenRecord parallel = tk::run_golden("ionic_cluster", {.threads = 8});
     const tk::GoldenDrift drift =
         tk::compare_golden(parallel, serial, tk::GoldenLevel::Bitwise);
-    std::printf("  golden chain24, 1 vs 8 threads (bitwise): %s\n",
+    std::printf("  golden ionic_cluster, 1 vs 8 threads (bitwise): %s\n",
                 drift.ok ? "identical" : "DRIFT");
 
     // Forces are the energy gradient (the sharpest cheap detector of a

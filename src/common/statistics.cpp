@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace spice {
 
@@ -179,19 +178,6 @@ double log_sum_exp(std::span<const double> xs) {
 
 double log_mean_exp(std::span<const double> xs) {
   return log_sum_exp(xs) - std::log(static_cast<double>(xs.size()));
-}
-
-double bootstrap_std_error(std::span<const double> xs, BootstrapStatistic statistic,
-                           std::size_t resamples, Rng& rng) {
-  SPICE_REQUIRE(!xs.empty(), "bootstrap of empty sample");
-  SPICE_REQUIRE(resamples >= 2, "bootstrap needs at least 2 resamples");
-  std::vector<double> resample(xs.size());
-  RunningStats stats;
-  for (std::size_t r = 0; r < resamples; ++r) {
-    for (auto& value : resample) value = xs[rng.uniform_index(xs.size())];
-    stats.add(statistic(resample));
-  }
-  return stats.stddev();
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins) {

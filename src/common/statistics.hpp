@@ -1,15 +1,13 @@
 #pragma once
 // Statistics utilities shared by the free-energy analysis (src/fe) and the
-// grid/network simulators (src/grid, src/net): running moments, bootstrap
-// resampling, histograms, autocorrelation, and log-sum-exp helpers.
+// grid/network simulators (src/grid, src/net): running moments,
+// histograms, autocorrelation, and log-sum-exp helpers.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
 namespace spice {
-
-class Rng;
 
 /// Numerically stable running mean/variance (Welford).
 class RunningStats {
@@ -75,15 +73,6 @@ class P2Quantile {
 
 /// log( (1/N) Σ exp(xᵢ) ).
 [[nodiscard]] double log_mean_exp(std::span<const double> xs);
-
-/// A statistic mapped over a bootstrap resample: given the resampled
-/// values, return the statistic of interest.
-using BootstrapStatistic = double (*)(std::span<const double>);
-
-/// Bootstrap standard error of `statistic` over `xs` with `resamples`
-/// resamples drawn using `rng`. Requires xs non-empty and resamples ≥ 2.
-[[nodiscard]] double bootstrap_std_error(std::span<const double> xs, BootstrapStatistic statistic,
-                                         std::size_t resamples, Rng& rng);
 
 /// Fixed-range histogram with under/overflow buckets.
 class Histogram {

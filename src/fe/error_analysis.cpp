@@ -35,11 +35,6 @@ std::vector<double> bootstrap_stat_error(const WorkEnsemble& ensemble, double te
   return out;
 }
 
-double cost_normalized_error(double sigma_stat, double cost_ratio) {
-  SPICE_REQUIRE(cost_ratio > 0.0, "cost ratio must be positive");
-  return sigma_stat * std::sqrt(cost_ratio);
-}
-
 double systematic_error(const PmfEstimate& estimate, const PmfEstimate& reference) {
   SPICE_REQUIRE(!estimate.lambda.empty(), "empty estimate");
   SPICE_REQUIRE(reference.lambda.size() >= 2, "reference needs at least two points");
@@ -63,40 +58,6 @@ double systematic_error(const PmfEstimate& estimate, const PmfEstimate& referenc
   }
   SPICE_REQUIRE(deviation.count() > 0, "estimate and reference grids do not overlap");
   return deviation.mean();
-}
-
-ConfidenceBand bootstrap_confidence_band(const WorkEnsemble& ensemble, double temperature_k,
-                                         Estimator estimator, std::size_t resamples,
-                                         std::uint64_t seed, double alpha) {
-  SPICE_REQUIRE(ensemble.trajectories() >= 2, "confidence band needs ≥ 2 trajectories");
-  SPICE_REQUIRE(resamples >= 10, "confidence band needs ≥ 10 resamples");
-  SPICE_REQUIRE(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-
-  Rng rng = Rng::stream(seed, 0x62616e64 /*"band"*/);
-  const std::size_t n_traj = ensemble.trajectories();
-  std::vector<std::vector<double>> per_point(ensemble.grid_points());
-  for (auto& column : per_point) column.reserve(resamples);
-
-  WorkEnsemble resampled;
-  resampled.lambda = ensemble.lambda;
-  resampled.work.resize(n_traj);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    for (std::size_t t = 0; t < n_traj; ++t) {
-      resampled.work[t] = ensemble.work[rng.uniform_index(n_traj)];
-    }
-    const PmfEstimate est = estimate_pmf(resampled, temperature_k, estimator);
-    for (std::size_t g = 0; g < est.phi.size(); ++g) per_point[g].push_back(est.phi[g]);
-  }
-
-  ConfidenceBand band;
-  band.lambda = ensemble.lambda;
-  band.lower.resize(ensemble.grid_points());
-  band.upper.resize(ensemble.grid_points());
-  for (std::size_t g = 0; g < ensemble.grid_points(); ++g) {
-    band.lower[g] = percentile(per_point[g], 100.0 * alpha / 2.0);
-    band.upper[g] = percentile(per_point[g], 100.0 * (1.0 - alpha / 2.0));
-  }
-  return band;
 }
 
 double ParameterScore::combined() const {

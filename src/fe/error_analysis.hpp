@@ -8,8 +8,7 @@
 //         generated, eight samples at v = 100 Å/ns can be generated; the
 //         statistical error of the former should be set to √8 of the
 //         latter"). Running the sweep with sample counts proportional to v
-//         realises exactly that normalization; an explicit √-cost rescale
-//         is also provided for equal-sample comparisons.
+//         realises exactly that normalization.
 //
 // σ_sys:  mean absolute deviation of the JE estimate from the reference
 //         ("putatively correct") PMF — in the paper, the adiabatic limit;
@@ -31,11 +30,6 @@ namespace spice::fe {
                                                        std::size_t resamples,
                                                        std::uint64_t seed);
 
-/// Rescale an equal-sample statistical error to equal-compute-cost terms:
-/// a protocol that is `cost_ratio`× more expensive per sample gets its
-/// error multiplied by √cost_ratio (fewer samples per unit compute).
-[[nodiscard]] double cost_normalized_error(double sigma_stat, double cost_ratio);
-
 /// Mean |Φ_est − Φ_ref| over the overlapping λ-range; the reference is
 /// linearly interpolated onto the estimate's grid.
 [[nodiscard]] double systematic_error(const PmfEstimate& estimate, const PmfEstimate& reference);
@@ -53,21 +47,5 @@ struct ParameterScore {
 
 /// λ-average of a per-grid-point error vector.
 [[nodiscard]] double average_error(const std::vector<double>& per_point);
-
-/// Pointwise bootstrap confidence band for a PMF estimate: lower/upper are
-/// the (α/2, 1−α/2) percentiles of the trajectory-bootstrap distribution
-/// of Φ at each λ-grid point.
-struct ConfidenceBand {
-  std::vector<double> lambda;
-  std::vector<double> lower;
-  std::vector<double> upper;
-};
-
-[[nodiscard]] ConfidenceBand bootstrap_confidence_band(const WorkEnsemble& ensemble,
-                                                       double temperature_k,
-                                                       Estimator estimator,
-                                                       std::size_t resamples,
-                                                       std::uint64_t seed,
-                                                       double alpha = 0.1);
 
 }  // namespace spice::fe

@@ -11,8 +11,13 @@
 
 namespace spice::fe {
 
-WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k,
-                const WhamConfig& config) {
+namespace {
+constexpr std::size_t kWhamBins = 60;
+constexpr double kWhamTolerance = 1e-8;  ///< max |Δf_k| (kcal/mol) for convergence
+constexpr std::size_t kWhamMaxIterations = 50000;
+}  // namespace
+
+WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k) {
   SPICE_REQUIRE(windows.size() >= 2, "WHAM needs at least two windows");
   SPICE_REQUIRE(temperature_k > 0.0, "temperature must be positive");
   for (const auto& w : windows) {
@@ -36,7 +41,7 @@ WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k,
   // Nudge the upper edge so the max sample lands in the last bin.
   hi += (hi - lo) * 1e-9 + 1e-12;
 
-  const std::size_t bins = config.bins;
+  const std::size_t bins = kWhamBins;
   const double width = (hi - lo) / static_cast<double>(bins);
   const std::size_t n_windows = windows.size();
 
@@ -70,7 +75,7 @@ WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k,
   std::vector<double> f(n_windows, 0.0);
   std::vector<double> p(bins, 0.0);
   WhamResult result;
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kWhamMaxIterations; ++iter) {
     // p(b) ∝ Σ_k n_k(b) / Σ_k N_k exp(−β (U_k(b) − f_k))
     for (std::size_t b = 0; b < bins; ++b) {
       double denom = 0.0;
@@ -92,7 +97,7 @@ WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k,
     const double f0 = f[0];
     for (auto& fk : f) fk -= f0;
     result.iterations = iter + 1;
-    if (max_change < config.tolerance) {
+    if (max_change < kWhamTolerance) {
       result.converged = true;
       break;
     }
@@ -145,7 +150,7 @@ WhamResult run_umbrella_sampling(spice::md::Engine& engine, std::span<const std:
     w.xi_samples = restraint->xi_samples();
     windows.push_back(std::move(w));
   }
-  return wham(windows, engine.config().temperature, config.wham);
+  return wham(windows, engine.config().temperature);
 }
 
 }  // namespace spice::fe

@@ -26,12 +26,6 @@ struct UmbrellaWindow {
   std::vector<double> xi_samples;  ///< equilibrium ξ samples under the bias
 };
 
-struct WhamConfig {
-  std::size_t bins = 60;
-  double tolerance = 1e-8;       ///< max |Δf_k| (kcal/mol) for convergence
-  std::size_t max_iterations = 50000;
-};
-
 struct WhamResult {
   PmfEstimate pmf;                   ///< Φ(ξ) at bin centres, min shifted to data range
   std::vector<double> window_free_energies;  ///< converged f_k, kcal/mol
@@ -40,9 +34,10 @@ struct WhamResult {
 };
 
 /// Solve the WHAM equations over the given windows at temperature T.
-/// The histogram range is [min ξ, max ξ] over all samples.
-[[nodiscard]] WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k,
-                              const WhamConfig& config = {});
+/// The histogram range is [min ξ, max ξ] over all samples, in 60 bins; the
+/// iteration stops once max |Δf_k| < 1e-8 kcal/mol, or after 50000 sweeps
+/// (converged = false).
+[[nodiscard]] WhamResult wham(std::span<const UmbrellaWindow> windows, double temperature_k);
 
 /// Driver: run a ladder of umbrella windows on `engine` along `direction`,
 /// restraining the COM displacement (measured from `com_reference`) of
@@ -54,7 +49,6 @@ struct UmbrellaConfig {
   double kappa = 10.0;  ///< bias stiffness, internal units (kcal/mol/Å²)
   std::size_t equilibration_steps = 2000;
   std::size_t sampling_steps = 8000;
-  WhamConfig wham;
 };
 
 [[nodiscard]] WhamResult run_umbrella_sampling(spice::md::Engine& engine,

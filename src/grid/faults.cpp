@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "net/network.hpp"
 
 namespace spice::grid {
 
@@ -101,15 +100,6 @@ void FaultInjector::fire_random(std::size_t site_index) {
       (duration + draw_exponential(rng, config_.site_mtbf_hours, "fault.gap"));
   if (next < config_.horizon_hours) {
     events.at(next, [this, site_index] { fire_random(site_index); });
-  }
-}
-
-void FaultInjector::attach_network(spice::net::Network& network) const {
-  for (const auto& window : config_.degradation) {
-    network.add_degradation_window({.start_s = window.start_hours * 3600.0,
-                                    .end_s = window.end_hours * 3600.0,
-                                    .latency_factor = window.latency_factor,
-                                    .loss_add = window.loss_add});
   }
 }
 

@@ -1,16 +1,14 @@
 #pragma once
 // Deterministic fault injection for the federated grid — the §V operational
-// reality SPICE's campaign layer had to survive: sites failing mid-job,
-// scheduled maintenance outages, and transient WAN degradation, all driven
-// through the shared DES event queue so every injected fault replays
-// bit-identically for a given seed.
+// reality SPICE's campaign layer had to survive: sites failing mid-job and
+// scheduled outages (the §V-C.4 security breach), all driven through the
+// shared DES event queue so every injected fault replays bit-identically for
+// a given seed.
 //
 // Scheduled outages are listed explicitly; random mid-job site failures are
 // drawn per site from an exponential failure/repair process seeded by
 // (config.seed, site index), so the schedule never depends on campaign
-// content or dispatch order. Network degradation windows are forwarded to a
-// spice::net::Network (which runs on a seconds clock; grid hours are
-// converted on attach).
+// content or dispatch order.
 
 #include <cstdint>
 #include <string>
@@ -19,23 +17,12 @@
 #include "common/rng.hpp"
 #include "grid/federation.hpp"
 
-namespace spice::net {
-class Network;
-}
-
 namespace spice::grid {
 
 struct ScheduledOutage {
   std::string site;
   double start_hours = 0.0;
   double duration_hours = 0.0;
-};
-
-struct NetworkDegradation {
-  double start_hours = 0.0;
-  double end_hours = 0.0;
-  double latency_factor = 4.0;  ///< multiplies path latency and jitter
-  double loss_add = 0.05;       ///< added per-message loss probability
 };
 
 struct FaultConfig {
@@ -54,7 +41,6 @@ struct FaultConfig {
   /// outages() stays empty in this mode, and the injector must outlive
   /// the event queue's run.
   bool lazy_arming = false;
-  std::vector<NetworkDegradation> degradation;
 
   /// grid/mc seam (not owned, may be null): with an oracle installed the
   /// random failure/repair process stops drawing from the seeded
@@ -67,7 +53,7 @@ struct FaultConfig {
   int oracle_draw_levels = 2;
 
   [[nodiscard]] bool enabled() const {
-    return site_mtbf_hours > 0.0 || !scheduled.empty() || !degradation.empty();
+    return site_mtbf_hours > 0.0 || !scheduled.empty();
   }
 };
 
@@ -81,10 +67,6 @@ class FaultInjector {
   /// Materialize the schedule and inject every fault as a DES event.
   /// Returns the number of outages armed. Call at most once.
   std::size_t arm();
-
-  /// Forward the configured degradation windows onto a network simulator
-  /// (grid hours → network seconds).
-  void attach_network(spice::net::Network& network) const;
 
   /// The materialized outage schedule (valid after arm(); random outages
   /// are absent under lazy_arming — they exist only as future events).

@@ -16,6 +16,14 @@ namespace {
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
+// Exploration caps; hitting any of them leaves McStats::exhausted false.
+constexpr std::uint64_t kMaxTraces = 1u << 20;
+constexpr std::uint64_t kMaxStepsPerTrace = 200000;
+constexpr std::size_t kMaxChoicesPerTrace = 4096;
+/// A broken invariant tends to recur in every sibling trace, so exploring
+/// stops after this many violations.
+constexpr std::size_t kMaxViolations = 64;
+
 void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
   h *= kFnvPrime;
@@ -182,11 +190,11 @@ ExploreResult explore(const Scenario& scenario, const McConfig& config,
   bool capped = false;
 
   while (true) {
-    if (result.stats.traces >= config.max_traces) {
+    if (result.stats.traces >= kMaxTraces) {
       capped = true;
       break;
     }
-    TraceOracle oracle(stack, config.max_choices_per_trace, &result.stats);
+    TraceOracle oracle(stack, kMaxChoicesPerTrace, &result.stats);
     std::unique_ptr<ScenarioWorld> world = scenario.build(&oracle, config.seed);
     SPICE_ENSURE(world != nullptr, "scenario builder returned no world");
     world->events.set_schedule_hook(&oracle);
@@ -207,8 +215,7 @@ ExploreResult explore(const Scenario& scenario, const McConfig& config,
       };
     }
 
-    TraceBody body =
-        run_trace(*world, checkers, config.max_steps_per_trace, &result.stats, prune);
+    TraceBody body = run_trace(*world, checkers, kMaxStepsPerTrace, &result.stats, prune);
     if (body.pruned) ++result.stats.pruned_traces;
     if (body.step_capped || oracle.truncated()) truncated = true;
     result.stats.max_depth = std::max<std::uint64_t>(result.stats.max_depth, stack.size());
@@ -218,17 +225,13 @@ ExploreResult explore(const Scenario& scenario, const McConfig& config,
       result.max_makespan_hours = std::max(result.max_makespan_hours, body.makespan);
     }
     for (auto& raw : body.violations) {
-      if (result.violations.size() >= config.max_violations) {
+      if (result.violations.size() >= kMaxViolations) {
         capped = true;
         break;
       }
       result.violations.push_back(package(std::move(raw), trace_id, stack));
     }
     if (capped) break;
-    if (config.stop_on_first_violation && !result.violations.empty()) {
-      capped = true;
-      break;
-    }
 
     // Backtrack: drop the exhausted suffix, advance the deepest choice
     // that still has untried alternatives, replay from the root.
@@ -248,7 +251,7 @@ TraceOutcome run_seeded(const Scenario& scenario, std::uint64_t seed,
   SPICE_REQUIRE(static_cast<bool>(scenario.build), "scenario has no builder");
   std::unique_ptr<ScenarioWorld> world = scenario.build(nullptr, seed);
   SPICE_ENSURE(world != nullptr, "scenario builder returned no world");
-  TraceBody body = run_trace(*world, checkers, McConfig{}.max_steps_per_trace, nullptr, {});
+  TraceBody body = run_trace(*world, checkers, kMaxStepsPerTrace, nullptr, {});
   return package_outcome(std::move(body), {});
 }
 
@@ -256,11 +259,11 @@ TraceOutcome replay(const Scenario& scenario, const std::vector<Choice>& choices
                     std::uint64_t seed, const std::vector<CheckerFactory>& checkers) {
   SPICE_REQUIRE(static_cast<bool>(scenario.build), "scenario has no builder");
   std::vector<Choice> stack = choices;
-  TraceOracle oracle(stack, McConfig{}.max_choices_per_trace, nullptr);
+  TraceOracle oracle(stack, kMaxChoicesPerTrace, nullptr);
   std::unique_ptr<ScenarioWorld> world = scenario.build(&oracle, seed);
   SPICE_ENSURE(world != nullptr, "scenario builder returned no world");
   world->events.set_schedule_hook(&oracle);
-  TraceBody body = run_trace(*world, checkers, McConfig{}.max_steps_per_trace, nullptr, {});
+  TraceBody body = run_trace(*world, checkers, kMaxStepsPerTrace, nullptr, {});
   return package_outcome(std::move(body), stack);
 }
 

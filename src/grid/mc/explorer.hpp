@@ -32,17 +32,10 @@ struct Choice {
 };
 
 struct McConfig {
-  std::uint64_t max_traces = 1u << 20;
-  std::uint64_t max_steps_per_trace = 200000;
-  std::size_t max_choices_per_trace = 4096;
   /// Cut traces whose post-event state hash was already visited. Sound
   /// for invariant checking up to hash abstraction (see DESIGN.md §13);
   /// disable for a strict exhaustive proof.
   bool prune_visited = true;
-  bool stop_on_first_violation = false;
-  /// Stop exploring after this many violations (a broken invariant tends
-  /// to recur in every sibling trace).
-  std::size_t max_violations = 64;
   /// Base seed passed to the scenario builder (perturbs seeded noise
   /// only; the choice structure must not depend on it).
   std::uint64_t seed = 2005;

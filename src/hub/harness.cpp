@@ -16,6 +16,11 @@ namespace spice::hub {
 namespace {
 
 constexpr const char* kHubSite = "hub-site";
+/// |z| of a steerer's ApplyForce commands.
+constexpr double kSteerForcePn = 30.0;
+/// Steerers release the token after this many accepted commands, so
+/// TokenHolder sessions exercise contention and hand-over.
+constexpr std::uint32_t kCommandsPerGrant = 5;
 
 /// Behavioural state for one simulated client. All stochastic choices come
 /// from a per-client derived stream, and every draw happens inside a DES
@@ -97,8 +102,7 @@ HubRunMetrics HubHarness::run() {
         if (!m2.steerer || now < m2.next_steer_at) return;
         const TierSpec& tier2 = config_.tiers[m2.tier];
         m2.next_steer_at = now + tier2.steer_period_s;
-        const double force_z =
-            (m2.rng.bernoulli(0.5) ? 1.0 : -1.0) * tier2.steer_force_pn;
+        const double force_z = (m2.rng.bernoulli(0.5) ? 1.0 : -1.0) * kSteerForcePn;
         const std::uint64_t sequence =
             (static_cast<std::uint64_t>(id) << 32) | m2.commands_sent++;
         const auto cmd = network.send(now, m2.host, hub_host,
@@ -114,7 +118,7 @@ HubRunMetrics HubHarness::run() {
           auto message = steering::SteeringMessage::apply_force({0.0, 0.0, force_z});
           message.sequence = sequence;
           if (hub.submit_command(arrive, id, message) == CommandOutcome::Applied &&
-              ++m3.accepted_since_grant >= config_.commands_per_grant) {
+              ++m3.accepted_since_grant >= kCommandsPerGrant) {
             m3.accepted_since_grant = 0;
             hub.release_token(arrive, id);
           }

@@ -38,7 +38,6 @@ struct TierSpec {
   double render_seconds = 0.01;
   double steer_fraction = 0.0;     ///< fraction of the tier that steers
   double steer_period_s = 1.0;     ///< min seconds between a steerer's commands
-  double steer_force_pn = 30.0;    ///< |z| of the ApplyForce commands
   double dead_fraction = 0.0;      ///< clients whose visualizer never acks
 };
 
@@ -50,9 +49,6 @@ struct HarnessConfig {
   double frame_full_bytes = 1e5;   ///< keyframe size in timing-model mode
   HubConfig hub;
   std::vector<TierSpec> tiers;
-  /// Steerers release the token after this many accepted commands, so
-  /// TokenHolder sessions exercise contention and hand-over.
-  std::uint32_t commands_per_grant = 5;
 };
 
 struct TierMetrics {

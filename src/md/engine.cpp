@@ -39,6 +39,8 @@ Vec3 langevin_noise(const Rng::StreamFamily& streams, std::size_t particle) {
   return {rng.gaussian(), rng.gaussian(), rng.gaussian()};
 }
 
+constexpr double kNeighborSkin = 2.0;  ///< Verlet skin, Å
+
 constexpr std::uint32_t kCheckpointMagic = 0x53504943;  // "SPIC"
 constexpr std::uint32_t kCheckpointVersion = 2;
 }  // namespace
@@ -66,7 +68,7 @@ Engine::Engine(Topology topology, NonbondedParams nonbonded, MdConfig config,
   } else {
     state_.reset(topology_);
   }
-  neighbor_list_ = std::make_unique<NeighborList>(nonbonded_.cutoff, config_.neighbor_skin);
+  neighbor_list_ = std::make_unique<NeighborList>(nonbonded_.cutoff, kNeighborSkin);
   slice_count_ = force_slices(n);
   // `threads` counts compute threads, and parallel_for runs one range on
   // the caller, so the pool holds the rest — no more than the slices can

@@ -56,7 +56,6 @@ struct MdConfig {
   IntegratorKind integrator = IntegratorKind::Langevin;
   std::uint64_t seed = 1;      ///< master seed for all stochastic terms
   std::size_t threads = 1;     ///< force-evaluation compute threads (caller included)
-  double neighbor_skin = 2.0;  ///< Verlet skin, Å
   /// SIMD dispatch request, resolved once at engine construction: Auto
   /// follows the process-wide level (SPICE_SIMD env override, else CPU
   /// detection); pinning Scalar selects the all-double scalar entry of the

@@ -1,6 +1,5 @@
 #include "md/observables.hpp"
 
-#include <cmath>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -27,27 +26,6 @@ Vec3 center_of_mass(std::span<const Vec3> positions, const Topology& topology) {
   std::vector<std::uint32_t> all(positions.size());
   std::iota(all.begin(), all.end(), 0);
   return center_of_mass(positions, topology, all);
-}
-
-double radius_of_gyration(std::span<const Vec3> positions, const Topology& topology,
-                          std::span<const std::uint32_t> selection) {
-  const Vec3 com = center_of_mass(positions, topology, selection);
-  const auto& particles = topology.particles();
-  double weighted = 0.0;
-  double mass = 0.0;
-  for (const std::uint32_t i : selection) {
-    weighted += particles[i].mass * distance2(positions[i], com);
-    mass += particles[i].mass;
-  }
-  return std::sqrt(weighted / mass);
-}
-
-double end_to_end_distance(std::span<const Vec3> positions,
-                           std::span<const std::uint32_t> selection) {
-  SPICE_REQUIRE(selection.size() >= 2, "end-to-end distance needs at least two particles");
-  SPICE_REQUIRE(selection.front() < positions.size() && selection.back() < positions.size(),
-                "selection index out of range");
-  return distance(positions[selection.front()], positions[selection.back()]);
 }
 
 std::vector<BondExtension> bond_extension_profile(std::span<const Vec3> positions,

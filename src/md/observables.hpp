@@ -1,8 +1,8 @@
 #pragma once
-// Structural observables over an MD state: centre of mass of a selection,
-// radius of gyration, end-to-end distance, and the per-bond extension
-// profile used to reproduce the Fig. 3 observation that the DNA strand
-// stretches as it approaches the pore constriction.
+// Structural observables over an MD state: centre of mass of a selection
+// and the per-bond extension profile used to reproduce the Fig. 3
+// observation that the DNA strand stretches as it approaches the pore
+// constriction.
 
 #include <cstdint>
 #include <span>
@@ -21,15 +21,6 @@ class Topology;
 
 /// Centre of mass of all particles.
 [[nodiscard]] Vec3 center_of_mass(std::span<const Vec3> positions, const Topology& topology);
-
-/// Mass-weighted radius of gyration of the selection.
-[[nodiscard]] double radius_of_gyration(std::span<const Vec3> positions, const Topology& topology,
-                                        std::span<const std::uint32_t> selection);
-
-/// Distance between the first and last particle of the selection (for a
-/// chain selection this is the end-to-end distance).
-[[nodiscard]] double end_to_end_distance(std::span<const Vec3> positions,
-                                         std::span<const std::uint32_t> selection);
 
 /// One entry per bond: the bond's current length, its rest length, and the
 /// z-coordinate of the bond midpoint (so extension can be plotted vs the

@@ -7,6 +7,10 @@
 
 namespace spice::net {
 
+namespace {
+constexpr double kAllreduceBytes = 1e3;  ///< payload of each reduction message
+}  // namespace
+
 MpiRunResult run_mpi_job(Network& network, const MpiJobConfig& config) {
   SPICE_REQUIRE(!config.placement.empty(), "MPI job needs a placement");
   SPICE_REQUIRE(config.iterations > 0, "MPI job needs iterations");
@@ -74,7 +78,7 @@ MpiRunResult run_mpi_job(Network& network, const MpiJobConfig& config) {
       double level_done = wall;
       for (std::size_t r = 0; r + stride < ranks.size(); r += 2 * stride) {
         const auto out = network.send(wall, ranks[r + stride], ranks[r],
-                                      config.allreduce_bytes, config.transport);
+                                      kAllreduceBytes, config.transport);
         SPICE_ENSURE(out.delivered, "routable pair failed to deliver");
         level_done = std::max(level_done, out.deliver_at);
         if (network.host(ranks[r]).site != network.host(ranks[r + stride]).site) {

@@ -33,7 +33,6 @@ struct MpiJobConfig {
   std::size_t iterations = 10;
   double compute_seconds_per_iteration = 0.05;  ///< per rank, perfectly balanced
   double halo_bytes = 2e5;        ///< ring-neighbour exchange per iteration
-  double allreduce_bytes = 1e3;   ///< payload of each reduction message
   Transport transport = Transport::Tcp;
 };
 

@@ -27,7 +27,8 @@ std::string link_key(const std::string& a, const std::string& b) {
 
 void Network::connect_sites(const std::string& site_a, const std::string& site_b,
                             const QosSpec& qos) {
-  SPICE_REQUIRE(site_a != site_b, "use set_intra_site_qos for intra-site traffic");
+  SPICE_REQUIRE(site_a != site_b,
+                "intra-site traffic always runs at LAN QoS; connect two distinct sites");
   site_links_[link_key(site_a, site_b)] = qos;
 }
 
@@ -51,24 +52,6 @@ PathKind Network::classify_path(HostId from, HostId to) const {
   return PathKind::Unreachable;
 }
 
-void Network::add_degradation_window(const DegradationWindow& window) {
-  SPICE_REQUIRE(window.end_s > window.start_s, "degradation window empty");
-  SPICE_REQUIRE(window.latency_factor >= 1.0, "latency factor must be >= 1");
-  SPICE_REQUIRE(window.loss_add >= 0.0, "loss increase must be non-negative");
-  degradations_.push_back(window);
-}
-
-QosSpec Network::effective_qos(const QosSpec& qos, double t) const {
-  QosSpec out = qos;
-  for (const auto& w : degradations_) {
-    if (t < w.start_s || t >= w.end_s) continue;
-    out.latency_ms *= w.latency_factor;
-    out.jitter_ms *= w.latency_factor;
-    out.loss_rate = std::min(0.95, out.loss_rate + w.loss_add);
-  }
-  return out;
-}
-
 const QosSpec& Network::qos_between(const Host& a, const Host& b) const {
   if (a.site == b.site) return intra_site_;
   const auto it = site_links_.find(link_key(a.site, b.site));
@@ -77,16 +60,9 @@ const QosSpec& Network::qos_between(const Host& a, const Host& b) const {
   return it->second;
 }
 
-double Network::hop_deliver(double start, const QosSpec& base_qos, double bytes,
+double Network::hop_deliver(double start, const QosSpec& qos, double bytes,
                             const std::string& link_key, std::uint32_t& retransmits,
                             bool& gave_up) {
-  QosSpec degraded;
-  const QosSpec* active = &base_qos;
-  if (!degradations_.empty()) {
-    degraded = effective_qos(base_qos, start);
-    active = &degraded;
-  }
-  const QosSpec& qos = *active;
   const double transmission = bytes * 8.0 / (qos.bandwidth_mbps * 1e6);  // s
   const double rto = 3.0 * qos.latency_ms * 1e-3;
   double t = start;

@@ -55,16 +55,6 @@ struct SendOutcome {
   std::string failure;  ///< non-empty when !delivered
 };
 
-/// Transient degradation of every path: within [start_s, end_s) latency and
-/// jitter are scaled and extra loss is added — the fault-injection model of
-/// a congested or flapping WAN segment (§V-C.1 middleware immaturity).
-struct DegradationWindow {
-  double start_s = 0.0;
-  double end_s = 0.0;
-  double latency_factor = 1.0;  ///< multiplies latency and jitter
-  double loss_add = 0.0;        ///< added to the per-message loss rate
-};
-
 struct NetworkStats {
   std::uint64_t messages = 0;
   std::uint64_t delivered = 0;
@@ -82,19 +72,9 @@ class Network {
   /// Give `site` a gateway so its hidden hosts are reachable (TCP only).
   void set_site_gateway(const std::string& site, double capacity_mbps);
 
-  /// Set the QoS of the (symmetric) path between two sites. Hosts within
-  /// one site communicate at `intra_site` QoS (default LAN).
+  /// Set the QoS of the (symmetric) path between two distinct sites. Hosts
+  /// within one site communicate at LAN QoS (local_area()).
   void connect_sites(const std::string& site_a, const std::string& site_b, const QosSpec& qos);
-  void set_intra_site_qos(const QosSpec& qos) { intra_site_ = qos; }
-
-  /// Register a transient degradation window (applies to every path whose
-  /// transmission starts inside it). Windows may overlap; effects stack —
-  /// latency factors multiply, loss_adds sum (clamped to 0.95), so the
-  /// result is independent of registration order (see qos.hpp).
-  void add_degradation_window(const DegradationWindow& window);
-  [[nodiscard]] const std::vector<DegradationWindow>& degradation_windows() const {
-    return degradations_;
-  }
 
   /// Send `bytes` from one host to another at absolute time `now` (s).
   SendOutcome send(double now, HostId from, HostId to, double bytes,
@@ -112,9 +92,6 @@ class Network {
 
  private:
   [[nodiscard]] const QosSpec& qos_between(const Host& a, const Host& b) const;
-  /// The QoS actually in force at time `t`: `qos` degraded by any active
-  /// windows.
-  [[nodiscard]] QosSpec effective_qos(const QosSpec& qos, double t) const;
   /// Absolute delivery time over one QoS hop starting at `start`, with
   /// transmission serialized on the directed link (`link_key`, empty =
   /// unserialized) and loss/retransmission; sets gave_up when the retry
@@ -127,7 +104,6 @@ class Network {
   std::unordered_map<std::string, Gateway> gateways_;
   std::unordered_map<std::string, QosSpec> site_links_;  ///< key "a|b", a < b
   QosSpec intra_site_;
-  std::vector<DegradationWindow> degradations_;
   Rng rng_;
   NetworkStats stats_;
   /// FIFO enforcement: last delivery time per directed (from,to) pair.

@@ -20,16 +20,6 @@ struct QosSpec {
   double bandwidth_mbps = 1000; ///< per-flow throughput
 };
 
-// Degradation-window semantics (net::Network::add_degradation_window):
-// every window active at a transmission's start time applies to the base
-// QosSpec — latency and jitter are MULTIPLIED by each window's
-// latency_factor, loss_add values are SUMMED onto loss_rate (clamped to
-// 0.95 so retransmission always has a chance). Overlapping windows
-// therefore stack: two ×2 latency windows yield ×4, and because products
-// and sums commute, the effective QoS is independent of the order in
-// which the windows were registered. Bandwidth is never degraded — the
-// model targets WAN congestion/flap (delay and loss), not link rewiring.
-
 /// Dedicated trans-Atlantic lightpath (UKLight → TeraGrid via GLIF):
 /// speed-of-light latency, negligible jitter and loss, 10 Gbit.
 [[nodiscard]] QosSpec lightpath_transatlantic();

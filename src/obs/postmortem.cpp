@@ -197,9 +197,4 @@ void notify_stall_for_post_mortem(const std::string& entry_name) {
   maybe_auto_dump("watchdog stall", entry_name, &PostMortemConfig::dump_on_watchdog);
 }
 
-void notify_check_failure_for_post_mortem(const std::string& detail) {
-  maybe_auto_dump("testkit check failure", detail,
-                  &PostMortemConfig::dump_on_check_failure);
-}
-
 }  // namespace spice::obs

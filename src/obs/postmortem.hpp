@@ -23,8 +23,6 @@
 //   * fatal signals (SIGTERM/SIGINT/SIGABRT/SIGSEGV/SIGBUS/SIGFPE); the
 //     handler write is best-effort — not strictly async-signal-safe, the
 //     accepted trade for a black box that needs no cooperating thread
-//   * testkit check failures (stat_assert routes through
-//     notify_check_failure_for_post_mortem)
 // dump_post_mortem() can also be called explicitly at any time.
 
 #include <cstdint>
@@ -38,7 +36,6 @@ struct PostMortemConfig {
   std::string prefix = "postmortem";
   bool dump_on_watchdog = false;
   bool dump_on_signal = false;
-  bool dump_on_check_failure = false;
 };
 
 /// Install the config and whatever triggers it enables. Re-arming resets
@@ -56,8 +53,7 @@ std::string dump_post_mortem(const std::string& reason);
 /// Dumps written since process start (auto-triggered + explicit).
 [[nodiscard]] std::uint64_t post_mortem_dump_count();
 
-// --- trigger plumbing (called by obs/health and spice::testkit) ----------
+// --- trigger plumbing (called by obs/health) ------------------------------
 void notify_stall_for_post_mortem(const std::string& entry_name);
-void notify_check_failure_for_post_mortem(const std::string& detail);
 
 }  // namespace spice::obs

@@ -10,8 +10,16 @@
 
 namespace spice::core {
 
-OptimizerReport select_optimal_parameters(const std::vector<spice::fe::ParameterScore>& scores,
-                                          const OptimizerConfig& config) {
+namespace {
+/// σ_sys values within this fraction of the per-κ minimum count as
+/// indistinguishable ("insignificant difference").
+constexpr double kSysTieFraction = 0.25;
+/// Additive floor for the tie test, kcal/mol (thermal scale).
+constexpr double kSysTieFloor = 1.0;
+}  // namespace
+
+OptimizerReport select_optimal_parameters(
+    const std::vector<spice::fe::ParameterScore>& scores) {
   SPICE_REQUIRE(!scores.empty(), "optimizer needs scores");
   OptimizerReport report;
 
@@ -44,8 +52,7 @@ OptimizerReport select_optimal_parameters(const std::vector<spice::fe::Parameter
   const auto& cell = by_kappa.at(best_kappa);
   double min_sys = std::numeric_limits<double>::infinity();
   for (const auto* s : cell) min_sys = std::min(min_sys, s->sigma_sys);
-  const double tie_limit =
-      min_sys + std::max(config.sys_tie_floor, config.sys_tie_fraction * min_sys);
+  const double tie_limit = min_sys + std::max(kSysTieFloor, kSysTieFraction * min_sys);
 
   const spice::fe::ParameterScore* chosen = nullptr;
   for (const auto* s : cell) {

@@ -20,14 +20,6 @@
 
 namespace spice::core {
 
-struct OptimizerConfig {
-  /// σ_sys values within this fraction of the per-κ minimum count as
-  /// indistinguishable ("insignificant difference").
-  double sys_tie_fraction = 0.25;
-  /// Additive floor for the tie test, kcal/mol (thermal scale).
-  double sys_tie_floor = 1.0;
-};
-
 struct OptimizerReport {
   spice::fe::ParameterScore best;
   std::vector<std::string> rationale;  ///< human-readable decision trail
@@ -37,10 +29,11 @@ struct OptimizerReport {
 ///  1. pick the κ with the smallest combined √(σ_stat² + σ_sys²) averaged
 ///     over its velocities (the trade-off spring constant);
 ///  2. within that κ, find the velocities whose σ_sys is indistinguishable
-///     from the best, and pick the slowest of them (slower pulls are
-///     closer to the adiabatic limit, so when errors tie, take the one
-///     with less systematic bias headroom).
+///     from the best (within max(1 kcal/mol, 25 %) of the per-κ minimum),
+///     and pick the slowest of them (slower pulls are closer to the
+///     adiabatic limit, so when errors tie, take the one with less
+///     systematic bias headroom).
 [[nodiscard]] OptimizerReport select_optimal_parameters(
-    const std::vector<spice::fe::ParameterScore>& scores, const OptimizerConfig& config = {});
+    const std::vector<spice::fe::ParameterScore>& scores);
 
 }  // namespace spice::core

@@ -16,6 +16,13 @@
 
 namespace spice::core {
 
+namespace {
+/// §III: the interactive simulation ran on "typically ... 256" processors.
+constexpr int kInteractiveProcessors = 256;
+/// The preprocessing sweep's share of the production sampling effort.
+constexpr double kPreprocessingFraction = 0.5;
+}  // namespace
+
 StaticAnalysisReport run_static_analysis(const PipelineConfig& config) {
   SPICE_RECORD_SPAN("pipeline.static_analysis");
   SPICE_INFO("phase 1: static visualization / structural analysis");
@@ -47,10 +54,11 @@ InteractiveReport run_interactive_phase(const PipelineConfig& config) {
     spice::grid::Federation federation(events);
     spice::grid::build_spice_federation(federation);
     spice::grid::CoScheduleRequest request;
-    request.requirements.push_back({federation.find("NCSA"),
-                                    static_cast<int>(config.interactive_processors),
-                                    config.use_lightpath});
-    request.requirements.push_back({federation.find("Manchester"), 16, config.use_lightpath});
+    request.requirements.push_back({.site = federation.find("NCSA"),
+                                    .processors = kInteractiveProcessors,
+                                    .needs_lightpath = true});
+    request.requirements.push_back(
+        {.site = federation.find("Manchester"), .processors = 16, .needs_lightpath = true});
     request.duration_hours = 4.0;
     const auto outcome = spice::grid::reserve_common_window(request, "spice-interactive");
     report.coschedule_feasible = outcome.feasible;
@@ -61,9 +69,7 @@ InteractiveReport run_interactive_phase(const PipelineConfig& config) {
   spice::net::Network network(config.seed);
   const auto sim_host = network.add_host("namd-sim", "NCSA");
   const auto viz_host = network.add_host("ucl-viz", "UCL");
-  const spice::net::QosSpec qos = config.use_lightpath
-                                      ? spice::net::lightpath_transatlantic()
-                                      : spice::net::production_internet_transatlantic();
+  const spice::net::QosSpec qos = spice::net::lightpath_transatlantic();
   network.connect_sites("NCSA", "UCL", qos);
   report.network_used = qos.name;
 
@@ -82,8 +88,7 @@ InteractiveReport run_interactive_phase(const PipelineConfig& config) {
 
   spice::steering::ImdConfig imd;
   imd.total_steps = config.imd_steps;
-  imd.seconds_per_step =
-      seconds_per_step(config.cost, static_cast<int>(config.interactive_processors));
+  imd.seconds_per_step = seconds_per_step(config.cost, kInteractiveProcessors);
   imd.frame_bytes = frame_bytes(config.cost);
 
   spice::steering::HapticDevice haptic({.seed = config.seed});
@@ -111,8 +116,8 @@ PreprocessingReport run_preprocessing_phase(const PipelineConfig& config) {
   PreprocessingReport report;
   SweepConfig coarse = config.sweep;
   coarse.samples_at_slowest = std::max<std::size_t>(
-      2, static_cast<std::size_t>(std::lround(config.sweep.samples_at_slowest *
-                                              config.preprocessing_fraction)));
+      2, static_cast<std::size_t>(
+             std::lround(config.sweep.samples_at_slowest * kPreprocessingFraction)));
   coarse.bootstrap_resamples = std::max<std::size_t>(16, config.sweep.bootstrap_resamples / 2);
   coarse.seed = config.seed ^ 0x70726570ULL /*"prep"*/;
   report.sweep = run_parameter_sweep(coarse, /*compute_reference=*/false);

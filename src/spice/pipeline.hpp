@@ -36,11 +36,6 @@ struct PipelineConfig {
 
   // Interactive phase:
   std::size_t imd_steps = 1200;
-  std::size_t interactive_processors = 256;  ///< §III: "typically ... 256"
-  bool use_lightpath = true;
-
-  // Preprocessing phase: fraction of the production sampling effort.
-  double preprocessing_fraction = 0.5;
 
   // Production grid execution:
   std::size_t paper_replicas_per_cell = 6;  ///< 3κ × 4v × 6 = 72 jobs

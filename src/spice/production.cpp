@@ -1,6 +1,7 @@
 #include "spice/production.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "grid/workload.hpp"
@@ -75,19 +76,9 @@ ProductionExecution execute_on_federation(const ProductionPlan& plan,
     spice::grid::generate_background_load(*site, events, load);
   }
 
-  // Optional outage (the paper's security breach took out the sole usable
-  // UK node for weeks).
-  if (options.outage.has_value()) {
-    const SiteOutage& outage = *options.outage;
-    spice::grid::Site* site = federation.find(outage.site);
-    SPICE_REQUIRE(site != nullptr, "outage names unknown site: " + outage.site);
-    events.at(outage.start_hours, [site, outage] {
-      site->fail_until(outage.start_hours + outage.duration_hours);
-    });
-  }
-
-  // Seeded fault injection (scheduled outages, random failure processes,
-  // network degradation windows) on top of any single explicit outage.
+  // Seeded fault injection: scheduled outages (the paper's security breach
+  // took out the sole usable UK node for weeks) and random failure
+  // processes.
   std::optional<spice::grid::FaultInjector> injector;
   if (options.faults.enabled()) {
     injector.emplace(federation, options.faults);

@@ -9,12 +9,11 @@
 // plan_production_jobs turns a sweep definition into grid::Jobs whose
 // runtimes come from the all-atom cost model (a pull of 10 Å at velocity v
 // is 10/v nanoseconds of MD). execute_on_federation runs the job set
-// through the DES broker against contended sites — with optional outage
-// injection for the §V-C.4 security-breach scenario.
+// through the DES broker against contended sites — with optional fault
+// injection (grid/faults.hpp) for the §V-C.4 security-breach scenario.
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "grid/faults.hpp"
@@ -39,12 +38,6 @@ struct ProductionPlan {
 [[nodiscard]] ProductionPlan plan_production_jobs(const SweepConfig& sweep,
                                                   const MdCostModel& cost,
                                                   std::size_t equal_replicas = 0);
-
-struct SiteOutage {
-  std::string site;
-  double start_hours = 0.0;
-  double duration_hours = 0.0;
-};
 
 /// One site's scheduler state inside a progress snapshot.
 struct SiteProgress {
@@ -77,8 +70,9 @@ struct ExecutionOptions {
   double background_utilization = 0.7;   ///< contention on every site
   double horizon_hours = 1000.0;         ///< background-load generation window
   std::uint64_t seed = 11;
-  std::optional<SiteOutage> outage;      ///< §V-C.4 scenario
-  spice::grid::FaultConfig faults;       ///< seeded injection (off by default)
+  /// Seeded injection (off by default); faults.scheduled carries the
+  /// §V-C.4 security-breach outage.
+  spice::grid::FaultConfig faults;
   spice::grid::RetryPolicy retry;        ///< backoff for requeues and holds
   double checkpoint_interval_hours = 0.0;  ///< 0 = restart from scratch
   double completion_floor = 1.0;           ///< accept ≥ this fraction of replicas

@@ -19,7 +19,6 @@ void SteerableSimulation::deliver(const SteeringMessage& message) {
 }
 
 void SteerableSimulation::apply(const SteeringMessage& message) {
-  ++messages_applied_;
   switch (message.type) {
     case MessageType::Pause:
       paused_ = true;

@@ -73,7 +73,6 @@ class SteerableSimulation {
 
   [[nodiscard]] spice::md::Engine& engine() { return engine_; }
   [[nodiscard]] const spice::md::Engine& engine() const { return engine_; }
-  [[nodiscard]] std::uint64_t messages_applied() const { return messages_applied_; }
 
  private:
   void apply(const SteeringMessage& message);
@@ -87,7 +86,6 @@ class SteerableSimulation {
   std::map<std::string, spice::md::Checkpoint> checkpoints_;
   bool paused_ = false;
   bool stopped_ = false;
-  std::uint64_t messages_applied_ = 0;
 };
 
 }  // namespace spice::steering

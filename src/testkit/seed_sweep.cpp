@@ -58,18 +58,4 @@ std::vector<double> SeedSweep::collect(
   return values;
 }
 
-std::vector<double> SeedSweep::collect_all(
-    const std::function<std::vector<double>(std::uint64_t)>& sample) const {
-  static obs::Counter& runs = obs::metrics().counter("testkit.sweep.runs");
-  static obs::Counter& seeds_run = obs::metrics().counter("testkit.sweep.seeds");
-  runs.add(1);
-  std::vector<double> values;
-  for (const std::uint64_t seed : seeds_) {
-    std::vector<double> chunk = sample(seed);
-    values.insert(values.end(), chunk.begin(), chunk.end());
-    seeds_run.add(1);
-  }
-  return values;
-}
-
 }  // namespace spice::testkit

@@ -42,10 +42,6 @@ class SeedSweep {
   [[nodiscard]] std::vector<double> collect(
       const std::function<double(std::uint64_t seed)>& sample) const;
 
-  /// Many scalars per seed, concatenated.
-  [[nodiscard]] std::vector<double> collect_all(
-      const std::function<std::vector<double>(std::uint64_t seed)>& sample) const;
-
  private:
   SweepConfig config_;
   std::vector<std::uint64_t> seeds_;

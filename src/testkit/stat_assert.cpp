@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/postmortem.hpp"
 
 namespace spice::testkit {
 
@@ -30,7 +29,6 @@ CheckResult record(bool passed, double statistic, double threshold, std::string 
   if (!passed) {
     failed.add(1);
     SPICE_WARN("testkit check failed: " + detail);
-    obs::notify_check_failure_for_post_mortem(detail);
   }
   return CheckResult{passed, statistic, threshold, std::move(detail)};
 }

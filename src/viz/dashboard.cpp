@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace spice::viz {
 
@@ -93,13 +92,6 @@ void render_dashboard(std::ostream& os, const DashboardFrame& frame,
                     snapshot->counter_value("obs.export.snapshots"))));
   }
   rule(os, nullptr);
-}
-
-std::string dashboard_string(const DashboardFrame& frame,
-                             const spice::obs::MetricsSnapshot* snapshot) {
-  std::ostringstream os;
-  render_dashboard(os, frame, snapshot);
-  return os.str();
 }
 
 }  // namespace spice::viz

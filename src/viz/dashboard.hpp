@@ -57,8 +57,4 @@ struct DashboardFrame {
 void render_dashboard(std::ostream& os, const DashboardFrame& frame,
                       const spice::obs::MetricsSnapshot* snapshot = nullptr);
 
-/// render_dashboard into a string (tests, log attachments).
-[[nodiscard]] std::string dashboard_string(const DashboardFrame& frame,
-                                           const spice::obs::MetricsSnapshot* snapshot = nullptr);
-
 }  // namespace spice::viz

@@ -1,10 +1,7 @@
 #include "viz/series_writer.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -90,34 +87,6 @@ void Table::write_pretty(std::ostream& os, int precision) const {
       os << std::string(total + 2 * (widths.size() - 1), '-') << '\n';
     }
   }
-}
-
-namespace {
-std::string open_failure(const char* what, const std::string& path) {
-  // errno is set by the failed open; capture it before anything else runs.
-  const int err = errno;
-  std::string msg = std::string("could not open ") + what + " output '" + path + "'";
-  if (err != 0) msg += std::string(": ") + std::strerror(err);
-  return msg;
-}
-}  // namespace
-
-void Table::save_csv(const std::string& path) const {
-  errno = 0;
-  std::ofstream file(path);
-  SPICE_REQUIRE(file.is_open(), open_failure("CSV", path));
-  write_csv(file);
-  file.flush();
-  SPICE_REQUIRE(file.good(), "write failed for CSV output '" + path + "'");
-}
-
-void Table::save_json(const std::string& path) const {
-  errno = 0;
-  std::ofstream file(path);
-  SPICE_REQUIRE(file.is_open(), open_failure("JSON", path));
-  write_json(file);
-  file.flush();
-  SPICE_REQUIRE(file.good(), "write failed for JSON output '" + path + "'");
 }
 
 }  // namespace spice::viz

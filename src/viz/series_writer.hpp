@@ -29,10 +29,6 @@ class Table {
   void write_json(std::ostream& os) const;
   /// Write as an aligned, human-readable table with `precision` decimals.
   void write_pretty(std::ostream& os, int precision = 3) const;
-  /// Write CSV to a file; throws on I/O failure naming the path.
-  void save_csv(const std::string& path) const;
-  /// Write JSON to a file; throws on I/O failure naming the path.
-  void save_json(const std::string& path) const;
 
  private:
   std::vector<std::string> columns_;

@@ -260,17 +260,6 @@ TEST(Statistics, LogSumExpStability) {
   EXPECT_NEAR(log_sum_exp(ys), -800.0 + std::log(1.0 + std::exp(-1.0)), 1e-9);
 }
 
-TEST(Statistics, BootstrapErrorOfMeanMatchesTheory) {
-  Rng rng(23);
-  std::vector<double> xs(400);
-  for (auto& x : xs) x = rng.gaussian(0.0, 2.0);
-  Rng boot(29);
-  const double se = bootstrap_std_error(
-      xs, [](std::span<const double> r) { return mean(r); }, 400, boot);
-  // Theory: σ/√n = 2/20 = 0.1.
-  EXPECT_NEAR(se, 0.1, 0.03);
-}
-
 TEST(Histogram, BinningAndOverflow) {
   Histogram h(0.0, 10.0, 10);
   h.add(-1.0);

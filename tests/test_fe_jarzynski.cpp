@@ -246,45 +246,6 @@ TEST(ErrorAnalysis, BootstrapShrinksWithSampleSize) {
   EXPECT_NEAR(small[1] / large[1], 4.0, 2.5);
 }
 
-TEST(ErrorAnalysis, ConfidenceBandBracketsTheEstimate) {
-  Rng rng(47);
-  WorkEnsemble e;
-  e.lambda = {0.0, 1.0, 2.0};
-  for (int t = 0; t < 64; ++t) {
-    const double w1 = rng.gaussian(1.0, 0.4);
-    e.work.push_back({0.0, w1, w1 + rng.gaussian(1.0, 0.4)});
-  }
-  const PmfEstimate est = estimate_pmf(e, 300.0, Estimator::Exponential);
-  const ConfidenceBand band =
-      bootstrap_confidence_band(e, 300.0, Estimator::Exponential, 400, 7, 0.1);
-  ASSERT_EQ(band.lambda.size(), 3u);
-  for (std::size_t g = 0; g < 3; ++g) {
-    EXPECT_LE(band.lower[g], est.phi[g] + 1e-9) << g;
-    EXPECT_GE(band.upper[g], est.phi[g] - 1e-9) << g;
-    EXPECT_LE(band.lower[g], band.upper[g]);
-  }
-  // λ = 0 is the anchor: zero width there.
-  EXPECT_NEAR(band.upper[0] - band.lower[0], 0.0, 1e-12);
-}
-
-TEST(ErrorAnalysis, ConfidenceBandWidthTracksAlpha) {
-  Rng rng(53);
-  WorkEnsemble e;
-  e.lambda = {0.0, 1.0};
-  for (int t = 0; t < 64; ++t) e.work.push_back({0.0, rng.gaussian(2.0, 0.8)});
-  const ConfidenceBand wide =
-      bootstrap_confidence_band(e, 300.0, Estimator::Exponential, 400, 7, 0.02);
-  const ConfidenceBand narrow =
-      bootstrap_confidence_band(e, 300.0, Estimator::Exponential, 400, 7, 0.5);
-  EXPECT_GT(wide.upper[1] - wide.lower[1], narrow.upper[1] - narrow.lower[1]);
-}
-
-TEST(ErrorAnalysis, CostNormalization) {
-  // A protocol 8× costlier per sample gets √8 larger normalized error.
-  EXPECT_NEAR(cost_normalized_error(1.0, 8.0), std::sqrt(8.0), 1e-12);
-  EXPECT_THROW((void)cost_normalized_error(1.0, 0.0), PreconditionError);
-}
-
 TEST(ErrorAnalysis, SystematicErrorAgainstReference) {
   PmfEstimate est;
   est.lambda = {0.0, 1.0, 2.0};

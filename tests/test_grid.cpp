@@ -1525,6 +1525,46 @@ TEST(Metrics, CpuAccountingSeparatesCreditFromWaste) {
               (128 * 10.0 + 64 * 2.0) / (128 * 10.5 + 64 * 2.0 + 50.0), 1e-12);
 }
 
+TEST(Metrics, CpuAccountingChargesPermanentlyFailedJobs) {
+  // A 128-proc job killed at 4.5 h with no requeue budget, next to a clean
+  // 64-proc 2 h job: 576 CPU-h burned and lost, 128 credited, 704 consumed.
+  // The failed job's burn counts as consumed, so efficiency is 128 / 704,
+  // not the completed-jobs-only 128 / 128.
+  EventQueue events;
+  Federation federation(events);
+  federation.add_site({.name = "Big", .grid = "TeraGrid", .processors = 128});
+  federation.add_site({.name = "Small", .grid = "NGS", .processors = 64});
+  FaultConfig fault_config;
+  fault_config.scheduled = {{.site = "Big", .start_hours = 4.5, .duration_hours = 24.0}};
+  FaultInjector faults(federation, fault_config);
+  faults.arm();
+  CampaignConfig config;
+  config.max_requeues = 0;
+  for (const auto& [id, procs, hours] : {std::tuple{1, 128, 10.0}, std::tuple{2, 64, 2.0}}) {
+    Job job;
+    job.id = static_cast<JobId>(id);
+    job.name = "job" + std::to_string(id);
+    job.kind = JobKind::Campaign;
+    job.processors = procs;
+    job.runtime_hours = hours;
+    config.jobs.push_back(job);
+  }
+  Broker broker(federation, config);
+  broker.submit_all();
+  while (!broker.done() && events.step()) {
+  }
+  ASSERT_TRUE(broker.done());
+
+  const CampaignResult campaign = broker.result();
+  EXPECT_EQ(campaign.completed, 1u);
+  EXPECT_EQ(campaign.failed, 1u);
+  EXPECT_DOUBLE_EQ(campaign.cpu.consumed_cpu_hours, 704.0);
+  EXPECT_DOUBLE_EQ(campaign.cpu.credited_cpu_hours, 128.0);
+  EXPECT_DOUBLE_EQ(campaign.cpu.wasted_cpu_hours, 576.0);
+  EXPECT_DOUBLE_EQ(campaign.cpu.efficiency(), 128.0 / 704.0);
+  EXPECT_NEAR(campaign.cpu.efficiency(), 0.182, 5e-4);
+}
+
 TEST(Metrics, RealCampaignProducesSensibleMetrics) {
   EventQueue events;
   Federation fed(events);

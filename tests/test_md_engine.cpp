@@ -432,23 +432,6 @@ TEST(Observables, CenterOfMassWeighting) {
   EXPECT_DOUBLE_EQ(center_of_mass(xs, topo, sel).z, 3.0);
 }
 
-TEST(Observables, RadiusOfGyrationOfDumbbell) {
-  Topology topo;
-  topo.add_particle({.mass = 1.0});
-  topo.add_particle({.mass = 1.0});
-  const std::vector<Vec3> xs{{0, 0, -1.0}, {0, 0, 1.0}};
-  const std::vector<std::uint32_t> sel{0, 1};
-  EXPECT_DOUBLE_EQ(radius_of_gyration(xs, topo, sel), 1.0);
-}
-
-TEST(Observables, EndToEndDistance) {
-  Topology topo;
-  for (int i = 0; i < 4; ++i) topo.add_particle({});
-  const std::vector<Vec3> xs{{0, 0, 0}, {1, 0, 0}, {2, 0, 0}, {3, 4, 0}};
-  const std::vector<std::uint32_t> sel{0, 1, 2, 3};
-  EXPECT_DOUBLE_EQ(end_to_end_distance(xs, sel), 5.0);
-}
-
 TEST(Observables, BondExtensionProfile) {
   spice::pore::DnaParams params;
   params.nucleotides = 4;

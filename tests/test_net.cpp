@@ -181,106 +181,6 @@ TEST(Network, GatewaySerializesConcurrentFlows) {
   EXPECT_GT(gw->total_queue_delay, 0.4);
 }
 
-TEST(Network, DegradationWindowSlowsDeliveryOnlyInside) {
-  QosSpec qos{.name = "test", .latency_ms = 50.0, .jitter_ms = 0.0, .loss_rate = 0.0,
-              .bandwidth_mbps = 1e5};
-  Network net = make_two_site_net(qos);
-  net.add_degradation_window({.start_s = 10.0, .end_s = 20.0, .latency_factor = 4.0});
-  const auto us = net.add_host("sim", "US");
-  const auto uk = net.add_host("viz", "UK");
-  const auto before = net.send(0.0, us, uk, 100.0);
-  const auto inside = net.send(15.0, us, uk, 100.0);
-  const auto after = net.send(30.0, us, uk, 100.0);
-  EXPECT_NEAR(before.deliver_at - 0.0, 0.050, 1e-6);
-  EXPECT_NEAR(inside.deliver_at - 15.0, 0.200, 1e-6);  // latency × 4
-  EXPECT_NEAR(after.deliver_at - 30.0, 0.050, 1e-6);
-}
-
-TEST(Network, OverlappingDegradationWindowsStack) {
-  QosSpec qos{.name = "test", .latency_ms = 10.0, .jitter_ms = 0.0, .loss_rate = 0.0,
-              .bandwidth_mbps = 1e5};
-  Network net = make_two_site_net(qos);
-  net.add_degradation_window({.start_s = 0.0, .end_s = 100.0, .latency_factor = 2.0});
-  net.add_degradation_window({.start_s = 50.0, .end_s = 100.0, .latency_factor = 3.0});
-  const auto us = net.add_host("sim", "US");
-  const auto uk = net.add_host("viz", "UK");
-  EXPECT_NEAR(net.send(10.0, us, uk, 100.0).deliver_at - 10.0, 0.020, 1e-6);
-  EXPECT_NEAR(net.send(60.0, us, uk, 100.0).deliver_at - 60.0, 0.060, 1e-6);
-}
-
-// Overlap semantics regression (documented in qos.hpp): latency factors
-// multiply and loss_adds sum, so the effective QoS is independent of the
-// order the windows were registered in. With jitter 0 and loss 0 the
-// delivery times are fully deterministic, so we can pin them exactly.
-TEST(Network, OverlappingDegradationWindowsCommute) {
-  const QosSpec qos{.name = "test", .latency_ms = 10.0, .jitter_ms = 0.0, .loss_rate = 0.0,
-                    .bandwidth_mbps = 1e5};
-  const DegradationWindow a{.start_s = 0.0, .end_s = 60.0, .latency_factor = 2.0};
-  const DegradationWindow b{.start_s = 30.0, .end_s = 90.0, .latency_factor = 3.0};
-
-  Network forward = make_two_site_net(qos, 7);
-  forward.add_degradation_window(a);
-  forward.add_degradation_window(b);
-  Network reverse = make_two_site_net(qos, 7);
-  reverse.add_degradation_window(b);
-  reverse.add_degradation_window(a);
-
-  const auto fs = forward.add_host("sim", "US");
-  const auto fv = forward.add_host("viz", "UK");
-  const auto rs = reverse.add_host("sim", "US");
-  const auto rv = reverse.add_host("viz", "UK");
-
-  // Sample a-only, overlap, b-only and clean regions.
-  const double times[] = {10.0, 45.0, 75.0, 100.0};
-  const double expected_latency[] = {0.020, 0.060, 0.030, 0.010};
-  for (int i = 0; i < 4; ++i) {
-    const auto f = forward.send(times[i], fs, fv, 100.0);
-    const auto r = reverse.send(times[i], rs, rv, 100.0);
-    ASSERT_TRUE(f.delivered);
-    EXPECT_DOUBLE_EQ(f.deliver_at, r.deliver_at) << "registration order changed delivery";
-    EXPECT_NEAR(f.deliver_at - times[i], expected_latency[i], 1e-6);
-  }
-
-  // Summed loss_add is clamped to 0.95 rather than reaching 1.0, so
-  // retransmission keeps a nonzero chance and some messages still land.
-  Network lossy = make_two_site_net(qos, 11);
-  lossy.add_degradation_window({.start_s = 0.0, .end_s = 1e9, .loss_add = 0.6});
-  lossy.add_degradation_window({.start_s = 0.0, .end_s = 1e9, .loss_add = 0.6});
-  const auto ls = lossy.add_host("sim", "US");
-  const auto lv = lossy.add_host("viz", "UK");
-  std::uint64_t delivered = 0;
-  for (int i = 0; i < 200; ++i) delivered += lossy.send(i * 1.0, ls, lv, 100.0).delivered;
-  EXPECT_GT(delivered, 0u);   // clamp keeps the link usable...
-  EXPECT_LT(delivered, 200u); // ...but far from clean
-}
-
-TEST(Network, DegradationWindowAddsLoss) {
-  QosSpec qos{.name = "clean", .latency_ms = 10.0, .jitter_ms = 0.0, .loss_rate = 0.0,
-              .bandwidth_mbps = 1e5};
-  Network degraded = make_two_site_net(qos, 5);
-  degraded.add_degradation_window({.start_s = 0.0, .end_s = 1e9, .loss_add = 0.5});
-  Network clean = make_two_site_net(qos, 5);
-  const auto a = degraded.add_host("sim", "US");
-  const auto b = degraded.add_host("viz", "UK");
-  const auto ca = clean.add_host("sim", "US");
-  const auto cb = clean.add_host("viz", "UK");
-  for (int i = 0; i < 400; ++i) {
-    degraded.send(i * 1.0, a, b, 100.0);
-    clean.send(i * 1.0, ca, cb, 100.0);
-  }
-  EXPECT_EQ(clean.stats().losses, 0u);
-  EXPECT_GT(degraded.stats().losses, 100u);
-}
-
-TEST(Network, RejectsMalformedDegradationWindows) {
-  Network net = make_two_site_net(lightpath_transatlantic());
-  EXPECT_THROW(net.add_degradation_window({.start_s = 5.0, .end_s = 5.0}), PreconditionError);
-  EXPECT_THROW(net.add_degradation_window({.start_s = 0.0, .end_s = 1.0, .latency_factor = 0.5}),
-               PreconditionError);
-  EXPECT_THROW(net.add_degradation_window({.start_s = 0.0, .end_s = 1.0, .loss_add = -0.1}),
-               PreconditionError);
-}
-
 TEST(Network, StatsAccumulate) {
   Network net = make_two_site_net(lightpath_transatlantic());
   const auto us = net.add_host("a", "US");

@@ -9,11 +9,9 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
-#include "grid/des.hpp"
 #include "grid/faults.hpp"
 #include "grid/federation.hpp"
 #include "spice/campaign.hpp"
@@ -21,7 +19,6 @@
 #include "spice/optimizer.hpp"
 #include "spice/interactive_session.hpp"
 #include "spice/production.hpp"
-#include "spice/report.hpp"
 
 #include "pore/system.hpp"
 
@@ -352,90 +349,13 @@ TEST(Exploration, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(ra.mean_response_a, rb.mean_response_a);
 }
 
-// --- report rendering -------------------------------------------------------------------
-
-TEST(Report, ScienceSummaryContainsScoresAndChoice) {
-  ProductionReport production;
-  production.sweep.scores = paper_like_scores();
-  production.optimal = select_optimal_parameters(production.sweep.scores);
-  const std::string markdown = render_science_summary(production);
-  EXPECT_NE(markdown.find("| kappa (pN/A) |"), std::string::npos);
-  EXPECT_NE(markdown.find("Optimal parameters"), std::string::npos);
-  EXPECT_NE(markdown.find("100"), std::string::npos);
-  // One table row per score.
-  std::size_t rows = 0;
-  for (std::size_t pos = 0; (pos = markdown.find("\n| ", pos)) != std::string::npos; ++pos) {
-    ++rows;
-  }
-  EXPECT_GE(rows, production.sweep.scores.size());
-}
-
-TEST(Report, FullMarkdownReportRenders) {
-  PipelineReport report;
-  report.statics.constriction_radius = 7.0;
-  report.statics.constriction_z = 0.0;
-  report.statics.rendering = "| o |\n";
-  report.interactive.coschedule_feasible = true;
-  report.interactive.network_used = "lightpath-transatlantic";
-  report.preprocessing.retained_kappas_pn = {10.0, 100.0};
-  report.production.sweep.scores = paper_like_scores();
-  report.production.optimal = select_optimal_parameters(report.production.sweep.scores);
-  const std::string markdown = render_markdown_report(report);
-  EXPECT_NE(markdown.find("# SPICE campaign report"), std::string::npos);
-  EXPECT_NE(markdown.find("Phase 1"), std::string::npos);
-  EXPECT_NE(markdown.find("Phase 4"), std::string::npos);
-  EXPECT_NE(markdown.find("lightpath-transatlantic"), std::string::npos);
-}
-
-TEST(Report, CpuHoursLineChargesFailedJobs) {
-  // A 128-proc job killed at 4.5 h with no requeue budget, next to a clean
-  // 64-proc 2 h job: 576 CPU-h burned and lost, 128 credited, 704 consumed.
-  // The completed-jobs total (128) must not be printed as "consumed".
-  grid::EventQueue events;
-  grid::Federation federation(events);
-  federation.add_site({.name = "Big", .grid = "TeraGrid", .processors = 128});
-  federation.add_site({.name = "Small", .grid = "NGS", .processors = 64});
-  grid::FaultConfig fault_config;
-  fault_config.scheduled = {{.site = "Big", .start_hours = 4.5, .duration_hours = 24.0}};
-  grid::FaultInjector faults(federation, fault_config);
-  faults.arm();
-  grid::CampaignConfig config;
-  config.max_requeues = 0;
-  for (const auto& [id, procs, hours] : {std::tuple{1, 128, 10.0}, std::tuple{2, 64, 2.0}}) {
-    grid::Job job;
-    job.id = static_cast<grid::JobId>(id);
-    job.name = "job" + std::to_string(id);
-    job.kind = grid::JobKind::Campaign;
-    job.processors = procs;
-    job.runtime_hours = hours;
-    config.jobs.push_back(job);
-  }
-  grid::Broker broker(federation, config);
-  broker.submit_all();
-  while (!broker.done() && events.step()) {
-  }
-  ASSERT_TRUE(broker.done());
-
-  PipelineReport report;
-  report.production.execution.campaign = broker.result();
-  const auto& campaign = report.production.execution.campaign;
-  EXPECT_EQ(campaign.completed, 1u);
-  EXPECT_EQ(campaign.failed, 1u);
-  EXPECT_DOUBLE_EQ(campaign.cpu.consumed_cpu_hours, 704.0);
-  const std::string markdown = render_markdown_report(report);
-  EXPECT_NE(markdown.find("- cpu-hours: 704.00 consumed, 128.00 credited, 576.00 wasted "
-                          "(efficiency 18.2%)"),
-            std::string::npos)
-      << markdown;
-}
-
 TEST(ProductionExecution, SurvivesSecurityBreachOutage) {
   // §V-C.4: the security breach took out the UK node; redundancy in the
   // federation must absorb it (jobs requeued, campaign still completes).
   const ProductionPlan plan = plan_production_jobs(SweepConfig{}, MdCostModel{}, 6);
   ExecutionOptions options;
-  options.outage = SiteOutage{.site = "Manchester", .start_hours = 30.0,
-                              .duration_hours = 24.0 * 21.0};  // weeks
+  options.faults.scheduled = {
+      {.site = "Manchester", .start_hours = 30.0, .duration_hours = 24.0 * 21.0}};  // weeks
   const ProductionExecution exec = execute_on_federation(plan, options);
   EXPECT_EQ(exec.campaign.completed, 72u);
 }
@@ -446,8 +366,8 @@ TEST(ProductionExecution, BreachRequeueCountComesFromStreamingMetrics) {
   // counts them with no per-job records kept.
   const ProductionPlan plan = plan_production_jobs(SweepConfig{}, MdCostModel{}, 6);
   ExecutionOptions options;
-  options.outage = SiteOutage{.site = "Manchester", .start_hours = 30.0,
-                              .duration_hours = 21.0 * 24.0};
+  options.faults.scheduled = {
+      {.site = "Manchester", .start_hours = 30.0, .duration_hours = 21.0 * 24.0}};
   const ProductionExecution exec = execute_on_federation(plan, options);
   EXPECT_EQ(exec.campaign.completed, 72u);
   EXPECT_TRUE(exec.campaign.finished_jobs.empty());
