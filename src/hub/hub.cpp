@@ -38,7 +38,8 @@ ClientId SteeringHub::connect(double now, net::HostId host, SubscriptionConfig s
   state.lag_hist = &obs::metrics().histogram("hub.lag_frames." + state.sub.tier, kLagBounds);
   clients_.push_back(std::move(state));
   ++connected_;
-  obs::metrics().counter("hub.clients_connected").add(1);
+  static obs::Counter& connected = obs::metrics().counter("hub.clients_connected");
+  connected.add(1);
   const auto id = static_cast<ClientId>(clients_.size() - 1);
   // Client id doubles as the causal session id: every recorder event this
   // session produces links back to the campaign/job/replica that fed it.
@@ -187,7 +188,8 @@ void SteeringHub::on_ack(double now, ClientId client, std::uint64_t frame_id) {
 void SteeringHub::expire_token(double now) {
   if (token_holder_ != kNoClient && now >= token_lease_expiry_) {
     ++stats_.token_expiries;
-    obs::metrics().counter("hub.arbitration.expiries").add(1);
+    static obs::Counter& expiries = obs::metrics().counter("hub.arbitration.expiries");
+    expiries.add(1);
     token_holder_ = kNoClient;
   }
 }
@@ -199,11 +201,13 @@ bool SteeringHub::request_token(double now, ClientId client) {
     token_holder_ = client;
     token_lease_expiry_ = now + config_.token_lease_s;
     ++stats_.token_grants;
-    obs::metrics().counter("hub.arbitration.grants").add(1);
+    static obs::Counter& grants = obs::metrics().counter("hub.arbitration.grants");
+    grants.add(1);
     return true;
   }
   ++stats_.token_denials;
-  obs::metrics().counter("hub.arbitration.denials").add(1);
+  static obs::Counter& denials = obs::metrics().counter("hub.arbitration.denials");
+  denials.add(1);
   return false;
 }
 
@@ -241,7 +245,8 @@ CommandOutcome SteeringHub::submit_command(double now, ClientId client,
     if (token_holder_ != client) {
       ++c.stats.commands_rejected;
       ++stats_.commands_rejected;
-      obs::metrics().counter("hub.commands_rejected").add(1);
+      static obs::Counter& rejected = obs::metrics().counter("hub.commands_rejected");
+      rejected.add(1);
       return CommandOutcome::RejectedNotTokenHolder;
     }
     token_lease_expiry_ = now + config_.token_lease_s;  // activity renews
@@ -249,7 +254,8 @@ CommandOutcome SteeringHub::submit_command(double now, ClientId client,
   record_command(message);
   ++c.stats.commands_accepted;
   ++stats_.commands_accepted;
-  obs::metrics().counter("hub.commands_accepted").add(1);
+  static obs::Counter& accepted = obs::metrics().counter("hub.commands_accepted");
+  accepted.add(1);
   if (obs::recorder_on()) {
     obs::flight_recorder().record_at(obs::RecordKind::Command, "hub.command_accepted",
                                      obs::now_us(),

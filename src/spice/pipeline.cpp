@@ -104,9 +104,6 @@ InteractiveReport run_interactive_phase(const PipelineConfig& config) {
   // Scripted force-pulse probes (the rest of the phase-2 methodology):
   // relaxation time ⇒ the fastest defensible pulling velocity.
   report.exploration = run_exploration(simulation);
-
-  // Final per-contribution energy breakdown (pore vs steering force).
-  report.external_energies = simulation.engine().compute_energies().external_terms;
   return report;
 }
 

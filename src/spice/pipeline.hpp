@@ -62,9 +62,6 @@ struct InteractiveReport {
   /// as well as ... suitable constraints"): relaxation time, mobility and
   /// the defensible velocity range for the sweep.
   ExplorationReport exploration;
-  /// Per-contribution external potential energies at the end of the
-  /// interactive session (pore confinement vs steering force), kcal/mol.
-  std::vector<spice::md::ExternalEnergy> external_energies;
 };
 
 struct PreprocessingReport {

@@ -90,9 +90,9 @@ TEST(EventQueue, RejectsPastEvents) {
 }
 
 TEST(EventQueue, FifoAcrossManyEqualTimeEvents) {
-  // Thousands of same-timestamp events interleaved with other times force
-  // the calendar through bucket resizes; the (time, seq) tie-break must
-  // keep exact scheduling order throughout.
+  // Thousands of same-timestamp events interleaved with other times sit
+  // deep in the heap, where sift-up and sift-down reorder them freely; the
+  // (time, seq) tie-break must keep exact scheduling order throughout.
   EventQueue q;
   std::vector<int> order;
   order.reserve(4000);
@@ -107,14 +107,11 @@ TEST(EventQueue, FifoAcrossManyEqualTimeEvents) {
 }
 
 TEST(EventQueue, AllSameTimestampSurvivesResizeStress) {
-  // Every event at ONE timestamp far from the epoch origin: width sampling
-  // sees only zero gaps, and the occupancy-triggered resizes re-bucket an
-  // equal-timestamp set repeatedly. The magnitude-relative fallback width
-  // must keep the cluster addressable (the old fixed 1.0-width fallback
-  // mapped the whole set into overflow on every resize), and the
-  // (time, seq) tie-break must keep exact FIFO order throughout.
+  // Every event at ONE timestamp far from t = 0, so only the seq half of
+  // the (time, seq) key orders them: it must keep exact FIFO order while
+  // cancelled entries sit among the live ones until they surface.
   constexpr double kWhen = 1.0e9;
-  constexpr int kEvents = 5000;  // >> kMinBuckets·4 ⇒ several grow resizes
+  constexpr int kEvents = 5000;
   EventQueue q;
   std::vector<int> order;
   order.reserve(kEvents);
@@ -123,7 +120,7 @@ TEST(EventQueue, AllSameTimestampSurvivesResizeStress) {
   for (int i = 0; i < kEvents; ++i) {
     tokens.push_back(q.at(kWhen, [&order, i] { order.push_back(i); }));
   }
-  // Cancel a scattered subset so stale entries ride through the resizes.
+  // Cancel a scattered subset so stale entries stay in the heap.
   for (int i = 0; i < kEvents; i += 7) EXPECT_TRUE(q.cancel(tokens[i]));
   q.run();
   std::vector<int> expected;
@@ -133,7 +130,7 @@ TEST(EventQueue, AllSameTimestampSurvivesResizeStress) {
   EXPECT_EQ(order, expected);
   EXPECT_DOUBLE_EQ(q.now(), kWhen);
 
-  // The queue must stay serviceable at the far epoch: same-timestamp and
+  // The queue must stay serviceable far from t = 0: same-timestamp and
   // slightly-later follow-ups land and fire in order.
   std::vector<int> tail;
   q.at(kWhen, [&tail] { tail.push_back(0); });
@@ -214,7 +211,46 @@ TEST(EventQueue, HandlerMayCancelALaterEvent) {
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
-/// Differential oracle for the calendar queue: the obvious ordered map
+TEST(EventQueue, ScheduleHookPermutesOnlyTheLiveTieGroup) {
+  // A–E at t = 1 (C cancelled) and F at t = 2. The hook sees each live tie
+  // group in seq order; the cancelled member is never offered or fired,
+  // and a lone event (A last, then F) never consults the hook.
+  struct Hook : ScheduleHook {
+    bool pick_last = false;
+    std::vector<std::size_t> sizes;
+    std::size_t pick_tie(double time, std::size_t group_size) override {
+      EXPECT_DOUBLE_EQ(time, 1.0);
+      sizes.push_back(group_size);
+      return pick_last ? group_size - 1 : 0;
+    }
+  };
+  const auto fire_order = [](ScheduleHook* hook) {
+    EventQueue q;
+    q.set_schedule_hook(hook);
+    std::string order;
+    std::vector<EventToken> tokens;
+    for (const char name : std::string("ABCDE")) {
+      tokens.push_back(q.at(1.0, [&order, name] { order += name; }));
+    }
+    q.at(2.0, [&order] { order += 'F'; });
+    EXPECT_TRUE(q.cancel(tokens[2]));
+    q.run();
+    EXPECT_EQ(q.processed(), 5u);
+    return order;
+  };
+
+  Hook last;
+  last.pick_last = true;
+  EXPECT_EQ(fire_order(&last), "EDBAF");
+  EXPECT_EQ(last.sizes, (std::vector<std::size_t>{4, 3, 2}));
+
+  Hook head;
+  EXPECT_EQ(fire_order(&head), "ABDEF");
+  EXPECT_EQ(head.sizes, (std::vector<std::size_t>{4, 3, 2}));
+  EXPECT_EQ(fire_order(nullptr), "ABDEF");
+}
+
+/// Differential oracle for the heap queue: the obvious ordered map
 /// keyed by (time, seq), so equal times fire in scheduling order. Same
 /// at/cancel/run_until/run/now/processed surface as EventQueue; tokens are
 /// seq + 1, so kInvalidToken never names an event.
@@ -259,17 +295,17 @@ class ReferenceQueue {
   std::uint64_t processed_ = 0;
 };
 
-TEST(EventQueue, CalendarMatchesReferenceQueueDifferentially) {
-  // Drive the calendar queue and the reference queue through an identical
+TEST(EventQueue, HeapMatchesReferenceQueueDifferentially) {
+  // Drive the heap queue and the reference queue through an identical
   // randomized schedule/cancel script (deterministic Rng stream) and
-  // require identical fire sequences — the calendar's bucketing must be
-  // unobservable.
+  // require identical fire sequences — the heap layout and its lazily
+  // dropped cancelled entries must be unobservable.
   for (const std::uint64_t seed : {1ULL, 7ULL, 2005ULL}) {
-    EventQueue cal;
+    EventQueue heap;
     ReferenceQueue ref;
-    std::vector<std::pair<double, int>> fired_cal;
+    std::vector<std::pair<double, int>> fired_heap;
     std::vector<std::pair<double, int>> fired_ref;
-    std::vector<EventToken> tokens_cal;
+    std::vector<EventToken> tokens_heap;
     std::vector<EventToken> tokens_ref;
     Rng rng = Rng::stream(seed, 0xde5ULL, 0);
     int label = 0;
@@ -286,24 +322,24 @@ TEST(EventQueue, CalendarMatchesReferenceQueueDifferentially) {
     };
     for (int round = 0; round < 5; ++round) {
       const auto draws_before = rng;  // replay identical draws for both queues
-      schedule_batch(cal, fired_cal, tokens_cal, label);
+      schedule_batch(heap, fired_heap, tokens_heap, label);
       rng = draws_before;
       schedule_batch(ref, fired_ref, tokens_ref, label);
       label += 200;
       // Cancel a deterministic subset on both queues.
-      for (std::size_t k = round; k < tokens_cal.size(); k += 7) {
-        cal.cancel(tokens_cal[k]);
+      for (std::size_t k = round; k < tokens_heap.size(); k += 7) {
+        heap.cancel(tokens_heap[k]);
         ref.cancel(tokens_ref[k]);
       }
       // Drain partway, then schedule the next batch on the advanced clock.
-      cal.run_until(cal.now() + 20.0);
+      heap.run_until(heap.now() + 20.0);
       ref.run_until(ref.now() + 20.0);
-      ASSERT_EQ(fired_cal, fired_ref) << "diverged in round " << round;
+      ASSERT_EQ(fired_heap, fired_ref) << "diverged in round " << round;
     }
-    cal.run();
+    heap.run();
     ref.run();
-    ASSERT_EQ(fired_cal, fired_ref);
-    EXPECT_EQ(cal.processed(), ref.processed());
+    ASSERT_EQ(fired_heap, fired_ref);
+    EXPECT_EQ(heap.processed(), ref.processed());
   }
 }
 
@@ -357,11 +393,11 @@ TEST(EventQueue, DifferentialFuzzWithHandlerSchedulingAndMidRunCancels) {
       return std::make_pair(log, q.processed());
     };
 
-    const auto [log_cal, processed_cal] = run_backend.operator()<EventQueue>();
+    const auto [log_heap, processed_heap] = run_backend.operator()<EventQueue>();
     const auto [log_ref, processed_ref] = run_backend.operator()<ReferenceQueue>();
-    ASSERT_EQ(log_cal, log_ref) << "queues diverged for seed " << seed;
-    EXPECT_EQ(processed_cal, processed_ref);
-    EXPECT_GT(log_cal.size(), 64u);  // the script really spawned follow-ups
+    ASSERT_EQ(log_heap, log_ref) << "queues diverged for seed " << seed;
+    EXPECT_EQ(processed_heap, processed_ref);
+    EXPECT_GT(log_heap.size(), 64u);  // the script really spawned follow-ups
   }
 }
 

@@ -23,9 +23,10 @@ namespace {
 using namespace spice;
 using namespace spice::hub;
 
-steering::SteerableSimulation make_sim(std::uint64_t seed, std::size_t threads = 1) {
+steering::SteerableSimulation make_sim(std::uint64_t seed, std::size_t threads = 1,
+                                       int nucleotides = 6) {
   spice::pore::TranslocationConfig config;
-  config.dna.nucleotides = 6;
+  config.dna.nucleotides = nucleotides;
   config.equilibration_steps = 200;
   config.md.seed = seed;
   config.md.threads = threads;
@@ -438,7 +439,11 @@ TEST(HubHarness, RealEngineSessionIsThreadCountInvariant) {
   config.tiers[0].steer_period_s = 1.0;
 
   auto run_with_threads = [&](std::size_t threads) {
-    steering::SteerableSimulation sim = make_sim(7, threads);
+    // 40 beads give two force slices, so the 8-thread run really splits
+    // the force evaluation across workers (a one-slice system never
+    // leaves the calling thread).
+    steering::SteerableSimulation sim = make_sim(7, threads, 40);
+    EXPECT_EQ(sim.engine().force_slice_count(), 2u);
     steering::SessionLog log;
     const HubRunMetrics m = HubHarness(config, &sim, &log).run();
     return std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>(
