@@ -25,13 +25,11 @@ using namespace spice::grid;
 
 void spice::claims::coscheduling(Claim& claim) {
   constexpr std::size_t kTrials = 2000;
-  const ManualProcessParams manual_params;
-  const AutomatedProcessParams automated_params;
 
   std::printf("\n--- The paper's anecdote, in-model ---\n");
   int heavy = 0;
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
-    const auto o = simulate_manual_coordination(1, manual_params, seed);
+    const auto o = simulate_manual_coordination(1, seed);
     if (o.emails >= 12 && o.errors >= 3) ++heavy;
   }
   std::printf("single-site manual setups needing >=12 emails and >=3 errors: "
@@ -46,8 +44,8 @@ void spice::claims::coscheduling(Claim& claim) {
   double manual8 = 0.0;
   double auto8 = 0.0;
   for (int sites = 1; sites <= 8; ++sites) {
-    const CoordinationSummary m = summarize_manual(sites, kTrials, manual_params, 17);
-    const CoordinationSummary a = summarize_automated(sites, kTrials, automated_params, 17);
+    const CoordinationSummary m = summarize_manual(sites, kTrials, 17);
+    const CoordinationSummary a = summarize_automated(sites, kTrials, 17);
     table.add_row({static_cast<double>(sites), m.success_rate, m.mean_emails,
                    m.mean_errors, m.mean_elapsed_hours, a.success_rate,
                    a.mean_elapsed_hours * 60.0});

@@ -37,10 +37,10 @@ Throughput run(int ranks, bool hidden, bool gateway, double gateway_mbps) {
   Network net(13);
   net.connect_sites("PSC", "UCL", lightpath_transatlantic());
   if (gateway) net.set_site_gateway("PSC", gateway_mbps);
-  const auto viz = net.add_host("viz", "UCL");
+  const auto viz = net.add_host("UCL");
   std::vector<HostId> senders;
   for (int r = 0; r < ranks; ++r) {
-    senders.push_back(net.add_host("rank" + std::to_string(r), "PSC", hidden));
+    senders.push_back(net.add_host("PSC", hidden));
   }
   constexpr double kBytes = 1e6;
   constexpr int kMessages = 10;
@@ -78,8 +78,8 @@ void spice::claims::gateway(Claim& claim) {
     Network net(1);
     net.connect_sites("PSC", "UCL", lightpath_transatlantic());
     net.set_site_gateway("PSC", 1000.0);
-    const auto viz = net.add_host("viz", "UCL");
-    const auto rank = net.add_host("rank0", "PSC", true);
+    const auto viz = net.add_host("UCL");
+    const auto rank = net.add_host("PSC", true);
     const auto udp = net.send(0.0, viz, rank, 1000.0, Transport::Udp);
     const auto tcp = net.send(0.0, viz, rank, 1000.0, Transport::Tcp);
     std::printf("UDP: delivered=%d (%s)\nTCP: delivered=%d via gateway\n", udp.delivered,

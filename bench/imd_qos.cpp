@@ -29,8 +29,8 @@ steering::ImdMetrics run_session(const net::QosSpec& qos, std::size_t window,
                                  std::size_t steps_per_frame) {
   net::Network network(7);
   network.connect_sites("NCSA", "UCL", qos);
-  const auto sim = network.add_host("namd-256proc", "NCSA");
-  const auto viz = network.add_host("ucl-visualizer", "UCL");
+  const auto sim = network.add_host("NCSA");
+  const auto viz = network.add_host("UCL");
 
   const core::MdCostModel cost;
   steering::ImdConfig config;

@@ -286,7 +286,7 @@ int main() {
     std::printf("  %-16s %s\n", status.name.c_str(), status.stalled ? "STALLED" : "healthy");
   }
 
-  exporter.stop();  // drains the queue + one final exact self-sample
+  exporter.stop();  // one final self-sample after the writers quiesced: exact deltas
   {
     std::ifstream prom(out_path("federated_campaign_metrics.prom"));
     std::stringstream prom_text;

@@ -25,8 +25,8 @@ int main() {
   // --- the grid fabric -----------------------------------------------------
   net::Network network(2024);
   network.connect_sites("NCSA", "UCL", net::lightpath_transatlantic());
-  const auto sim_host = network.add_host("namd-sim", "NCSA");
-  const auto viz_host = network.add_host("ucl-viz", "UCL");
+  const auto sim_host = network.add_host("NCSA");
+  const auto viz_host = network.add_host("UCL");
 
   ServiceRegistry registry;  // the "intermediate grid service" of Fig. 2a
   registry.publish({"namd-sim", ComponentKind::Simulation, sim_host});

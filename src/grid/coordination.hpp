@@ -28,21 +28,6 @@
 
 namespace spice::grid {
 
-struct ManualProcessParams {
-  double emails_per_setup = 4.0;         ///< baseline exchanges per site
-  double email_rtt_hours = 6.0;          ///< mean admin response time (business-day scale)
-  double error_probability = 0.55;       ///< an admin action introduces an error
-  double emails_per_correction = 3.0;    ///< extra exchanges per error round
-  int max_correction_rounds = 6;         ///< before the attempt is abandoned
-  double deadline_hours = 72.0;          ///< window before the booked slot
-};
-
-struct AutomatedProcessParams {
-  double setup_minutes = 10.0;           ///< per site via the web interface
-  double failure_probability = 0.02;     ///< request bounced; retried once
-  double deadline_hours = 72.0;
-};
-
 struct CoordinationOutcome {
   bool success = false;
   double elapsed_hours = 0.0;
@@ -52,13 +37,11 @@ struct CoordinationOutcome {
 
 /// Simulate coordinating ONE session across `n_sites` sites manually.
 /// All sites must be confirmed before the deadline.
-[[nodiscard]] CoordinationOutcome simulate_manual_coordination(int n_sites,
-                                                               const ManualProcessParams& params,
-                                                               std::uint64_t seed);
+[[nodiscard]] CoordinationOutcome simulate_manual_coordination(int n_sites, std::uint64_t seed);
 
 /// Simulate the automated workflow across `n_sites` sites.
-[[nodiscard]] CoordinationOutcome simulate_automated_coordination(
-    int n_sites, const AutomatedProcessParams& params, std::uint64_t seed);
+[[nodiscard]] CoordinationOutcome simulate_automated_coordination(int n_sites,
+                                                                  std::uint64_t seed);
 
 struct CoordinationSummary {
   int n_sites = 0;
@@ -70,10 +53,8 @@ struct CoordinationSummary {
 
 /// Monte-Carlo summary over `trials` independent attempts.
 [[nodiscard]] CoordinationSummary summarize_manual(int n_sites, std::size_t trials,
-                                                   const ManualProcessParams& params,
                                                    std::uint64_t seed);
 [[nodiscard]] CoordinationSummary summarize_automated(int n_sites, std::size_t trials,
-                                                      const AutomatedProcessParams& params,
                                                       std::uint64_t seed);
 
 }  // namespace spice::grid

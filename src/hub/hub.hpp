@@ -68,15 +68,6 @@ struct HubConfig {
   CodecConfig codec;
   ArbitrationMode arbitration = ArbitrationMode::TokenHolder;
   double token_lease_s = 10.0;        ///< steering lease; expires lazily
-  /// Simulation-side cost of publish(): one snapshot copy into the ring.
-  /// This is the ONLY coupling between the sim and the fan-out — the
-  /// bench's ≤5% step-rate gate measures exactly this.
-  double publish_cost_s = 50e-6;
-  /// Hub-worker CPU model: per-update fixed cost + per-byte encode cost.
-  /// Updates are dispatched serially on this budget, so a saturated hub
-  /// delays *clients* (never the simulation).
-  double per_update_cpu_s = 2e-6;
-  double encode_cpu_s_per_mb = 1e-3;
 };
 
 struct ClientStats {
@@ -87,17 +78,12 @@ struct ClientStats {
   std::uint64_t frames_dropped = 0;  ///< published frames this client never saw
   std::uint64_t resyncs = 0;         ///< lag/eviction/chain-break keyframe recoveries
   std::uint64_t send_failures = 0;   ///< network gave up on an update
-  std::uint64_t commands_submitted = 0;
   std::uint64_t commands_accepted = 0;
   std::uint64_t commands_rejected = 0;
   double bytes_sent = 0.0;
   double rtt_sum = 0.0;
   std::uint64_t rtt_count = 0;
   std::uint64_t max_lag_frames = 0;
-
-  [[nodiscard]] double mean_rtt() const {
-    return rtt_count > 0 ? rtt_sum / static_cast<double>(rtt_count) : 0.0;
-  }
 };
 
 struct HubStats {

@@ -22,8 +22,7 @@ MpiRunResult run_mpi_job(Network& network, const MpiJobConfig& config) {
   for (const auto& site : config.placement) {
     SPICE_REQUIRE(site.ranks > 0, "site placement needs ranks");
     for (int r = 0; r < site.ranks; ++r) {
-      ranks.push_back(network.add_host(
-          "mpi-rank-" + std::to_string(ranks.size()), site.site, site.hidden_ip));
+      ranks.push_back(network.add_host(site.site, site.hidden_ip));
     }
   }
   result.total_ranks = static_cast<int>(ranks.size());
@@ -52,7 +51,6 @@ MpiRunResult run_mpi_job(Network& network, const MpiJobConfig& config) {
   // (bulk-synchronous stencil): iteration time = compute + slowest halo
   // + allreduce tree depth.
   double wall = 0.0;
-  const std::uint64_t wan_before = network.stats().messages;
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     wall += config.compute_seconds_per_iteration;
 
@@ -94,7 +92,6 @@ MpiRunResult run_mpi_job(Network& network, const MpiJobConfig& config) {
   result.compute_seconds =
       static_cast<double>(config.iterations) * config.compute_seconds_per_iteration;
   result.communication_seconds = result.wall_seconds - result.compute_seconds;
-  (void)wan_before;  // wan_messages counted inline per cross-site send
   return result;
 }
 

@@ -8,9 +8,9 @@ namespace spice::net {
 
 Network::Network(std::uint64_t seed) : intra_site_(local_area()), rng_(Rng::stream(seed, 0x6e6574)) {}
 
-HostId Network::add_host(const std::string& name, const std::string& site, bool hidden_ip) {
+HostId Network::add_host(const std::string& site, bool hidden_ip) {
   SPICE_REQUIRE(!site.empty(), "host needs a site");
-  hosts_.push_back(Host{name, site, hidden_ip});
+  hosts_.push_back(Host{site, hidden_ip});
   return static_cast<HostId>(hosts_.size() - 1);
 }
 

@@ -33,7 +33,6 @@ using HostId = std::uint32_t;
 enum class Transport { Tcp, Udp };
 
 struct Host {
-  std::string name;
   std::string site;
   bool hidden_ip = false;  ///< private address; needs a gateway to be reached
 };
@@ -67,7 +66,7 @@ class Network {
  public:
   explicit Network(std::uint64_t seed);
 
-  HostId add_host(const std::string& name, const std::string& site, bool hidden_ip = false);
+  HostId add_host(const std::string& site, bool hidden_ip = false);
 
   /// Give `site` a gateway so its hidden hosts are reachable (TCP only).
   void set_site_gateway(const std::string& site, double capacity_mbps);

@@ -158,7 +158,7 @@ void update_self_metrics(MetricsRegistry& registry) {
 
 SnapshotExporter::SnapshotExporter(ExporterConfig config, MetricsRegistry& registry)
     : config_(std::move(config)), registry_(registry) {
-  SPICE_REQUIRE(config_.queue_capacity > 0, "exporter queue capacity must be positive");
+  SPICE_REQUIRE(config_.period_s > 0.0, "exporter period must be positive");
 }
 
 SnapshotExporter::~SnapshotExporter() { stop(); }
@@ -196,28 +196,9 @@ bool SnapshotExporter::running() const {
   return running_ && !stop_requested_;
 }
 
-bool SnapshotExporter::publish(MetricsSnapshot snapshot) {
-  {
-    std::lock_guard lock(mutex_);
-    if (!running_ || stop_requested_ || queue_.size() >= config_.queue_capacity) {
-      ++dropped_;
-      registry_.counter("obs.export.dropped").add(1);
-      return false;
-    }
-    queue_.push_back(std::move(snapshot));
-  }
-  cv_.notify_all();
-  return true;
-}
-
 std::uint64_t SnapshotExporter::exports_written() const {
   std::lock_guard lock(mutex_);
   return exports_;
-}
-
-std::uint64_t SnapshotExporter::dropped() const {
-  std::lock_guard lock(mutex_);
-  return dropped_;
 }
 
 void SnapshotExporter::export_snapshot(const MetricsSnapshot& snapshot) {
@@ -252,32 +233,18 @@ void SnapshotExporter::take_and_export_self_sample() {
 }
 
 void SnapshotExporter::thread_main() {
-  const bool self_sampling = config_.period_s > 0.0;
   double next_sample_us = now_us();
   for (;;) {
     std::unique_lock lock(mutex_);
-    if (self_sampling) {
-      const double wait_us = next_sample_us - now_us();
-      if (wait_us > 0.0 && queue_.empty() && !stop_requested_) {
-        cv_.wait_for(lock, std::chrono::microseconds(static_cast<std::int64_t>(wait_us)));
-      }
-    } else if (queue_.empty() && !stop_requested_) {
-      cv_.wait(lock);
+    const double wait_us = next_sample_us - now_us();
+    if (wait_us > 0.0) {
+      cv_.wait_for(lock, std::chrono::microseconds(static_cast<std::int64_t>(wait_us)),
+                   [this] { return stop_requested_; });
     }
     const bool stopping = stop_requested_;
-
-    // Drain published snapshots (writes happen outside the lock so a slow
-    // disk never blocks publish()).
-    while (!queue_.empty()) {
-      MetricsSnapshot snapshot = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      export_snapshot(snapshot);
-      lock.lock();
-    }
     lock.unlock();
 
-    if (self_sampling && (now_us() >= next_sample_us || stopping)) {
+    if (now_us() >= next_sample_us || stopping) {
       take_and_export_self_sample();
       next_sample_us = now_us() + config_.period_s * 1e6;
     }

@@ -13,11 +13,11 @@
 //     Counter deltas sum exactly to the final counter values (exactness
 //     on quiesce is inherited from the registry).
 //
-// Threading model: producers call publish() (bounded queue, drops counted
-// — a stalled disk can never block the simulation) or let the exporter
-// self-sample the registry on a fixed cadence from its own background
-// thread. stop() drains everything still queued, writes one final
-// snapshot, and joins — a clean shutdown loses nothing that was accepted.
+// Threading model: the exporter self-samples the registry on a fixed
+// cadence from its own background thread, so no producer ever waits on
+// the disk. stop() takes one final sample after the writers quiesced and
+// joins — that last record is what makes the JSONL counter deltas sum
+// exactly to the final registry values.
 //
 // The exporter also maintains the observability-of-the-observability
 // gauges (update_self_metrics): flight-recorder totals, registry sizes and
@@ -26,7 +26,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <mutex>
 #include <string>
@@ -68,12 +67,8 @@ struct ExporterConfig {
   /// JSONL delta series, appended per export ("" = skip). Truncated at
   /// start() so each run owns its series.
   std::string jsonl_path;
-  /// Self-sampling cadence, seconds. <= 0 disables self-sampling: the
-  /// exporter then only writes snapshots handed to it via publish().
+  /// Self-sampling cadence, seconds (> 0).
   double period_s = 1.0;
-  /// Bounded publish() queue; beyond this, snapshots are dropped (and
-  /// counted) rather than blocking the caller.
-  std::size_t queue_capacity = 64;
 };
 
 class SnapshotExporter {
@@ -88,20 +83,13 @@ class SnapshotExporter {
 
   /// Launch the background export thread. Idempotent.
   void start();
-  /// Clean shutdown: drain every queued snapshot, self-sample one final
-  /// time (when self-sampling is on), flush files, join. Idempotent.
+  /// Clean shutdown: self-sample one final time, flush files, join.
+  /// Idempotent.
   void stop();
   [[nodiscard]] bool running() const;
 
-  /// Hand the exporter an externally taken snapshot (any thread). Returns
-  /// false — and counts the drop — when the queue is full or the exporter
-  /// is not running.
-  bool publish(MetricsSnapshot snapshot);
-
-  /// Snapshots written so far (both self-sampled and published).
+  /// Snapshots written so far.
   [[nodiscard]] std::uint64_t exports_written() const;
-  /// publish() calls rejected by a full queue or a stopped exporter.
-  [[nodiscard]] std::uint64_t dropped() const;
 
  private:
   void thread_main();
@@ -113,11 +101,9 @@ class SnapshotExporter {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<MetricsSnapshot> queue_;
   bool running_ = false;
   bool stop_requested_ = false;
   std::uint64_t exports_ = 0;
-  std::uint64_t dropped_ = 0;
   std::thread thread_;
 
   // Export-thread state (no lock needed: only thread_main touches these

@@ -1,6 +1,5 @@
 #include "obs/health.hpp"
 
-#include <bit>
 #include <chrono>
 #include <cstdio>
 
@@ -10,9 +9,6 @@
 
 namespace spice::obs {
 
-std::uint64_t Heartbeat::pack(double us) { return std::bit_cast<std::uint64_t>(us); }
-double Heartbeat::unpack(std::uint64_t bits) { return std::bit_cast<double>(bits); }
-
 Watchdog::Watchdog(WatchdogConfig config, MetricsRegistry& registry)
     : config_(config),
       registry_(registry),
@@ -20,16 +16,6 @@ Watchdog::Watchdog(WatchdogConfig config, MetricsRegistry& registry)
       polls_counter_(registry.counter("obs.health.polls")) {}
 
 Watchdog::~Watchdog() { stop(); }
-
-Heartbeat& Watchdog::heartbeat(const std::string& name, double deadline_s) {
-  std::lock_guard lock(mutex_);
-  Entry& entry = entries_.emplace_back();
-  entry.name = name;
-  entry.deadline_s = deadline_s > 0.0 ? deadline_s : config_.default_deadline_s;
-  entry.heartbeat = std::make_unique<Heartbeat>();
-  entry.heartbeat->bits_.store(Heartbeat::pack(now_us()), std::memory_order_relaxed);
-  return *entry.heartbeat;
-}
 
 void Watchdog::watch_counter(const std::string& name, const Counter& counter,
                              double deadline_s) {
@@ -82,24 +68,19 @@ std::size_t Watchdog::poll() {
   const double now = now_us();
   std::size_t fired = 0;
   for (Entry& entry : entries_) {
-    double last_progress_us;
-    if (entry.heartbeat != nullptr) {
-      last_progress_us = entry.heartbeat->last_beat_us();
-    } else if (entry.gauge != nullptr) {
+    if (entry.gauge != nullptr) {
       const double value = entry.gauge->value();
       if (value >= entry.band_lo && value <= entry.band_hi) {
         entry.last_progress_us = now;  // in band = healthy
       }
-      last_progress_us = entry.last_progress_us;
     } else {
       const std::uint64_t value = entry.counter->value();
       if (value != entry.last_value) {
         entry.last_value = value;
         entry.last_progress_us = now;
       }
-      last_progress_us = entry.last_progress_us;
     }
-    const double silent_s = (now - last_progress_us) * 1e-6;
+    const double silent_s = (now - entry.last_progress_us) * 1e-6;
     if (!entry.stalled && silent_s > entry.deadline_s) {
       entry.stalled = true;
       ++entry.alerts;
@@ -154,10 +135,8 @@ std::vector<HealthStatus> Watchdog::status() const {
   std::vector<HealthStatus> out;
   out.reserve(entries_.size());
   for (const Entry& entry : entries_) {
-    const double last = entry.heartbeat != nullptr ? entry.heartbeat->last_beat_us()
-                                                   : entry.last_progress_us;
-    out.push_back({entry.name, entry.stalled, (now - last) * 1e-6, entry.deadline_s,
-                   entry.alerts});
+    out.push_back({entry.name, entry.stalled, (now - entry.last_progress_us) * 1e-6,
+                   entry.deadline_s, entry.alerts});
   }
   return out;
 }

@@ -1,11 +1,8 @@
 #pragma once
-// spice::obs — subsystem liveness: heartbeats + stall watchdog (DESIGN.md §8).
+// spice::obs — subsystem liveness: stall watchdog (DESIGN.md §8).
 //
 // Two ways for a subsystem to prove it is alive:
 //
-//   * Heartbeat — an explicit handle the subsystem stamps (one relaxed
-//     atomic store) at natural progress points: a pipeline phase boundary,
-//     a completed campaign pull, an exporter tick.
 //   * Counter probe — the watchdog watches an existing obs counter
 //     (md.engine.steps, pool.parallel_for.calls, ...) and treats "value
 //     unchanged across the deadline" as a stall. The hot path needs no new
@@ -25,11 +22,8 @@
 // onto the obs.health.alerts counter; a recovery records
 // "health.recovered".
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -38,25 +32,6 @@
 #include "obs/metrics.hpp"
 
 namespace spice::obs {
-
-/// Liveness stamp a subsystem beats at progress points. Handles returned
-/// by Watchdog::heartbeat stay valid for the watchdog's lifetime; beat()
-/// is safe from any thread and costs one relaxed store.
-class Heartbeat {
- public:
-  void beat() { bits_.store(pack(now_us()), std::memory_order_relaxed); }
-  /// Microseconds of the most recent beat (process uptime clock); the
-  /// registration time until the first beat.
-  [[nodiscard]] double last_beat_us() const {
-    return unpack(bits_.load(std::memory_order_relaxed));
-  }
-
- private:
-  friend class Watchdog;
-  static std::uint64_t pack(double us);
-  static double unpack(std::uint64_t bits);
-  std::atomic<std::uint64_t> bits_{0};
-};
 
 /// Point-in-time liveness of one watched entry (status() report rows).
 struct HealthStatus {
@@ -82,10 +57,6 @@ class Watchdog {
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Register a named heartbeat; the subsystem keeps the reference and
-  /// beats it. Counts as alive right now (registration = first beat).
-  Heartbeat& heartbeat(const std::string& name, double deadline_s = 0.0);
 
   /// Watch an existing counter: progress = the summed value changing.
   /// `counter` must outlive the watchdog (registry handles do).
@@ -117,15 +88,14 @@ class Watchdog {
     double deadline_s = 0.0;
     bool stalled = false;
     std::uint64_t alerts = 0;
-    // Heartbeat entries own the handle; counter entries watch `counter`;
-    // gauge entries watch `gauge` against [band_lo, band_hi].
-    std::unique_ptr<Heartbeat> heartbeat;
+    // Counter entries watch `counter`; gauge entries watch `gauge`
+    // against [band_lo, band_hi].
     const Counter* counter = nullptr;
     const Gauge* gauge = nullptr;
     double band_lo = 0.0;              ///< gauge entries
     double band_hi = 0.0;              ///< gauge entries
     std::uint64_t last_value = 0;      ///< counter entries
-    double last_progress_us = 0.0;     ///< counter + gauge entries
+    double last_progress_us = 0.0;
   };
 
   void alert(const Entry& entry, double silent_s);
@@ -138,7 +108,7 @@ class Watchdog {
   Counter& polls_counter_;
 
   mutable std::mutex mutex_;
-  std::deque<Entry> entries_;  ///< deque: heartbeat references stay valid
+  std::vector<Entry> entries_;
   std::uint64_t total_alerts_ = 0;
 
   std::condition_variable cv_;

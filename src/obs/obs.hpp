@@ -9,7 +9,7 @@
 //                               records the grid DES on its virtual clock
 //   * obs::write_chrome_trace   the one Chrome trace-event JSON writer
 //   * obs::SnapshotExporter     periodic Prometheus + JSONL file export
-//   * obs::Watchdog             heartbeat/counter/gauge stall alerts
+//   * obs::Watchdog             counter/gauge stall alerts
 //   * obs::TraceContext         causal ids threaded campaign → session
 //   * obs::arm_post_mortem      crash/stall dump of the flight recorder
 //   * obs::set_*_enabled(...)   runtime kill switches (metrics and detail

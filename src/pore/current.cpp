@@ -9,6 +9,16 @@
 namespace spice::pore {
 
 namespace {
+constexpr double kConductivity = 1.0;  ///< bulk solution conductivity, arbitrary-but-fixed units
+constexpr std::size_t kSlices = 50;
+/// Minimum open fraction per slice (a fully plugged slice still leaks a
+/// little in experiment; also keeps the series sum finite).
+constexpr double kMinOpenFraction = 0.05;
+static_assert(kSlices >= 2, "current model needs at least two slices");
+static_assert(kConductivity > 0.0, "conductivity must be positive");
+static_assert(kMinOpenFraction > 0.0 && kMinOpenFraction <= 1.0,
+              "min open fraction must be in (0, 1]");
+
 /// Cross-sectional area a sphere of radius r centred at (x, y, zb)
 /// occludes in the slice at height z (disc of the sphere at that height,
 /// clipped to non-negative).
@@ -22,14 +32,10 @@ double sphere_slice_area(const Vec3& bead, double r, double z) {
 double pore_conductance(const RadiusProfile& profile, std::span<const Vec3> positions,
                         double bead_radius, const CurrentModelParams& params) {
   SPICE_REQUIRE(params.z_hi > params.z_lo, "current model needs z_hi > z_lo");
-  SPICE_REQUIRE(params.slices >= 2, "current model needs at least two slices");
-  SPICE_REQUIRE(params.conductivity > 0.0, "conductivity must be positive");
-  SPICE_REQUIRE(params.min_open_fraction > 0.0 && params.min_open_fraction <= 1.0,
-                "min_open_fraction must be in (0, 1]");
 
-  const double dz = (params.z_hi - params.z_lo) / static_cast<double>(params.slices);
+  const double dz = (params.z_hi - params.z_lo) / static_cast<double>(kSlices);
   double resistance = 0.0;
-  for (std::size_t s = 0; s < params.slices; ++s) {
+  for (std::size_t s = 0; s < kSlices; ++s) {
     const double z = params.z_lo + (static_cast<double>(s) + 0.5) * dz;
     const double lumen_radius = profile.radius(z);
     const double lumen_area = std::numbers::pi * lumen_radius * lumen_radius;
@@ -41,8 +47,8 @@ double pore_conductance(const RadiusProfile& profile, std::span<const Vec3> posi
       occluded += sphere_slice_area(bead, bead_radius, z);
     }
     const double open_area =
-        std::max(lumen_area - occluded, params.min_open_fraction * lumen_area);
-    resistance += dz / (params.conductivity * open_area);
+        std::max(lumen_area - occluded, kMinOpenFraction * lumen_area);
+    resistance += dz / (kConductivity * open_area);
   }
   return 1.0 / resistance;
 }

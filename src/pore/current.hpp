@@ -26,14 +26,9 @@
 namespace spice::pore {
 
 struct CurrentModelParams {
-  double conductivity = 1.0;     ///< bulk solution conductivity, arbitrary-but-fixed units
   double z_lo = -50.0;           ///< integrate the access resistance over [z_lo, z_hi]
   double z_hi = 0.0;
-  std::size_t slices = 50;
   double voltage_mv = 120.0;
-  /// Minimum open fraction per slice (a fully plugged slice still leaks a
-  /// little in experiment; also keeps the series sum finite).
-  double min_open_fraction = 0.05;
 };
 
 /// Pore conductance for the given bead configuration (arbitrary units,

@@ -10,11 +10,20 @@
 
 namespace spice::core {
 
+namespace {
+constexpr std::size_t kPulseSteps = 1500;  ///< steps with the force on
+constexpr std::size_t kRelaxSteps = 2500;  ///< steps observing the relaxation
+constexpr std::size_t kSampleEvery = 10;   ///< COM sampling stride during relaxation
+/// Safety factor: pulling slower than (1 Å per `kSamplingMargin`
+/// relaxation times) counts as adequately sampled.
+constexpr double kSamplingMargin = 5.0;
+static_assert(kPulseSteps > 0 && kRelaxSteps > kSampleEvery * 8,
+              "exploration needs pulse and relaxation windows");
+}  // namespace
+
 ExplorationReport run_exploration(spice::steering::SteerableSimulation& simulation,
                                   const ExplorationConfig& config) {
   SPICE_REQUIRE(!config.probe_forces.empty(), "exploration needs probe forces");
-  SPICE_REQUIRE(config.pulse_steps > 0 && config.relax_steps > config.sample_every * 8,
-                "exploration needs pulse and relaxation windows");
 
   ExplorationReport report;
   RunningStats response_per_force;
@@ -27,7 +36,7 @@ ExplorationReport run_exploration(spice::steering::SteerableSimulation& simulati
 
     // Pulse: constant downward force on the steered selection.
     simulation.deliver(spice::steering::SteeringMessage::apply_force({0, 0, -force}));
-    simulation.run(config.pulse_steps);
+    simulation.run(kPulseSteps);
     const double z_pulled = simulation.steered_com_z();
     const double response = z0 - z_pulled;  // positive when pushed down
     responses.add(std::abs(response));
@@ -36,8 +45,8 @@ ExplorationReport run_exploration(spice::steering::SteerableSimulation& simulati
     // Release and record the relaxation trace.
     simulation.deliver(spice::steering::SteeringMessage::apply_force({0, 0, 0}));
     relaxation_trace.clear();
-    for (std::size_t s = 0; s < config.relax_steps; s += config.sample_every) {
-      simulation.run(config.sample_every);
+    for (std::size_t s = 0; s < kRelaxSteps; s += kSampleEvery) {
+      simulation.run(kSampleEvery);
       relaxation_trace.push_back(simulation.steered_com_z());
     }
     // Integrated autocorrelation time of the relaxing coordinate, in
@@ -46,7 +55,7 @@ ExplorationReport run_exploration(spice::steering::SteerableSimulation& simulati
     const double dt = simulation.engine().config().dt;
     report.com_relaxation_ps =
         std::max(report.com_relaxation_ps,
-                 tau_samples * static_cast<double>(config.sample_every) * dt);
+                 tau_samples * static_cast<double>(kSampleEvery) * dt);
     ++report.probes_run;
   }
 
@@ -56,7 +65,7 @@ ExplorationReport run_exploration(spice::steering::SteerableSimulation& simulati
   // v_max: an adequately sampled pull spends ≥ margin × τ per Å.
   SPICE_ENSURE(report.com_relaxation_ps > 0.0, "relaxation time came out non-positive");
   const double v_max_internal =
-      1.0 / (config.sampling_margin * report.com_relaxation_ps);  // Å/ps
+      1.0 / (kSamplingMargin * report.com_relaxation_ps);  // Å/ps
   report.suggested_v_max_ns = units::velocity_to_angstrom_per_ns(v_max_internal);
 
   // κ bracket: the spring should hold the selection against forces of the

@@ -28,12 +28,6 @@ namespace spice::core {
 
 struct ExplorationConfig {
   std::vector<double> probe_forces = {10.0, 20.0, 40.0};  ///< kcal/mol/Å, applied along −z
-  std::size_t pulse_steps = 1500;    ///< steps with the force on
-  std::size_t relax_steps = 2500;    ///< steps observing the relaxation
-  std::size_t sample_every = 10;     ///< COM sampling stride during relaxation
-  /// Safety factor: pulling slower than (1 Å per `sampling_margin`
-  /// relaxation times) counts as adequately sampled.
-  double sampling_margin = 5.0;
 };
 
 struct ExplorationReport {

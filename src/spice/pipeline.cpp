@@ -67,8 +67,8 @@ InteractiveReport run_interactive_phase(const PipelineConfig& config) {
 
   // Network: simulation at NCSA, visualizer + haptics at UCL.
   spice::net::Network network(config.seed);
-  const auto sim_host = network.add_host("namd-sim", "NCSA");
-  const auto viz_host = network.add_host("ucl-viz", "UCL");
+  const auto sim_host = network.add_host("NCSA");
+  const auto viz_host = network.add_host("UCL");
   const spice::net::QosSpec qos = spice::net::lightpath_transatlantic();
   network.connect_sites("NCSA", "UCL", qos);
   report.network_used = qos.name;

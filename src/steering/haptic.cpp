@@ -8,15 +8,19 @@
 
 namespace spice::steering {
 
+namespace {
+constexpr double kStiffness = 2.0;  ///< hand-spring stiffness, kcal/mol/Å²
+static_assert(kStiffness > 0.0, "haptic stiffness must be positive");
+}  // namespace
+
 HapticDevice::HapticDevice(HapticParams params)
     : params_(params), rng_(spice::Rng::stream(params.seed, 0x686170 /*"hap"*/)) {
-  SPICE_REQUIRE(params_.stiffness > 0.0, "haptic stiffness must be positive");
   SPICE_REQUIRE(params_.max_force > 0.0, "haptic force limit must be positive");
 }
 
 std::optional<Vec3> HapticDevice::update(const FrameView& view) {
   const double target = params_.target_z + rng_.gaussian(0.0, params_.tremor_stddev);
-  double fz = params_.stiffness * (target - view.steered_com_z);
+  double fz = kStiffness * (target - view.steered_com_z);
   fz = std::clamp(fz, -params_.max_force, params_.max_force);
   force_log_.add(std::abs(fz));
   if (std::abs(fz) < 1e-6) return std::nullopt;

@@ -23,7 +23,6 @@
 namespace spice::steering {
 
 struct HapticParams {
-  double stiffness = 2.0;        ///< hand-spring stiffness, kcal/mol/Å²
   double max_force = 60.0;       ///< device force saturation, kcal/mol/Å
   double target_z = -20.0;       ///< where the operator tries to move the COM
   double tremor_stddev = 0.3;    ///< human hand noise on the target, Å

@@ -8,33 +8,42 @@
 
 namespace spice::viz {
 
+namespace {
+constexpr double kXHalfWidth = 30.0;
+constexpr std::size_t kRows = 40;     ///< z resolution
+constexpr std::size_t kColumns = 61;  ///< x resolution (odd keeps the axis centred)
+constexpr char kBead = 'o';
+constexpr char kWall = '|';
+constexpr char kEmpty = ' ';
+static_assert(kRows >= 2 && kColumns >= 3, "render grid too small");
+static_assert(kXHalfWidth > 0.0, "render x half width must be positive");
+}  // namespace
+
 std::string render_side_view(const spice::pore::RadiusProfile& profile,
                              std::span<const Vec3> positions, const RenderOptions& options) {
-  SPICE_REQUIRE(options.rows >= 2 && options.columns >= 3, "render grid too small");
   SPICE_REQUIRE(options.z_max > options.z_min, "render z range empty");
-  SPICE_REQUIRE(options.x_half_width > 0.0, "render x half width must be positive");
 
-  std::vector<std::string> grid(options.rows, std::string(options.columns, options.empty));
+  std::vector<std::string> grid(kRows, std::string(kColumns, kEmpty));
 
-  const double dz = (options.z_max - options.z_min) / static_cast<double>(options.rows);
-  const double dx = 2.0 * options.x_half_width / static_cast<double>(options.columns);
+  const double dz = (options.z_max - options.z_min) / static_cast<double>(kRows);
+  const double dx = 2.0 * kXHalfWidth / static_cast<double>(kColumns);
 
   auto column_of = [&](double x) -> int {
-    return static_cast<int>(std::floor((x + options.x_half_width) / dx));
+    return static_cast<int>(std::floor((x + kXHalfWidth) / dx));
   };
 
   // Pore walls: for each row, draw the lumen boundary at ±R(z).
-  for (std::size_t row = 0; row < options.rows; ++row) {
+  for (std::size_t row = 0; row < kRows; ++row) {
     const double z = options.z_max - (static_cast<double>(row) + 0.5) * dz;
     const double r = profile.radius(z);
-    if (r >= options.x_half_width) continue;
+    if (r >= kXHalfWidth) continue;
     const int left = column_of(-r);
     const int right = column_of(r);
-    if (left >= 0 && left < static_cast<int>(options.columns)) {
-      grid[row][static_cast<std::size_t>(left)] = options.wall;
+    if (left >= 0 && left < static_cast<int>(kColumns)) {
+      grid[row][static_cast<std::size_t>(left)] = kWall;
     }
-    if (right >= 0 && right < static_cast<int>(options.columns)) {
-      grid[row][static_cast<std::size_t>(right)] = options.wall;
+    if (right >= 0 && right < static_cast<int>(kColumns)) {
+      grid[row][static_cast<std::size_t>(right)] = kWall;
     }
   }
 
@@ -42,13 +51,13 @@ std::string render_side_view(const spice::pore::RadiusProfile& profile,
   for (const auto& p : positions) {
     if (p.z < options.z_min || p.z >= options.z_max) continue;
     const int col = column_of(p.x);
-    if (col < 0 || col >= static_cast<int>(options.columns)) continue;
+    if (col < 0 || col >= static_cast<int>(kColumns)) continue;
     const auto row = static_cast<std::size_t>((options.z_max - p.z) / dz);
-    grid[std::min(row, options.rows - 1)][static_cast<std::size_t>(col)] = options.bead;
+    grid[std::min(row, kRows - 1)][static_cast<std::size_t>(col)] = kBead;
   }
 
   std::string out;
-  out.reserve(options.rows * (options.columns + 1));
+  out.reserve(kRows * (kColumns + 1));
   for (const auto& line : grid) {
     out += line;
     out += '\n';

@@ -15,12 +15,6 @@ namespace spice::viz {
 struct RenderOptions {
   double z_min = -70.0;
   double z_max = 50.0;
-  double x_half_width = 30.0;
-  std::size_t rows = 40;    ///< z resolution
-  std::size_t columns = 61; ///< x resolution (odd keeps the axis centred)
-  char bead = 'o';
-  char wall = '|';
-  char empty = ' ';
 };
 
 /// Render the pore outline and particle positions; one row per z band,

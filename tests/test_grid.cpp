@@ -1455,23 +1455,23 @@ TEST(Coordination, ManualAnecdoteScale) {
   // one reservation. The model must place that within its support.
   bool saw_heavy_case = false;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    const auto o = simulate_manual_coordination(1, ManualProcessParams{}, seed);
+    const auto o = simulate_manual_coordination(1, seed);
     if (o.emails >= 12 && o.errors >= 3) saw_heavy_case = true;
   }
   EXPECT_TRUE(saw_heavy_case);
 }
 
 TEST(Coordination, ManualSuccessDecaysWithSiteCount) {
-  const auto s1 = summarize_manual(1, 400, ManualProcessParams{}, 5);
-  const auto s4 = summarize_manual(4, 400, ManualProcessParams{}, 5);
-  const auto s8 = summarize_manual(8, 400, ManualProcessParams{}, 5);
+  const auto s1 = summarize_manual(1, 400, 5);
+  const auto s4 = summarize_manual(4, 400, 5);
+  const auto s8 = summarize_manual(8, 400, 5);
   EXPECT_GT(s1.success_rate, s4.success_rate);
   EXPECT_GT(s4.success_rate, s8.success_rate);
 }
 
 TEST(Coordination, AutomatedScalesWhereManualDoesNot) {
-  const auto manual = summarize_manual(6, 400, ManualProcessParams{}, 7);
-  const auto automated = summarize_automated(6, 400, AutomatedProcessParams{}, 7);
+  const auto manual = summarize_manual(6, 400, 7);
+  const auto automated = summarize_automated(6, 400, 7);
   EXPECT_GT(automated.success_rate, manual.success_rate);
   EXPECT_GT(automated.success_rate, 0.8);
   EXPECT_LT(automated.mean_elapsed_hours, 2.0);
@@ -1615,8 +1615,8 @@ TEST(Metrics, RealCampaignProducesSensibleMetrics) {
 }
 
 TEST(Coordination, ManualEmailsGrowWithSites) {
-  const auto s2 = summarize_manual(2, 300, ManualProcessParams{}, 9);
-  const auto s6 = summarize_manual(6, 300, ManualProcessParams{}, 9);
+  const auto s2 = summarize_manual(2, 300, 9);
+  const auto s6 = summarize_manual(6, 300, 9);
   EXPECT_GT(s6.mean_emails, s2.mean_emails * 2.0);
 }
 

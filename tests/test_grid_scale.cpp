@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -311,6 +312,56 @@ TEST(Broker, WavesRecycleRowsAcrossBrokers) {
   EXPECT_EQ(federation.jobs().live_rows(), 0u);
   EXPECT_LE(federation.jobs().peak_rows(), 400u);
   EXPECT_LE(federation.jobs().capacity_rows(), 400u);
+}
+
+// A campaign built out of same-timestamp ties: unit-speed sites, integral
+// runtimes, hourly checkpoints, an outage at an integral hour and
+// jitter-free retries make completions, starts, kills and requeues land on
+// the same hours. Which tied event fires first decides where and when
+// jobs run, so this digest pins the queue's (time, seq) order at campaign
+// scale; the E18 digest folds per-job outcomes that ties do not move.
+TEST(Broker, SameTimestampOrderIsPinned) {
+  EventQueue events;
+  Federation federation(events);
+  federation.add_site({.name = "A", .grid = "G", .processors = 64});
+  federation.add_site({.name = "B", .grid = "G", .processors = 64});
+  federation.add_site({.name = "C", .grid = "G", .processors = 32});
+
+  CampaignConfig config;
+  for (JobId id = 0; id < 60; ++id) {
+    config.jobs.push_back(make_job(id, 16 * (1 + static_cast<int>(id % 2)),
+                                   static_cast<double>(1 + id % 5)));
+  }
+  config.checkpoint_interval_hours = 1.0;
+  config.retry.jitter_fraction = 0.0;
+  config.retry.base_backoff_hours = 1.0;
+  config.keep_finished_jobs = true;
+  Broker broker(federation, config);
+
+  FaultConfig faults;
+  faults.scheduled.push_back({"A", 3.0, 2.0});
+  FaultInjector injector(federation, faults);
+  injector.arm();
+
+  broker.submit_all();
+  while (!broker.done() && events.step()) {
+  }
+  const CampaignResult r = broker.result();
+  ASSERT_EQ(r.completed, 60u);
+  ASSERT_GT(r.checkpoint_restarts, 0u);  // the outage really killed jobs
+
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kPrime; };
+  const auto mix_double = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  for (const Job& job : r.finished_jobs) {  // completion order
+    mix(job.id);
+    for (const char ch : job.site) mix(static_cast<std::uint64_t>(ch));
+    mix_double(job.start_time);
+    mix_double(job.end_time);
+    mix(static_cast<std::uint64_t>(job.requeues));
+  }
+  EXPECT_EQ(h, 0x4c04a28024f26133ULL) << std::hex << "digest " << h;
 }
 
 TEST(Federation, SyntheticFederationIsDeterministic) {

@@ -159,9 +159,9 @@ struct HubFixture {
     const net::QosSpec fast{.name = "fast", .latency_ms = 1.0, .jitter_ms = 0.0,
                             .loss_rate = 0.0, .bandwidth_mbps = 1e5};
     network.connect_sites("H", "C", fast);
-    hub_host = network.add_host("hub", "H");
+    hub_host = network.add_host("H");
     for (std::size_t i = 0; i < clients; ++i) {
-      client_hosts.push_back(network.add_host("c" + std::to_string(i), "C"));
+      client_hosts.push_back(network.add_host("C"));
     }
   }
 
@@ -348,8 +348,8 @@ TEST(SteeringHub, RecordedSessionReplaysBitIdentically) {
   const net::QosSpec fast{.name = "fast", .latency_ms = 1.0, .jitter_ms = 0.0,
                           .loss_rate = 0.0, .bandwidth_mbps = 1e5};
   network.connect_sites("H", "C", fast);
-  const auto hub_host = network.add_host("hub", "H");
-  const auto viz = network.add_host("viz", "C");
+  const auto hub_host = network.add_host("H");
+  const auto viz = network.add_host("C");
 
   steering::SteerableSimulation sim = make_sim(31);
   steering::SessionLog log;

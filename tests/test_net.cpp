@@ -34,7 +34,7 @@ TEST(Qos, PresetsEncodeThePapersArgument) {
 
 TEST(Network, LoopbackIsInstant) {
   Network net(1);
-  const auto a = net.add_host("a", "US");
+  const auto a = net.add_host("US");
   const auto out = net.send(5.0, a, a, 1e6);
   EXPECT_TRUE(out.delivered);
   EXPECT_DOUBLE_EQ(out.deliver_at, 5.0);
@@ -45,8 +45,8 @@ TEST(Network, DeliveryRespectsLatencyAndBandwidth) {
   QosSpec qos{.name = "test", .latency_ms = 50.0, .jitter_ms = 0.0, .loss_rate = 0.0,
               .bandwidth_mbps = 100.0};
   Network net = make_two_site_net(qos);
-  const auto us = net.add_host("sim", "US");
-  const auto uk = net.add_host("viz", "UK");
+  const auto us = net.add_host("US");
+  const auto uk = net.add_host("UK");
   // 1 MB at 100 Mbit/s = 0.08 s transmission + 0.05 s propagation.
   const auto out = net.send(0.0, us, uk, 1e6);
   ASSERT_TRUE(out.delivered);
@@ -57,8 +57,8 @@ TEST(Network, JitterSpreadsDeliveryTimes) {
   QosSpec qos{.name = "test", .latency_ms = 50.0, .jitter_ms = 10.0, .loss_rate = 0.0,
               .bandwidth_mbps = 1e5};
   Network net = make_two_site_net(qos);
-  const auto us = net.add_host("sim", "US");
-  const auto uk = net.add_host("viz", "UK");
+  const auto us = net.add_host("US");
+  const auto uk = net.add_host("UK");
   RunningStats delays;
   double t = 0.0;
   for (int i = 0; i < 2000; ++i) {
@@ -74,8 +74,8 @@ TEST(Network, LossTriggersRetransmissionDelay) {
   QosSpec qos{.name = "lossy", .latency_ms = 10.0, .jitter_ms = 0.0, .loss_rate = 0.5,
               .bandwidth_mbps = 1e5};
   Network net = make_two_site_net(qos, 3);
-  const auto us = net.add_host("sim", "US");
-  const auto uk = net.add_host("viz", "UK");
+  const auto us = net.add_host("US");
+  const auto uk = net.add_host("UK");
   std::uint64_t retransmits = 0;
   double t = 0.0;
   for (int i = 0; i < 500; ++i) {
@@ -96,8 +96,8 @@ TEST(Network, FifoPerFlow) {
   QosSpec qos{.name = "jittery", .latency_ms = 20.0, .jitter_ms = 15.0, .loss_rate = 0.0,
               .bandwidth_mbps = 1e5};
   Network net = make_two_site_net(qos, 9);
-  const auto us = net.add_host("sim", "US");
-  const auto uk = net.add_host("viz", "UK");
+  const auto us = net.add_host("US");
+  const auto uk = net.add_host("UK");
   double last = -1.0;
   for (int i = 0; i < 1000; ++i) {
     const auto out = net.send(i * 0.001, us, uk, 100.0);
@@ -109,8 +109,8 @@ TEST(Network, FifoPerFlow) {
 
 TEST(Network, HiddenIpUnreachableWithoutGateway) {
   Network net = make_two_site_net(lightpath_transatlantic());
-  const auto viz = net.add_host("viz", "UK");
-  const auto hidden = net.add_host("compute-7", "US", /*hidden_ip=*/true);
+  const auto viz = net.add_host("UK");
+  const auto hidden = net.add_host("US", /*hidden_ip=*/true);
   EXPECT_EQ(net.classify_path(viz, hidden), PathKind::Unreachable);
   const auto out = net.send(0.0, viz, hidden, 100.0);
   EXPECT_FALSE(out.delivered);
@@ -122,8 +122,8 @@ TEST(Network, HiddenIpReachableInsideOwnSite) {
   // Hidden addresses work fine for intra-machine traffic — the paper's
   // point is that they break *grid* applications.
   Network net(1);
-  const auto a = net.add_host("rank0", "PSC", true);
-  const auto b = net.add_host("rank1", "PSC", true);
+  const auto a = net.add_host("PSC", true);
+  const auto b = net.add_host("PSC", true);
   const auto out = net.send(0.0, a, b, 100.0);
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.path, PathKind::Direct);
@@ -132,8 +132,8 @@ TEST(Network, HiddenIpReachableInsideOwnSite) {
 TEST(Network, GatewayRestoresReachabilityForTcp) {
   Network net = make_two_site_net(lightpath_transatlantic());
   net.set_site_gateway("US", 1000.0);
-  const auto viz = net.add_host("viz", "UK");
-  const auto hidden = net.add_host("compute-7", "US", true);
+  const auto viz = net.add_host("UK");
+  const auto hidden = net.add_host("US", true);
   const auto out = net.send(0.0, viz, hidden, 1e5);
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.path, PathKind::ViaGateway);
@@ -143,13 +143,13 @@ TEST(Network, GatewayRejectsUdp) {
   // "it does not support UDP-based traffic" — paper §V-C.1.
   Network net = make_two_site_net(lightpath_transatlantic());
   net.set_site_gateway("US", 1000.0);
-  const auto viz = net.add_host("viz", "UK");
-  const auto hidden = net.add_host("compute-7", "US", true);
+  const auto viz = net.add_host("UK");
+  const auto hidden = net.add_host("US", true);
   const auto out = net.send(0.0, viz, hidden, 100.0, Transport::Udp);
   EXPECT_FALSE(out.delivered);
   EXPECT_NE(out.failure.find("UDP"), std::string::npos);
   // Direct UDP to a public host is fine.
-  const auto pub = net.add_host("login", "US", false);
+  const auto pub = net.add_host("US", false);
   EXPECT_TRUE(net.send(0.0, viz, pub, 100.0, Transport::Udp).delivered);
 }
 
@@ -161,10 +161,10 @@ TEST(Network, GatewaySerializesConcurrentFlows) {
               .bandwidth_mbps = 1e5};
   Network net = make_two_site_net(qos);
   net.set_site_gateway("UK", 100.0);  // 100 Mbit gateway
-  const auto viz = net.add_host("viz", "US");
+  const auto viz = net.add_host("US");
   std::vector<HostId> ranks;
   for (int i = 0; i < 8; ++i) {
-    ranks.push_back(net.add_host("rank" + std::to_string(i), "UK", true));
+    ranks.push_back(net.add_host("UK", true));
   }
   // 8 × 1 MB messages sent at the same instant.
   double last_delivery = 0.0;
@@ -181,10 +181,42 @@ TEST(Network, GatewaySerializesConcurrentFlows) {
   EXPECT_GT(gw->total_queue_delay, 0.4);
 }
 
+TEST(Network, DirectedLinkSerializesTransmissions) {
+  QosSpec qos{.name = "test", .latency_ms = 50.0, .jitter_ms = 0.0, .loss_rate = 0.0,
+              .bandwidth_mbps = 100.0};
+  Network net = make_two_site_net(qos);
+  const auto us1 = net.add_host("US");
+  const auto us2 = net.add_host("US");
+  const auto uk1 = net.add_host("UK");
+  const auto uk2 = net.add_host("UK");
+  constexpr double kTransmission = 0.08;  // 1 MB at 100 Mbit/s
+
+  // Two flows share the US→UK pipe: the second transmission starts when
+  // the first leaves the wire, one transmission time later.
+  const auto first = net.send(0.0, us1, uk1, 1e6);
+  const auto second = net.send(0.0, us2, uk2, 1e6);
+  ASSERT_TRUE(first.delivered && second.delivered);
+  EXPECT_NEAR(first.deliver_at, kTransmission + 0.05, 1e-9);
+  EXPECT_NEAR(second.deliver_at, 2 * kTransmission + 0.05, 1e-9);
+
+  // The reverse direction is its own pipe: not delayed by the queue above.
+  const auto back = net.send(0.0, uk1, us1, 1e6);
+  ASSERT_TRUE(back.delivered);
+  EXPECT_NEAR(back.deliver_at, kTransmission + 0.05, 1e-9);
+
+  // Traffic inside one site is not serialized: two 10 MB LAN messages
+  // (8 ms each at 10 Gbit/s) sent together arrive together.
+  const auto lan_a = net.send(0.0, us1, us2, 1e7);
+  const auto lan_b = net.send(0.0, us2, us1, 1e7);
+  ASSERT_TRUE(lan_a.delivered && lan_b.delivered);
+  EXPECT_LT(lan_a.deliver_at, 0.009);
+  EXPECT_LT(lan_b.deliver_at, 0.009);
+}
+
 TEST(Network, StatsAccumulate) {
   Network net = make_two_site_net(lightpath_transatlantic());
-  const auto us = net.add_host("a", "US");
-  const auto uk = net.add_host("b", "UK");
+  const auto us = net.add_host("US");
+  const auto uk = net.add_host("UK");
   for (int i = 0; i < 10; ++i) net.send(i, us, uk, 1000.0);
   EXPECT_EQ(net.stats().messages, 10u);
   EXPECT_EQ(net.stats().delivered, 10u);
@@ -193,8 +225,8 @@ TEST(Network, StatsAccumulate) {
 
 TEST(Network, MissingLinkThrows) {
   Network net(1);
-  const auto a = net.add_host("a", "US");
-  const auto b = net.add_host("b", "JP");
+  const auto a = net.add_host("US");
+  const auto b = net.add_host("JP");
   EXPECT_THROW(net.send(0.0, a, b, 100.0), PreconditionError);
 }
 
@@ -215,8 +247,8 @@ class QosPresetTest : public ::testing::TestWithParam<int> {
 TEST_P(QosPresetTest, DeliveryNeverPrecedesPropagationFloor) {
   const QosSpec qos = preset(GetParam());
   Network net = make_two_site_net(qos, 77);
-  const auto a = net.add_host("a", "US");
-  const auto b = net.add_host("b", "UK");
+  const auto a = net.add_host("US");
+  const auto b = net.add_host("UK");
   // Floor: we cannot beat zero jitter AND the transmission time; with
   // truncated-normal jitter the delay is ≥ transmission alone.
   const double tx = 1000.0 * 8.0 / (qos.bandwidth_mbps * 1e6);
@@ -230,8 +262,8 @@ TEST_P(QosPresetTest, DeliveryNeverPrecedesPropagationFloor) {
 TEST_P(QosPresetTest, StatsAreConsistent) {
   const QosSpec qos = preset(GetParam());
   Network net = make_two_site_net(qos, 78);
-  const auto a = net.add_host("a", "US");
-  const auto b = net.add_host("b", "UK");
+  const auto a = net.add_host("US");
+  const auto b = net.add_host("UK");
   for (int i = 0; i < 300; ++i) net.send(i * 1.0, a, b, 500.0);
   const NetworkStats& stats = net.stats();
   EXPECT_EQ(stats.messages, 300u);

@@ -7,8 +7,6 @@
 //     validator) and list only the metrics that changed;
 //   * counter deltas across a whole export series sum EXACTLY to the final
 //     registry value, even with a concurrent writer (exactness on quiesce);
-//   * a clean shutdown with a non-empty publish queue loses nothing that
-//     was accepted, and a full queue drops (and counts) rather than blocks;
 //   * the watchdog is edge-triggered: an injected stall fires exactly one
 //     alert, recovery re-arms, and a healthy run fires none.
 
@@ -210,74 +208,17 @@ TEST(SnapshotExporter, ExactTotalsAcrossConcurrentWriter) {
   std::remove(config.jsonl_path.c_str());
 }
 
-TEST(SnapshotExporter, CleanShutdownDrainsNonEmptyQueue) {
-  ObsGuard guard(/*metrics=*/true);
-  obs::MetricsRegistry registry;
-  obs::Counter& ticks = registry.counter("test.exporter.ticks");
-
-  obs::ExporterConfig config;
-  config.jsonl_path = "test_obs_export_queue.jsonl";
-  config.period_s = 0.0;  // publish-only: no self-sampling
-  config.queue_capacity = 64;
-  obs::SnapshotExporter exporter(config, registry);
-
-  // Not running yet: publish is rejected and counted.
-  EXPECT_FALSE(exporter.publish(registry.snapshot()));
-  EXPECT_EQ(exporter.dropped(), 1u);
-
-  exporter.start();
-  constexpr int kPublished = 8;
-  for (int i = 0; i < kPublished; ++i) {
-    ticks.add(1);
-    EXPECT_TRUE(exporter.publish(registry.snapshot()));
-  }
-  exporter.stop();  // queue almost certainly still non-empty here
-
-  EXPECT_EQ(exporter.exports_written(), static_cast<std::uint64_t>(kPublished));
-  const std::vector<std::string> lines = read_lines(config.jsonl_path);
-  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kPublished));
-  long long total = 0;
-  for (const auto& line : lines) {
-    EXPECT_TRUE(json_is_valid(line)) << line;
-    total += delta_in_record(line, "test.exporter.ticks");
-  }
-  EXPECT_EQ(total, kPublished);  // one tick per published snapshot
-
-  std::remove(config.jsonl_path.c_str());
-}
-
-TEST(SnapshotExporter, FullQueueDropsInsteadOfBlocking) {
-  ObsGuard guard(/*metrics=*/true);
-  obs::MetricsRegistry registry;
-
-  obs::ExporterConfig config;
-  config.period_s = 0.0;
-  config.queue_capacity = 2;
-  obs::SnapshotExporter exporter(config, registry);
-  exporter.start();
-
-  // With no files configured the export thread still drains, so flood
-  // faster than it can wake: acceptance may vary, but drops must be
-  // counted and publish must never block.
-  std::uint64_t accepted = 0;
-  for (int i = 0; i < 512; ++i) {
-    if (exporter.publish(registry.snapshot())) ++accepted;
-  }
-  exporter.stop();
-  EXPECT_EQ(accepted + exporter.dropped(), 512u);
-  EXPECT_EQ(exporter.exports_written(), accepted);
-}
-
 // --- watchdog --------------------------------------------------------------
 
 TEST(Watchdog, InjectedStallFiresExactlyOneAlert) {
   ObsGuard guard(/*metrics=*/true);
   obs::MetricsRegistry registry;
+  obs::Counter& progress = registry.counter("test.watchdog.progress");
   obs::Watchdog watchdog({.default_deadline_s = 0.01}, registry);
-  obs::Heartbeat& heart = watchdog.heartbeat("test-subsystem");
+  watchdog.watch_counter("test-subsystem", progress);
 
-  heart.beat();
-  EXPECT_EQ(watchdog.poll(), 0u);  // just beat: healthy
+  progress.add(1);
+  EXPECT_EQ(watchdog.poll(), 0u);  // just progressed: healthy
 
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_EQ(watchdog.poll(), 1u);  // crossed the deadline: one alert
@@ -292,7 +233,7 @@ TEST(Watchdog, InjectedStallFiresExactlyOneAlert) {
   EXPECT_EQ(status[0].alerts, 1u);
 
   // Recovery re-arms: the NEXT stall is a new episode.
-  heart.beat();
+  progress.add(1);
   EXPECT_EQ(watchdog.poll(), 0u);
   EXPECT_FALSE(watchdog.status()[0].stalled);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -329,13 +270,14 @@ TEST(Watchdog, HealthyRunFiresNoAlerts) {
   ObsGuard guard(/*metrics=*/true);
   obs::MetricsRegistry registry;
   obs::Counter& steps = registry.counter("test.watchdog.healthy");
+  obs::Counter& beats = registry.counter("test.watchdog.beats");
 
   obs::Watchdog watchdog({.default_deadline_s = 60.0}, registry);
-  obs::Heartbeat& heart = watchdog.heartbeat("beating");
+  watchdog.watch_counter("beating", beats);
   watchdog.watch_counter("counting", steps);
 
   for (int i = 0; i < 5; ++i) {
-    heart.beat();
+    beats.add(1);
     steps.add(1);
     EXPECT_EQ(watchdog.poll(), 0u);
   }
@@ -348,11 +290,12 @@ TEST(Watchdog, HealthyRunFiresNoAlerts) {
 TEST(Watchdog, BackgroundThreadStartsAndStopsCleanly) {
   ObsGuard guard(/*metrics=*/true);
   obs::MetricsRegistry registry;
+  obs::Counter& progress = registry.counter("test.watchdog.bg");
   obs::Watchdog watchdog({.default_deadline_s = 60.0, .period_s = 0.005}, registry);
-  obs::Heartbeat& heart = watchdog.heartbeat("bg");
+  watchdog.watch_counter("bg", progress);
   watchdog.start();
   for (int i = 0; i < 4; ++i) {
-    heart.beat();
+    progress.add(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   watchdog.stop();

@@ -162,8 +162,8 @@ TEST(Steerable, CloneDoesNotPerturbOriginal) {
 net::Network imd_network(const net::QosSpec& qos, net::HostId& sim, net::HostId& viz) {
   net::Network network(5);
   network.connect_sites("NCSA", "UCL", qos);
-  sim = network.add_host("sim", "NCSA");
-  viz = network.add_host("viz", "UCL");
+  sim = network.add_host("NCSA");
+  viz = network.add_host("UCL");
   return network;
 }
 
